@@ -2,9 +2,10 @@
 
 The kernel of a field with stationary increments is
 K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi,
-approximated here as a weighted sum over a symmetric dyadic grid.  Grid
-symmetry makes the imaginary part cancel; it is computed and checked rather
-than assumed, since a nonzero value is the signature of a broken grid.
+approximated here as a weighted sum over a symmetric dyadic grid.  With f
+and the weights even, each (xi, -xi) pair of nodes contributes a real term,
+so the sum is written over half the grid as K = R R^T with the real factor
+R of `spectral_factor`, which the spectral synthesizer shares.
 
 Closed forms for the power-law (fractional-Brownian) family live here too,
 both as test oracles and as the input to the exact-factorization sampler.
@@ -20,16 +21,8 @@ from .grids import FrequencyGrid
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
                        require_admissible)
 
-# Tolerance for the quadrature imaginary part: |Im| <= REL * |Re| + ABS.
-IMAG_REL_TOL = 1e-10
-IMAG_ABS_TOL = 1e-14
-
 # Eigenvalue floor scale: quadrature matrices may dip this far below zero.
 PSD_NOISE_FACTOR = 1e-8
-
-
-class GridSymmetryError(RuntimeError):
-    """The quadrature imaginary part exceeded its cancellation budget."""
 
 
 def _as_points(points, dimension: int | None = None) -> np.ndarray:
@@ -46,20 +39,26 @@ def _as_points(points, dimension: int | None = None) -> np.ndarray:
     return pts
 
 
-def _checked_real(values: np.ndarray, context: str) -> np.ndarray:
-    im = np.abs(values.imag)
-    budget = IMAG_REL_TOL * np.abs(values.real) + IMAG_ABS_TOL
-    if np.any(im > budget):
-        worst = float(np.max(im - budget))
-        raise GridSymmetryError(
-            f"imaginary part failed to cancel in {context} (excess {worst:.3e}); "
-            "the frequency grid is not symmetric under negation")
-    return np.ascontiguousarray(values.real)
+def spectral_factor(density: SpectralDensity, points: np.ndarray,
+                    grid: FrequencyGrid) -> np.ndarray:
+    """Real (n, m) quadrature factor R over n points and the m grid nodes.
 
-
-def _phase_factors(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """(n, m) complex array of e^{i x.xi} - 1 over points x and grid nodes xi."""
-    return np.exp(1j * points @ grid.nodes.T) - 1.0
+    Column pair (2k, 2k+1) belongs to the k-th node xi of grid.half_indices
+    and holds sqrt(2 w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)).  This folds the
+    Hermitian sum over the pair (xi, -xi) into one real term, which relies on
+    f and w being even: f(-xi) = f(xi) and w(-xi) = w(xi) on the mirrored
+    node.  Then R R^T is the quadrature kernel, and R times m standard
+    normals, read as pairs (a, b) per half node, is the harmonizable sum
+    against zeta = (a + ib)/sqrt(2) with zeta(-xi) = conj(zeta(xi)).
+    """
+    half = grid.half_indices
+    nodes = grid.nodes[half]
+    amplitude = np.sqrt(2.0 * grid.weights[half] * density.evaluate(nodes))
+    phase = points @ nodes.T
+    factor = np.empty((phase.shape[0], 2 * half.size))
+    factor[:, 0::2] = (np.cos(phase) - 1.0) * amplitude
+    factor[:, 1::2] = -np.sin(phase) * amplitude
+    return factor
 
 
 def increment_covariance(density: SpectralDensity, x, x_prime,
@@ -67,10 +66,8 @@ def increment_covariance(density: SpectralDensity, x, x_prime,
     """Quadrature value of the increment kernel at a single pair of points."""
     require_admissible(density, grid)
     pts = _as_points([np.atleast_1d(x), np.atleast_1d(x_prime)], grid.dimension)
-    ph = _phase_factors(pts, grid)
-    weighted = grid.weights * density.evaluate(grid.nodes)
-    value = np.dot(ph[0] * weighted, np.conj(ph[1]))
-    return float(_checked_real(np.asarray([value]), "increment covariance")[0])
+    factor = spectral_factor(density, pts, grid)
+    return float(factor[0] @ factor[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +134,8 @@ def covariance_matrix(density: SpectralDensity, points,
     """
     require_admissible(density, grid)
     pts = _as_points(points, grid.dimension)
-    ph = _phase_factors(pts, grid)
-    weighted = grid.weights * density.evaluate(grid.nodes)
-    raw = _checked_real((ph * weighted) @ np.conj(ph.T), "covariance matrix")
+    factor = spectral_factor(density, pts, grid)
+    raw = factor @ factor.T
     upper = np.triu(raw)
     sym = upper + np.triu(raw, 1).T
     return CovarianceMatrix(pts, sym, density.label, grid.grid_id)

@@ -3,8 +3,9 @@
 The frequency grid discretizes the integral over R^d as a sum over dyadic
 annuli 2^j <= |xi| < 2^(j+1).  Midpoint nodes handle both the power-law
 singularity at the origin and the heavy tail with geometric error control.
-The node set is exactly symmetric under xi -> -xi so that quadrature sums
-of Hermitian integrands come out real to roundoff.
+The node set is exactly closed under xi -> -xi with equal weights on each
+(xi, -xi) pair, so quadrature sums of Hermitian integrands can be folded
+into real sums over half the grid (`FrequencyGrid.half_indices`).
 """
 
 from __future__ import annotations

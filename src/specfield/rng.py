@@ -27,17 +27,12 @@ def substream(master_seed: int, stream_id: int) -> Generator:
 
 
 def hermitian_noise(grid: FrequencyGrid, master_seed: int, stream_id: int) -> np.ndarray:
-    """Complex standard Gaussian array over the grid with zeta(-xi) = conj(zeta(xi)).
+    """Standard normals that stand for Hermitian Gaussian noise over the grid.
 
-    One real pair (a, b) is drawn per half-grid node, zeta = (a + ib)/sqrt(2)
-    (so E|zeta|^2 = 1), and the mirror node receives the conjugate.  Spectral
-    sums against such noise are real up to roundoff.
+    Draws grid.size values, read in order as one pair (a, b) per node of
+    grid.half_indices.  The pair stands for zeta = (a + ib)/sqrt(2) on that
+    node (so E|zeta|^2 = 1) and conj(zeta) on its mirror.  The column pairs of
+    covariance.spectral_factor consume this layout, so spectral sums are real
+    by construction.
     """
-    rng = substream(master_seed, stream_id)
-    half = grid.half_indices
-    draws = rng.standard_normal((half.size, 2))
-    values = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
-    zeta = np.empty(grid.size, dtype=complex)
-    zeta[half] = values
-    zeta[grid.mirror[half]] = np.conj(values)
-    return zeta
+    return substream(master_seed, stream_id).standard_normal(grid.size)

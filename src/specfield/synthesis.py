@@ -4,9 +4,10 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 
 - SpectralSynthesizer: the direct discretization of the harmonizable
   representation, sum over frequency nodes of (e^{i x.xi} - 1) sqrt(f w) zeta
-  with Hermitian complex noise.  Its distribution matches the quadrature
-  covariance matrix exactly, which is what makes the next sampler an oracle
-  for it.
+  with Hermitian noise, computed as the real factor R of the quadrature
+  kernel times standard normals.  Its distribution matches the quadrature
+  covariance matrix R R^T exactly, which is what makes the next sampler an
+  oracle for it.
 - ExactFieldSampler: factorizes a covariance matrix (jittered Cholesky) and
   maps standard normals through the factor.
 - CouplingSynthesizer: the domination-based decomposition; draws the
@@ -20,21 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix
+from .covariance import CovarianceMatrix, spectral_factor
 from .grids import PointSet, SpatialGrid
 from .rng import hermitian_noise, substream
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
                        require_admissible)
 
-# Budget for the synthesized imaginary part, relative to the sample sup.
-IMAG_SAMPLE_TOL = 1e-12
-
 # Jitter multipliers tried before declaring a covariance matrix indefinite.
 JITTER_LADDER = (1, 2, 4, 8)
-
-
-class RealityError(RuntimeError):
-    """A synthesized sample came out measurably complex (broken noise pairing)."""
 
 
 class IndefiniteMatrixError(RuntimeError):
@@ -87,9 +81,9 @@ class CouplingSample:
 
 
 class SpectralSynthesizer:
-    """Precomputes the (points x nodes) synthesis matrix for repeated sampling.
+    """Precomputes the real (points x nodes) spectral factor for repeated sampling.
 
-    Each sample is one matrix-vector product against fresh Hermitian noise;
+    Each sample is one matrix-vector product against fresh standard normals;
     the per-replica product keeps results independent of how many replicas are
     drawn and in what order.
     """
@@ -104,33 +98,12 @@ class SpectralSynthesizer:
         self.density = density
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
-        amplitude = np.sqrt(frequency_grid.weights * density.evaluate(frequency_grid.nodes))
-        phases = np.exp(1j * spatial_grid.points @ frequency_grid.nodes.T) - 1.0
-        self._matrix = phases * amplitude
-        # largest per-point standard deviation, the absolute anchor for the
-        # reality budget (a single realization can be arbitrarily close to zero)
-        self._scale = float(np.sqrt(np.max(np.sum(np.abs(self._matrix) ** 2, axis=1),
-                                           initial=0.0)))
+        self._factor = spectral_factor(density, spatial_grid.points, frequency_grid)
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
-        zeta = hermitian_noise(self.frequency_grid, master_seed, stream_id)
-        raw = self._matrix @ zeta
-        sup = float(np.max(np.abs(raw.real), initial=0.0))
-        worst_imag = float(np.max(np.abs(raw.imag), initial=0.0))
-        if worst_imag > IMAG_SAMPLE_TOL * max(sup, self._scale):
-            raise RealityError(
-                f"imaginary residual {worst_imag:.3e} exceeds {IMAG_SAMPLE_TOL} x "
-                f"max(sup {sup:.3e}, scale {self._scale:.3e}); "
-                "Hermitian pairing is broken")
-        return FieldSample(self.spatial_grid, np.ascontiguousarray(raw.real),
+        noise = hermitian_noise(self.frequency_grid, master_seed, stream_id)
+        return FieldSample(self.spatial_grid, self._factor @ noise,
                            master_seed, stream_id, "spectral", self.density.label)
-
-
-def synthesize(density: SpectralDensity, frequency_grid, spatial_grid: SpatialGrid,
-               master_seed: int, stream_id: int) -> FieldSample:
-    """One-off spectral sample; build a SpectralSynthesizer for replica loops."""
-    return SpectralSynthesizer(density, frequency_grid, spatial_grid).sample(
-        master_seed, stream_id)
 
 
 def _jittered_factor(matrix: CovarianceMatrix) -> np.ndarray:
@@ -181,12 +154,6 @@ class ExactFieldSampler:
                            self.matrix.density_label)
 
 
-def sample_exact(matrix: CovarianceMatrix, master_seed: int, stream_id: int,
-                 grid=None) -> FieldSample:
-    """One-off exact sample; build an ExactFieldSampler for replica loops."""
-    return ExactFieldSampler(matrix, grid).sample(master_seed, stream_id)
-
-
 class CouplingSynthesizer:
     """Draws (x1, x2, y_rep) replicas of the domination-based decomposition.
 
@@ -220,13 +187,3 @@ class CouplingSynthesizer:
         y_rep = FieldSample(self.spatial_grid, y_values, master_seed,
                             2 * replicate_id, "spectral", self._label)
         return CouplingSample(x1, x2, y_rep, self.constant)
-
-
-def sample_coupling(density_x: SpectralDensity, density_y: SpectralDensity,
-                    constant: float, certificate: DominationCertificate,
-                    frequency_grid, spatial_grid: SpatialGrid,
-                    master_seed: int, replicate_id: int) -> CouplingSample:
-    """One-off coupling replica; build a CouplingSynthesizer for loops."""
-    return CouplingSynthesizer(density_x, density_y, constant, certificate,
-                               frequency_grid, spatial_grid).sample(master_seed,
-                                                                    replicate_id)

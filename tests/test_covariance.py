@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specfield as sf
-from specfield import (CovarianceMatrix, GridSymmetryError, InadmissibleDensityError,
+from specfield import (CovarianceMatrix, InadmissibleDensityError,
                        PowerLawDensity, ZeroDensity, check_domination,
                        coupling_covariance, covariance_matrix, dyadic_frequency_grid,
                        increment_covariance, power_law_covariance_matrix,
                        power_law_increment_covariance)
-from specfield.grids import FrequencyGrid
 
 
 class TestBrownianOracle:
@@ -136,22 +135,6 @@ class TestCovarianceMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             CovarianceMatrix(np.array([[0.0], [1.0]]), np.eye(3), "d", "g")
-
-
-class TestGridSymmetryDetection:
-    def test_tampered_grid_raises(self):
-        g = dyadic_frequency_grid(1, -5, 5, 4)
-        nodes = g.nodes.copy()
-        # push one in-band node off its mirror image
-        band = sf.BandLimitedDensity(1, 1.0, 2.0, 1.0)
-        idx = int(np.flatnonzero((nodes[:, 0] >= 1.0) & (nodes[:, 0] < 2.0))[0])
-        nodes[idx, 0] *= 1.3
-        broken = FrequencyGrid(g.dimension, g.j_lo, g.j_hi, g.nodes_per_annulus,
-                               nodes, g.weights, g.mirror, g.annulus)
-        # distinct points: at x = x' the integrand is |.|^2 and stays real
-        # no matter how broken the grid is
-        with pytest.raises(GridSymmetryError, match="symmetric"):
-            increment_covariance(band, 0.5, 0.75, broken)
 
 
 class TestCouplingKernel:

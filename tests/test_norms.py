@@ -112,8 +112,8 @@ class TestPairSubsampling:
 
 class TestInterface:
     def test_field_sample_carries_its_grid(self, default_grid, space_8, brownian):
-        from specfield import synthesize
-        sample = synthesize(brownian, default_grid, space_8, 21, 0)
+        from specfield import SpectralSynthesizer
+        sample = SpectralSynthesizer(brownian, default_grid, space_8).sample(21, 0)
         direct = holder_norm(sample.values, 0.5, space_8)
         assert holder_norm(sample, 0.5) == direct
         assert sup_norm(sample) == np.max(np.abs(sample.values))

@@ -186,13 +186,14 @@ class TestAndersonShift:
 class TestShiftResolution:
     def test_field_sample_shift(self, default_grid, brownian):
         cfg = small_mc(default_grid)
-        sample = sf.synthesize(brownian, default_grid, cfg.spatial_grid, 77, 0)
+        sample = sf.SpectralSynthesizer(brownian, default_grid,
+                                        cfg.spatial_grid).sample(77, 0)
         resolved = _resolve_shift(sample, cfg.spatial_grid)
         assert np.array_equal(resolved, sample.values)
 
     def test_grid_mismatch_rejected(self, default_grid, brownian):
-        sample = sf.synthesize(brownian, default_grid,
-                               uniform_spatial_grid(1, 16), 77, 0)
+        sample = sf.SpectralSynthesizer(brownian, default_grid,
+                                        uniform_spatial_grid(1, 16)).sample(77, 0)
         with pytest.raises(ValueError, match="different grid"):
             _resolve_shift(sample, uniform_spatial_grid(1, 8))
 
