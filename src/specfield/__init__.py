@@ -30,8 +30,8 @@ from .verification import (BallProbabilityEstimate, CouplingLawReport, HurstEsti
                            InequalityReport, MCConfig, RadiusComparison,
                            ball_probability_profile, clopper_pearson_lower,
                            clopper_pearson_upper, compare_counts,
-                           coupling_norm_quantiles, estimate_ball_probability,
-                           estimate_holder_exponent, path_hurst,
+                           coupling_norm_quantiles, estimate_holder_exponent,
+                           path_hurst,
                            quadratic_variation_profile, verify_anderson_shift,
                            verify_anderson_sum, verify_comparison,
                            verify_coupling_law)

@@ -370,7 +370,7 @@ def console_main(argv=None) -> int:
                         help="output directory (default: the config's output key, "
                              "or ./specfield-run)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for replica generation; affects "
+                        help="worker threads for blocks of replicas; affects "
                              "speed only, never results")
     parser.add_argument("--verbose", action="store_true",
                         help="print progress and runtimes to stdout")

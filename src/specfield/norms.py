@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import SpatialGrid
+from .synthesis import block_rows
 
 # Above this many point pairs the Holder norm switches from all pairs to the
 # deterministic dyadic-offset subset.
@@ -34,15 +35,21 @@ def _grid_of(sample_or_values, grid):
     return grid
 
 
+def _per_path(values: np.ndarray, per_row: np.ndarray):
+    """A float for one path of shape (N,), the per-row array for a block."""
+    return float(per_row[0]) if values.ndim == 1 else per_row
+
+
 @dataclass(frozen=True)
 class SupNorm:
-    """max |g(x)| over the grid points."""
+    """max |g(x)| over the grid points; one value per row of a (B, N) block."""
 
     kind: str = "sup"
 
-    def __call__(self, sample_or_values, grid=None) -> float:
+    def __call__(self, sample_or_values, grid=None):
         values = _values_of(sample_or_values)
-        return float(np.max(np.abs(values), initial=0.0))
+        rows = np.atleast_2d(values)
+        return _per_path(values, np.max(np.abs(rows), axis=1, initial=0.0))
 
     @property
     def label(self) -> str:
@@ -56,7 +63,7 @@ class HolderNorm:
     The ratio is maximized over all point pairs when size^2 fits the budget,
     otherwise over the deterministic dyadic-offset pairs (i, i + 2^k along
     each grid axis) — a documented fixed subset, so values are reproducible
-    and still dominate the sup norm.
+    and still dominate the sup norm.  A (B, N) block gives one value per row.
     """
 
     alpha: float
@@ -73,55 +80,62 @@ class HolderNorm:
     def label(self) -> str:
         return f"holder({self.alpha!r})"
 
-    def __call__(self, sample_or_values, grid=None) -> float:
+    def __call__(self, sample_or_values, grid=None):
         values = _values_of(sample_or_values)
         grid = _grid_of(sample_or_values, grid)
-        sup = float(np.max(np.abs(values), initial=0.0))
-        n = values.shape[0]
+        rows = np.atleast_2d(values)
+        sup = np.max(np.abs(rows), axis=1, initial=0.0)
+        n = rows.shape[1]
         if n < 2:
-            return sup
+            return _per_path(values, sup)
         if n * n <= self.pair_budget:
-            ratio = self._full_pair_ratio(values, np.asarray(grid.points, dtype=float))
+            ratio = self._full_pair_ratio(rows, np.asarray(grid.points, dtype=float))
         else:
-            ratio = self._dyadic_pair_ratio(values, grid)
-        return sup + ratio
+            ratio = self._dyadic_pair_ratio(rows, grid)
+        return _per_path(values, sup + ratio)
 
-    def _full_pair_ratio(self, values: np.ndarray, points: np.ndarray) -> float:
-        diffs = np.abs(values[:, None] - values[None, :])
-        seps = np.sqrt(np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2))
-        iu = np.triu_indices(values.shape[0], k=1)
-        return float(np.max(diffs[iu] / seps[iu] ** self.alpha, initial=0.0))
+    def _full_pair_ratio(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+        first, second = np.triu_indices(rows.shape[1], k=1)
+        seps = np.sqrt(np.sum((points[first] - points[second]) ** 2, axis=1))
+        scale = seps ** self.alpha
+        ratio = np.empty(rows.shape[0])
+        step = block_rows(first.size)
+        for start in range(0, rows.shape[0], step):
+            chunk = rows[start:start + step]
+            diffs = np.abs(chunk[:, first] - chunk[:, second])
+            ratio[start:start + step] = np.max(diffs / scale, axis=1, initial=0.0)
+        return ratio
 
-    def _dyadic_pair_ratio(self, values: np.ndarray, grid) -> float:
+    def _dyadic_pair_ratio(self, rows: np.ndarray, grid) -> np.ndarray:
         if not isinstance(grid, SpatialGrid):
             raise ValueError("dyadic pair subsampling needs a uniform grid; "
                              "raise pair_budget for arbitrary point sets")
         spacing = grid.spacing
-        best = 0.0
+        best = np.zeros(rows.shape[0])
         if grid.dimension == 1:
             lag = 1
             while lag < grid.resolution:
-                d = np.max(np.abs(values[lag:] - values[:-lag]))
-                best = max(best, float(d) / (lag * spacing) ** self.alpha)
+                d = np.max(np.abs(rows[:, lag:] - rows[:, :-lag]), axis=1)
+                best = np.maximum(best, d / (lag * spacing) ** self.alpha)
                 lag *= 2
         else:
-            square = values.reshape(grid.resolution, grid.resolution)
+            square = rows.reshape(-1, grid.resolution, grid.resolution)
             lag = 1
             while lag < grid.resolution:
                 sep = (lag * spacing) ** self.alpha
-                d0 = np.max(np.abs(square[lag:, :] - square[:-lag, :]))
-                d1 = np.max(np.abs(square[:, lag:] - square[:, :-lag]))
-                best = max(best, float(d0) / sep, float(d1) / sep)
+                d0 = np.max(np.abs(square[:, lag:, :] - square[:, :-lag, :]), axis=(1, 2))
+                d1 = np.max(np.abs(square[:, :, lag:] - square[:, :, :-lag]), axis=(1, 2))
+                best = np.maximum(best, np.maximum(d0 / sep, d1 / sep))
                 lag *= 2
         return best
 
 
-def sup_norm(sample_or_values, grid=None) -> float:
+def sup_norm(sample_or_values, grid=None):
     return SupNorm()(sample_or_values, grid)
 
 
 def holder_norm(sample_or_values, alpha: float, grid=None,
-                pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
+                pair_budget: int = DEFAULT_PAIR_BUDGET):
     return HolderNorm(alpha, pair_budget)(sample_or_values, grid)
 
 

@@ -3,7 +3,9 @@
 Every draw is addressed by (master_seed, stream_id): the pair keys a Philox
 generator, so substreams are independent and can be created in any order, on
 any worker, with identical results.  Replicate k of a coupled pair uses the
-stream pair (2k, 2k+1).
+stream pair (2k, 2k+1).  Noise comes in blocks of replicas, but each row is
+still the draw of its own stream, so a block is the same whatever replicas
+share it.
 """
 
 from __future__ import annotations
@@ -26,13 +28,17 @@ def substream(master_seed: int, stream_id: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-def hermitian_noise(grid: FrequencyGrid, master_seed: int, stream_id: int) -> np.ndarray:
-    """Standard normals that stand for Hermitian Gaussian noise over the grid.
+def hermitian_noise(grid: FrequencyGrid, master_seed: int, stream_ids) -> np.ndarray:
+    """A (len(stream_ids), grid.size) block of noise, one row per stream.
 
-    Draws grid.size values, read in order as one pair (a, b) per node of
-    grid.half_indices.  The pair stands for zeta = (a + ib)/sqrt(2) on that
+    Row j holds the grid.size standard normals of substream(master_seed,
+    stream_ids[j]), drawn in place, read in order as one pair (a, b) per node
+    of grid.half_indices.  The pair stands for zeta = (a + ib)/sqrt(2) on that
     node (so E|zeta|^2 = 1) and conj(zeta) on its mirror.  The column pairs of
     covariance.spectral_factor consume this layout, so spectral sums are real
     by construction.
     """
-    return substream(master_seed, stream_id).standard_normal(grid.size)
+    block = np.empty((len(stream_ids), grid.size))
+    for row, stream_id in zip(block, stream_ids):
+        substream(master_seed, stream_id).standard_normal(out=row)
+    return block

@@ -4,15 +4,16 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 
 - SpectralSynthesizer: the direct discretization of the harmonizable
   representation, sum over frequency nodes of (e^{i x.xi} - 1) sqrt(f w) zeta
-  with Hermitian noise, computed as the real factor R of the quadrature
-  kernel times standard normals.  Its distribution matches the quadrature
-  covariance matrix R R^T exactly, which is what makes the next sampler an
-  oracle for it.
+  with Hermitian noise, computed for a block of replicas at once as one
+  product of a standard-normal block with the real factor R of the
+  quadrature kernel.  Its distribution matches the quadrature covariance
+  matrix R R^T exactly, which is what makes the next sampler an oracle for
+  it.
 - ExactFieldSampler: factorizes a covariance matrix (jittered Cholesky) and
   maps standard normals through the factor.
-- CouplingSynthesizer: the domination-based decomposition; draws the
-  dominated field and the residual field from disjoint streams and assembles
-  the representative of the dominating law as C^{-1/2} x1 + x2.
+- CouplingSynthesizer: the domination-based decomposition; draws blocks of
+  the dominated field and the residual field from disjoint streams and
+  assembles the representative of the dominating law as C^{-1/2} x1 + x2.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ from .spectral import (DominationCertificate, SpectralDensity, difference_densit
 
 # Jitter multipliers tried before declaring a covariance matrix indefinite.
 JITTER_LADDER = (1, 2, 4, 8)
+
+# Bytes of one replica block of noise, and of one chunk of points of the
+# spectral factor.
+BLOCK_BYTES = 8 << 20
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` float64 values that fit in BLOCK_BYTES (at least one)."""
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 class IndefiniteMatrixError(RuntimeError):
@@ -81,11 +91,15 @@ class CouplingSample:
 
 
 class SpectralSynthesizer:
-    """Precomputes the real (points x nodes) spectral factor for repeated sampling.
+    """Samples the harmonizable sum as blocks of replicas.
 
-    Each sample is one matrix-vector product against fresh standard normals;
-    the per-replica product keeps results independent of how many replicas are
-    drawn and in what order.
+    A block of B replicas is the (B, N) product noise @ R^T of a (B, M) noise
+    block against the real (N, M) spectral factor R, computed over chunks of
+    points whose rows of R fit in BLOCK_BYTES.  R is built chunk by chunk and
+    dropped after its product unless keep_factor() stored it whole, which
+    pays only when more than one block reuses it; the two paths compute the
+    same chunks and give bit-identical rows.  Each row is the draw of its own
+    stream, so rows do not depend on which replicas share a block.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -98,12 +112,53 @@ class SpectralSynthesizer:
         self.density = density
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
-        self._factor = spectral_factor(density, spatial_grid.points, frequency_grid)
+        self._factor = None
+
+    def keep_factor(self):
+        """Build R once and keep it for every later block."""
+        if self._factor is None:
+            factor = np.empty((self.spatial_grid.size, self.frequency_grid.size))
+            for start, stop, chunk in self._factor_chunks():
+                factor[start:stop] = chunk
+            self._factor = factor
+
+    def _factor_chunks(self):
+        """(start, stop, R[start:stop]) over chunks of at most BLOCK_BYTES."""
+        size = self.spatial_grid.size
+        rows = block_rows(self.frequency_grid.size)
+        points = self.spatial_grid.points
+        for start in range(0, size, rows):
+            stop = min(start + rows, size)
+            if self._factor is not None:
+                yield start, stop, self._factor[start:stop]
+            else:
+                yield start, stop, spectral_factor(self.density, points[start:stop],
+                                                   self.frequency_grid)
+
+    def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
+        """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j].
+
+        Checks once per block what FieldSample checks per replica: every
+        value is finite and the origin column is exactly +0.0.
+        """
+        noise = hermitian_noise(self.frequency_grid, master_seed, stream_ids)
+        block = np.empty((noise.shape[0], self.spatial_grid.size))
+        for start, stop, chunk in self._factor_chunks():
+            block[:, start:stop] = noise @ chunk.T
+        if not np.all(np.isfinite(block)):
+            raise ValueError("sample values must be finite")
+        origin = block[:, self.spatial_grid.origin_index]
+        if np.any(origin != 0.0) or np.any(np.signbit(origin)):
+            raise ValueError("value at the origin must be exactly +0.0")
+        return block
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
-        noise = hermitian_noise(self.frequency_grid, master_seed, stream_id)
-        return FieldSample(self.spatial_grid, self._factor @ noise,
-                           master_seed, stream_id, "spectral", self.density.label)
+        """One replica: the one-row block.  Callers that draw replicas one at
+        a time reuse R, so it is kept."""
+        self.keep_factor()
+        values = self.sample_block(master_seed, [stream_id])[0]
+        return FieldSample(self.spatial_grid, values, master_seed, stream_id,
+                           "spectral", self.density.label)
 
 
 def _jittered_factor(matrix: CovarianceMatrix) -> np.ndarray:
@@ -179,6 +234,21 @@ class CouplingSynthesizer:
     @property
     def spatial_grid(self) -> SpatialGrid:
         return self._synth_x.spatial_grid
+
+    @property
+    def frequency_grid(self):
+        return self._synth_x.frequency_grid
+
+    def keep_factor(self):
+        self._synth_x.keep_factor()
+        self._synth_residual.keep_factor()
+
+    def sample_block(self, master_seed: int, replicate_ids) -> tuple:
+        """(x1, x2, y) blocks for the replicates, y = C^{-1/2} x1 + x2 exactly."""
+        x1 = self._synth_x.sample_block(master_seed, [2 * k for k in replicate_ids])
+        x2 = self._synth_residual.sample_block(master_seed,
+                                               [2 * k + 1 for k in replicate_ids])
+        return x1, x2, self._inv_root * x1 + x2
 
     def sample(self, master_seed: int, replicate_id: int) -> CouplingSample:
         x1 = self._synth_x.sample(master_seed, 2 * replicate_id)

@@ -8,8 +8,10 @@ Bonferroni adjustment over radii), or "underpowered" (point estimates lean
 the wrong way but the intervals overlap).  Violations of the inequalities
 indicate bugs, not discoveries; underpowered is never coerced to either side.
 
-Replicas are addressed by counter-based streams, so reports are reproducible
-bit-for-bit from (config, master seed) regardless of thread count.
+Replicas are addressed by counter-based streams and produced in blocks whose
+bounds depend only on the replica count and the grid, so reports are
+reproducible bit-for-bit from (config, master seed) regardless of thread
+count.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .covariance import covariance_matrix
 from .grids import FrequencyGrid, SpatialGrid
 from .spectral import DominationCertificate, SpectralDensity
-from .synthesis import CouplingSynthesizer, SpectralSynthesizer
+from .synthesis import CouplingSynthesizer, SpectralSynthesizer, block_rows
 
 # Pilot draws (quantile estimation) use replicate ids offset far past any
 # verification replica so the two stream ranges never collide.
@@ -62,18 +64,25 @@ class MCConfig:
         object.__setattr__(self, "radii", radii)
 
 
-def _collect_rows(worker, n_replicas: int, threads: int) -> np.ndarray:
-    """Run worker(k) for k in range(n), results ordered by k.
+def _collect_blocks(work, n_replicas: int, samplers, threads: int) -> list:
+    """work(ids) for consecutive blocks of replica ids, results in block order.
 
-    Per-replica results land at their own index and reductions happen on the
-    assembled array in fixed order, so the output is independent of threads.
+    A block holds B = min(n, max(1, BLOCK_BYTES // (8 M))) replicas for M
+    noise draws each, so its bounds depend on n and the grid only.  When more
+    than one block reuses the samplers' spectral factors, they are kept whole,
+    built once before the blocks go to the pool.  Reductions over the block
+    results happen in block order, so the output is independent of threads.
     """
+    size = min(n_replicas, block_rows(samplers[0].frequency_grid.size))
+    blocks = [range(start, min(start + size, n_replicas))
+              for start in range(0, n_replicas, size)]
+    if len(blocks) > 1:
+        for sampler in samplers:
+            sampler.keep_factor()
     if threads <= 1:
-        rows = [worker(k) for k in range(n_replicas)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, range(n_replicas)))
-    return np.asarray(rows, dtype=float)
+        return [work(ids) for ids in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, blocks))
 
 
 # --------------------------------------------------------------------------
@@ -84,14 +93,14 @@ def clopper_pearson_lower(successes: int, n: int, level: float) -> float:
     """One-sided exact lower confidence bound at the given level."""
     if successes == 0:
         return 0.0
-    return float(stats.beta.ppf(1.0 - level, successes, n - successes + 1))
+    return float(special.betaincinv(successes, n - successes + 1, 1.0 - level))
 
 
 def clopper_pearson_upper(successes: int, n: int, level: float) -> float:
     """One-sided exact upper confidence bound at the given level."""
     if successes == n:
         return 1.0
-    return float(stats.beta.ppf(level, successes + 1, n - successes))
+    return float(special.betaincinv(successes + 1, n - successes, level))
 
 
 @dataclass(frozen=True)
@@ -210,20 +219,6 @@ def _ball_estimates(norm_values: np.ndarray, radii, n: int,
     return tuple(out)
 
 
-def estimate_ball_probability(density: SpectralDensity, norm, radius: float,
-                              cfg: MCConfig, threads: int = 1) -> BallProbabilityEstimate:
-    """p-hat of P(||X|| <= radius) with a two-sided exact CI at cfg.confidence."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
-
-    def worker(k: int) -> float:
-        return norm(synth.sample(cfg.master_seed, k))
-
-    norms = _collect_rows(worker, cfg.n_replicas, threads)
-    return _ball_estimates(norms, [radius], cfg.n_replicas, cfg.confidence)[0]
-
-
 def ball_probability_profile(density: SpectralDensity, norm, cfg: MCConfig,
                              threads: int = 1) -> tuple:
     """Estimates at every cfg radius from one shared replica set.
@@ -234,10 +229,10 @@ def ball_probability_profile(density: SpectralDensity, norm, cfg: MCConfig,
         raise ValueError("profile needs at least one radius in the config")
     synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
 
-    def worker(k: int) -> float:
-        return norm(synth.sample(cfg.master_seed, k))
+    def work(ids: range) -> np.ndarray:
+        return norm(synth.sample_block(cfg.master_seed, ids), cfg.spatial_grid)
 
-    norms = _collect_rows(worker, cfg.n_replicas, threads)
+    norms = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
     return _ball_estimates(norms, cfg.radii, cfg.n_replicas, cfg.confidence)
 
 
@@ -274,13 +269,12 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
     shift_values = _resolve_shift(shift, cfg.spatial_grid)
     synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
 
-    def worker(k: int):
-        sample = synth.sample(cfg.master_seed, k)
-        plain = norm(sample)
-        shifted = norm(sample.values + shift_values, cfg.spatial_grid)
-        return (shifted, plain)
+    def work(ids: range) -> np.ndarray:
+        block = synth.sample_block(cfg.master_seed, ids)
+        return np.column_stack([norm(block + shift_values, cfg.spatial_grid),
+                                norm(block, cfg.spatial_grid)])
 
-    rows = _collect_rows(worker, cfg.n_replicas, threads)
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
     return _report_from_norms("anderson-shift", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X + shift|| (X ~ {density.label})",
                               rhs_label="||X||", started=started)
@@ -297,12 +291,14 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
     synth_one = SpectralSynthesizer(density_one, cfg.frequency_grid, cfg.spatial_grid)
     synth_two = SpectralSynthesizer(density_two, cfg.frequency_grid, cfg.spatial_grid)
 
-    def worker(k: int):
-        x1 = synth_one.sample(cfg.master_seed, 2 * k)
-        x2 = synth_two.sample(cfg.master_seed, 2 * k + 1)
-        return (norm(x1.values + x2.values, cfg.spatial_grid), norm(x1))
+    def work(ids: range) -> np.ndarray:
+        x1 = synth_one.sample_block(cfg.master_seed, [2 * k for k in ids])
+        x2 = synth_two.sample_block(cfg.master_seed, [2 * k + 1 for k in ids])
+        return np.column_stack([norm(x1 + x2, cfg.spatial_grid),
+                                norm(x1, cfg.spatial_grid)])
 
-    rows = _collect_rows(worker, cfg.n_replicas, threads)
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas,
+                                          (synth_one, synth_two), threads))
     return _report_from_norms("anderson-sum", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X1 + X2|| (X1 ~ {density_one.label}, "
                                         f"X2 ~ {density_two.label})",
@@ -322,12 +318,19 @@ def _standardized_max(deviation: np.ndarray, se: np.ndarray,
     """
     dev = np.abs(deviation)
     ratio = np.full(dev.shape, np.inf)
-    zero_dev = dev == 0.0
-    ratio[zero_dev] = 0.0
     positive = se > 0.0
     ratio[positive] = dev[positive] / (se_multiple * se[positive])
-    ratio[zero_dev] = 0.0
+    ratio[dev == 0.0] = 0.0
     return float(np.max(ratio, initial=0.0))
+
+
+def _mean_and_se(total: np.ndarray, total_squares: np.ndarray,
+                 n: int) -> tuple:
+    """Mean and standard error of a product from its sum and sum of squares
+    over n replicas; the ddof-1 variance is clipped at 0 against roundoff."""
+    mean = total / n
+    variance = np.maximum(total_squares - total * mean, 0.0) / (n - 1)
+    return mean, np.sqrt(variance) / np.sqrt(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,6 +376,8 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     (a) the empirical covariance of y_rep = C^{-1/2} x1 + x2 must match the
     quadrature covariance of f_Y within 3 SE per grid pair; (b) the empirical
     cross-covariance of x1 and x2 must be within 3 SE of zero per pair.
+    The sums of the products and of their squares are added up block by
+    block, so memory is O(N^2) whatever the replica count.
     """
     started = time.perf_counter()
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
@@ -380,22 +385,18 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     reference = covariance_matrix(density_y, cfg.spatial_grid.points,
                                   cfg.frequency_grid).entries
 
-    def worker(k: int):
-        cs = coupler.sample(cfg.master_seed, k)
-        return np.stack([cs.y_rep.values, cs.x1.values, cs.x2.values])
+    def work(ids: range) -> tuple:
+        x1, x2, y = coupler.sample_block(cfg.master_seed, ids)
+        squares_x1, squares_x2, squares_y = x1 * x1, x2 * x2, y * y
+        return (y.T @ y, squares_y.T @ squares_y, x1.T @ x2,
+                squares_x1.T @ squares_x2)
 
-    rows = _collect_rows(worker, cfg.n_replicas, threads)      # (n, 3, N)
-    y_rep, x1, x2 = rows[:, 0, :], rows[:, 1, :], rows[:, 2, :]
     n = cfg.n_replicas
-
-    products_y = y_rep[:, :, None] * y_rep[:, None, :]          # (n, N, N)
-    empirical = products_y.mean(axis=0)
-    se_y = products_y.std(axis=0, ddof=1) / np.sqrt(n)
+    sums = [sum(parts) for parts in
+            zip(*_collect_blocks(work, n, (coupler,), threads))]
+    empirical, se_y = _mean_and_se(sums[0], sums[1], n)
     match_stat = _standardized_max(empirical - reference, se_y, 3.0)
-
-    products_cross = x1[:, :, None] * x2[:, None, :]
-    cross = products_cross.mean(axis=0)
-    se_cross = products_cross.std(axis=0, ddof=1) / np.sqrt(n)
+    cross, se_cross = _mean_and_se(sums[2], sums[3], n)
     cross_stat = _standardized_max(cross, se_cross, 1.0)
 
     return CouplingLawReport(match_stat, cross_stat, n, cfg.master_seed,
@@ -418,13 +419,12 @@ def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
                                   cfg.frequency_grid, cfg.spatial_grid)
     inv_root = float(constant) ** -0.5
 
-    def worker(k: int):
-        cs = coupler.sample(cfg.master_seed, k)
-        lhs = norm(cs.y_rep)
-        rhs = norm(inv_root * cs.x1.values, cfg.spatial_grid)
-        return (lhs, rhs)
+    def work(ids: range) -> np.ndarray:
+        x1, _, y = coupler.sample_block(cfg.master_seed, ids)
+        return np.column_stack([norm(y, cfg.spatial_grid),
+                                norm(inv_root * x1, cfg.spatial_grid)])
 
-    rows = _collect_rows(worker, cfg.n_replicas, threads)
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (coupler,), threads))
     return _report_from_norms("comparison", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||Y|| (Y ~ {density_y.label})",
                               rhs_label=f"||C^-1/2 X|| (X ~ {density_x.label}, "
@@ -449,11 +449,11 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
                                   cfg.frequency_grid, cfg.spatial_grid)
 
-    def worker(k: int) -> float:
-        cs = coupler.sample(cfg.master_seed, PILOT_REPLICATE_BASE + k)
-        return norm(cs.y_rep)
+    def work(ids: range) -> np.ndarray:
+        pilot = [PILOT_REPLICATE_BASE + k for k in ids]
+        return norm(coupler.sample_block(cfg.master_seed, pilot)[2], cfg.spatial_grid)
 
-    norms = _collect_rows(worker, n_pilot, threads)
+    norms = np.concatenate(_collect_blocks(work, n_pilot, (coupler,), threads))
     tail = (1.0 - span) / 2.0
     probs = np.linspace(tail, 1.0 - tail, count)
     return tuple(float(q) for q in np.quantile(norms, probs))
@@ -465,30 +465,39 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
 
 def quadratic_variation_profile(values: np.ndarray,
                                 scales=HURST_SCALES) -> np.ndarray:
-    """log2 of the mean squared lag-2^j increment, per scale j."""
+    """log2 of the mean squared lag-2^j increment, per scale j.
+
+    A path of shape (N,) gives one profile; a block of shape (B, N) gives
+    one profile per row.
+    """
     values = np.asarray(values, dtype=float)
-    out = np.empty(len(scales))
+    out = np.empty(values.shape[:-1] + (len(scales),))
     for i, j in enumerate(scales):
         lag = 1 << j
-        if lag >= values.shape[0]:
+        if lag >= values.shape[-1]:
             raise ValueError(f"path too short for lag {lag}")
-        inc = values[lag:] - values[:-lag]
-        mean_square = float(np.mean(inc * inc))
-        if mean_square <= 0.0:
+        inc = values[..., lag:] - values[..., :-lag]
+        mean_square = np.mean(inc * inc, axis=-1)
+        if np.any(mean_square <= 0.0):
             raise ValueError("degenerate path: zero quadratic variation")
-        out[i] = np.log2(mean_square)
+        out[..., i] = np.log2(mean_square)
     return out
 
 
-def path_hurst(values: np.ndarray, scales=HURST_SCALES) -> float:
-    """Regularity exponent of one path from the quadratic-variation slope.
+def _profile_hurst(profile: np.ndarray, scales=HURST_SCALES):
+    """Half the least-squares slope of each log2 profile against j."""
+    slope = np.polyfit(np.asarray(scales, dtype=float), profile.T, 1)[0]
+    return slope / 2.0
+
+
+def path_hurst(values: np.ndarray, scales=HURST_SCALES):
+    """Regularity exponent per path from the quadratic-variation slope.
 
     E of the lag-l mean squared increment scales like l^{2H}, so the log2
-    profile against j has slope 2H.
+    profile against j has slope 2H.  A path of shape (N,) gives one exponent,
+    a block of shape (B, N) one per row.
     """
-    profile = quadratic_variation_profile(values, scales)
-    slope = np.polyfit(np.asarray(scales, dtype=float), profile, 1)[0]
-    return float(slope / 2.0)
+    return _profile_hurst(quadratic_variation_profile(values, scales), scales)
 
 
 @dataclass(frozen=True)
@@ -516,19 +525,15 @@ def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig,
                          f"{MIN_HURST_RESOLUTION} points per path")
     synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
 
-    scale_axis = np.asarray(HURST_SCALES, dtype=float)
+    def work(ids: range) -> np.ndarray:
+        profile = quadratic_variation_profile(synth.sample_block(cfg.master_seed, ids))
+        return np.column_stack([_profile_hurst(profile), profile])
 
-    def worker(k: int):
-        values = synth.sample(cfg.master_seed, k).values
-        profile = quadratic_variation_profile(values)
-        slope = np.polyfit(scale_axis, profile, 1)[0]
-        return np.concatenate([[slope / 2.0], profile])
-
-    rows = _collect_rows(worker, cfg.n_replicas, threads)
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
     estimates = rows[:, 0]
     estimate = float(np.mean(estimates))
     stderr = float(np.std(estimates, ddof=1) / np.sqrt(cfg.n_replicas))
-    z = float(stats.norm.ppf((1.0 + cfg.confidence) / 2.0))
+    z = float(special.ndtri((1.0 + cfg.confidence) / 2.0))
     mean_profile = tuple(float(v) for v in np.mean(rows[:, 1:], axis=0))
     return HurstEstimate(estimate, stderr, estimate - z * stderr,
                          estimate + z * stderr, cfg.confidence, cfg.n_replicas,

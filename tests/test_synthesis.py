@@ -31,16 +31,22 @@ class TestSubstreams:
 
 class TestHermitianNoise:
     def test_unit_second_moment(self, default_grid):
-        noise = hermitian_noise(default_grid, 11, 3)
-        assert noise.shape == (default_grid.size,)
+        noise = hermitian_noise(default_grid, 11, [3])
+        assert noise.shape == (1, default_grid.size)
         assert np.isclose(np.mean(noise ** 2), 1.0, atol=0.05)
 
     def test_determinism_and_stream_separation(self, default_grid):
-        a = hermitian_noise(default_grid, 11, 3)
-        b = hermitian_noise(default_grid, 11, 3)
-        c = hermitian_noise(default_grid, 11, 4)
+        a = hermitian_noise(default_grid, 11, [3])
+        b = hermitian_noise(default_grid, 11, [3])
+        c = hermitian_noise(default_grid, 11, [4])
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_block_rows_are_their_streams(self, default_grid):
+        block = hermitian_noise(default_grid, 11, [9, 3, 4])
+        for row, stream_id in zip(block, (9, 3, 4)):
+            expected = substream(11, stream_id).standard_normal(default_grid.size)
+            assert np.array_equal(row, expected)
 
 
 class TestSpectralSynthesizer:
@@ -95,6 +101,62 @@ class TestSpectralSynthesizer:
     def test_dimension_checks(self, default_grid, brownian):
         with pytest.raises(ValueError, match="dimension"):
             SpectralSynthesizer(brownian, default_grid, uniform_spatial_grid(2, 3))
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize("resolution", [8, 300])
+    def test_streamed_and_kept_factor_agree_bitwise_1d(self, default_grid, brownian,
+                                                       resolution):
+        # 300 points span two chunks of the factor at the default grid
+        space = uniform_spatial_grid(1, resolution)
+        streamed = SpectralSynthesizer(brownian, default_grid, space)
+        kept = SpectralSynthesizer(brownian, default_grid, space)
+        kept.keep_factor()
+        ids = [4, 0, 17]
+        assert (streamed.sample_block(5, ids).tobytes()
+                == kept.sample_block(5, ids).tobytes())
+        assert streamed._factor is None
+
+    def test_streamed_and_kept_factor_agree_bitwise_2d(self, grid_2d):
+        density = sf.fractional_brownian_density(0.5, dimension=2)
+        space = uniform_spatial_grid(2, 8)
+        streamed = SpectralSynthesizer(density, grid_2d, space)
+        kept = SpectralSynthesizer(density, grid_2d, space)
+        kept.keep_factor()
+        assert (streamed.sample_block(6, range(3)).tobytes()
+                == kept.sample_block(6, range(3)).tobytes())
+
+    def test_block_matches_per_replica_samples(self, default_grid, space_8, fbm_pair):
+        perturbed, base = fbm_pair
+        synth = SpectralSynthesizer(base, default_grid, space_8)
+        block = synth.sample_block(12, range(40))
+        rows = np.array([synth.sample(12, k).values for k in range(40)])
+        assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(block))
+        assert not np.any(np.signbit(block[:, space_8.origin_index]))
+
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid, space_8)
+        x1, x2, y = coupler.sample_block(12, range(5))
+        assert np.array_equal(y, x1 + x2)
+        for k in range(5):
+            cs = coupler.sample(12, k)
+            for got, row in ((cs.x1, x1[k]), (cs.x2, x2[k]), (cs.y_rep, y[k])):
+                assert np.max(np.abs(got.values - row)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_single_block_campaign_never_holds_the_whole_factor(
+            self, default_grid, brownian, monkeypatch):
+        from specfield import synthesis
+        space = uniform_spatial_grid(1, 256)
+        built = []
+
+        def recording(density, points, grid):
+            built.append(points.shape[0])
+            return sf.covariance.spectral_factor(density, points, grid)
+        monkeypatch.setattr(synthesis, "spectral_factor", recording)
+        cfg = sf.MCConfig(100, 41, default_grid, space)
+        sf.estimate_holder_exponent(brownian, cfg)
+        assert sum(built) == space.size
+        assert max(built) == synthesis.block_rows(default_grid.size) < space.size
 
 
 class TestComplexReference:

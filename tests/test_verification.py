@@ -6,13 +6,14 @@ import specfield as sf
 from specfield import (MCConfig, SupNorm, ZeroDensity, ball_probability_profile,
                        check_domination, clopper_pearson_lower, clopper_pearson_upper,
                        compare_counts, coupling_norm_quantiles,
-                       estimate_ball_probability, estimate_holder_exponent,
-                       path_hurst, power_law_covariance_matrix,
+                       estimate_holder_exponent, path_hurst,
+                       power_law_covariance_matrix,
                        quadratic_variation_profile, uniform_spatial_grid,
                        verify_anderson_shift, verify_anderson_sum,
                        verify_comparison, verify_coupling_law)
+from specfield.synthesis import block_rows
 from specfield.verification import (InequalityReport, RadiusComparison,
-                                    _collect_rows, _resolve_shift,
+                                    _collect_blocks, _resolve_shift,
                                     _standardized_max)
 
 
@@ -42,6 +43,22 @@ class TestClopperPearson:
     def test_higher_level_widens(self):
         assert (clopper_pearson_lower(30, 100, 0.999)
                 < clopper_pearson_lower(30, 100, 0.95))
+
+    def test_bounds_equal_beta_quantiles(self):
+        # the bounds invert the regularized incomplete beta directly; they
+        # must be the very floats of the beta quantiles they replace
+        for n in (1, 2, 7, 100, 999, 20000):
+            counts = np.unique(np.concatenate([np.arange(min(n, 60) + 1),
+                                               np.linspace(0, n, 120).astype(int),
+                                               np.arange(max(0, n - 60), n + 1)]))
+            for level in (0.975, 0.995, 0.9995):
+                for k in counts:
+                    if k > 0:
+                        assert clopper_pearson_lower(k, n, level) == float(
+                            stats.beta.ppf(1.0 - level, k, n - k + 1))
+                    if k < n:
+                        assert clopper_pearson_upper(k, n, level) == float(
+                            stats.beta.ppf(level, k + 1, n - k))
 
     def test_exact_binomial_inversion(self):
         # the lower bound p solves P(Bin(n, p) >= k) = 1 - level
@@ -111,13 +128,37 @@ class TestMCConfig:
                      confidence=1.0)
 
 
-class TestCollectRows:
-    def test_threading_never_changes_results(self):
-        def worker(k):
-            return (np.sin(k), np.cos(k))
-        serial = _collect_rows(worker, 64, 1)
-        threaded = _collect_rows(worker, 64, 4)
-        assert np.array_equal(serial, threaded)
+class TestCollectBlocks:
+    def test_threading_never_changes_results(self, default_grid, space_8, brownian):
+        n = 2 * block_rows(default_grid.size) + 51       # three blocks, one short
+        synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+
+        def work(ids):
+            return synth.sample_block(3, ids)
+        serial = np.concatenate(_collect_blocks(work, n, (synth,), 1))
+        threaded = np.concatenate(_collect_blocks(work, n, (synth,), 4))
+        assert serial.shape == (n, 8)
+        assert serial.tobytes() == threaded.tobytes()
+
+    def test_blocks_depend_on_count_and_grid_only(self, default_grid, space_8,
+                                                  brownian):
+        size = block_rows(default_grid.size)
+        synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+        for threads in (1, 3):
+            blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, (synth,), threads)
+            assert blocks == [range(0, size), range(size, 2 * size),
+                              range(2 * size, 2 * size + 1)]
+        assert _collect_blocks(lambda ids: ids, 5, (synth,), 2) == [range(5)]
+
+    def test_factor_is_kept_only_when_blocks_reuse_it(self, default_grid, space_8,
+                                                       brownian):
+        single = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+        _collect_blocks(lambda ids: None, block_rows(default_grid.size), (single,), 1)
+        assert single._factor is None
+        several = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+        _collect_blocks(lambda ids: None, block_rows(default_grid.size) + 1,
+                        (several,), 1)
+        assert several._factor.shape == (8, default_grid.size)
 
 
 class TestBallProbabilities:
@@ -130,15 +171,17 @@ class TestBallProbabilities:
             assert 0.0 <= e.lower <= e.p_hat <= e.upper <= 1.0
 
     def test_single_estimate_matches_profile(self, default_grid, brownian):
-        cfg = small_mc(default_grid, radii=(0.5,))
-        single = estimate_ball_probability(brownian, SupNorm(), 0.5, cfg)
-        profile = ball_probability_profile(brownian, SupNorm(), cfg)
-        assert single == profile[0]
+        # a one-radius profile is the same estimate as that radius of a wider
+        # profile, because both share one replica set
+        single = ball_probability_profile(brownian, SupNorm(),
+                                          small_mc(default_grid, radii=(0.5,)))
+        profile = ball_probability_profile(brownian, SupNorm(),
+                                           small_mc(default_grid, radii=(0.2, 0.5)))
+        assert single == profile[1:]
 
-    def test_radius_validation(self, default_grid, brownian):
-        cfg = small_mc(default_grid)
+    def test_radius_validation(self, default_grid):
         with pytest.raises(ValueError, match="positive"):
-            estimate_ball_probability(brownian, SupNorm(), -0.5, cfg)
+            small_mc(default_grid, radii=(-0.5,))
 
 
 class TestAndersonShift:
@@ -244,6 +287,39 @@ class TestCouplingLaw:
         assert report.cross_orthogonality <= 3.0
         assert report.empirical.shape == (8, 8)
 
+    def test_streamed_moments_match_the_product_tensors(self, default_grid,
+                                                        fbm_pair):
+        perturbed, base = fbm_pair
+        n = 150
+        cfg = small_mc(default_grid, n=n, radii=())
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        report = verify_coupling_law(perturbed, base, 1.0, cfg, cert)
+        # the parent's formulas over (n, N, N) product tensors, on the same
+        # block of replicas
+        coupler = sf.CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
+                                         cfg.spatial_grid)
+        x1, x2, y = coupler.sample_block(cfg.master_seed, range(n))
+        products_y = y[:, :, None] * y[:, None, :]
+        mean = products_y.mean(axis=0)
+        se_y = products_y.std(axis=0, ddof=1) / np.sqrt(n)
+        products_cross = x1[:, :, None] * x2[:, None, :]
+        cross = products_cross.mean(axis=0)
+        se_cross = products_cross.std(axis=0, ddof=1) / np.sqrt(n)
+
+        def close(a, b):
+            return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert close(report.empirical, mean)
+        assert close(report.cross, cross)
+        match = _standardized_max(mean - report.reference, se_y, 3.0)
+        assert abs(report.covariance_match - match) <= 1e-12 * match
+        orthogonality = _standardized_max(cross, se_cross, 1.0)
+        assert abs(report.cross_orthogonality - orthogonality) <= 1e-12 * orthogonality
+        # the origin row is exactly zero on both sides, so its ratio is 0
+        # rather than 0/0
+        assert np.all(report.empirical[0] == 0.0)
+        assert np.all(report.reference[0] == 0.0)
+        assert np.isfinite(report.covariance_match)
+
     def test_threads_do_not_change_the_report(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, n=150, radii=())
@@ -311,6 +387,9 @@ class TestStandardizedMax:
         se = np.zeros(2)
         assert _standardized_max(dev, se, 3.0) == np.inf
 
+    def test_zero_deviation_over_positive_se_is_zero(self):
+        assert _standardized_max(np.zeros(2), np.ones(2), 3.0) == 0.0
+
     def test_plain_ratio(self):
         dev = np.array([0.3, -0.6])
         se = np.array([0.1, 0.1])
@@ -326,6 +405,17 @@ class TestPathRegularity:
         slopes = np.diff(profile)
         assert np.allclose(slopes, 2.0, atol=1e-12)
         assert path_hurst(values) == pytest.approx(1.0, abs=1e-12)
+
+    def test_block_profiles_and_exponents_are_per_row(self):
+        rng = np.random.default_rng(8)
+        block = np.cumsum(rng.normal(size=(5, 512)), axis=1)
+        profiles = quadratic_variation_profile(block)
+        estimates = path_hurst(block)
+        assert profiles.shape == (5, 4) and estimates.shape == (5,)
+        for row, profile, estimate in zip(block, profiles, estimates):
+            assert np.allclose(quadratic_variation_profile(row), profile,
+                               rtol=0, atol=1e-12)
+            assert abs(path_hurst(row) - estimate) <= 1e-12
 
     def test_short_path_rejected(self):
         with pytest.raises(ValueError, match="short"):
