@@ -9,12 +9,10 @@ comparison they imply.  See the README for the CLI and the config format.
 __version__ = "0.1.0"
 
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
-from .covariance import (CovarianceMatrix, coupling_covariance, covariance_matrix,
-                         increment_covariance, power_law_covariance_matrix,
-                         power_law_increment_covariance)
+from .covariance import CovarianceMatrix, covariance_matrix, power_law_covariance_matrix
 from .grids import (FrequencyGrid, PointSet, SpatialGrid, dyadic_frequency_grid,
                     uniform_spatial_grid)
-from .norms import HolderNorm, SupNorm, holder_norm, norm_functional, sup_norm
+from .norms import HolderNorm, SupNorm
 from .rng import hermitian_noise, substream
 from .spectral import (AdmissibilityResult, BandLimitedDensity, DifferenceDensity,
                        DominationCertificate, DominationViolation,
@@ -22,10 +20,10 @@ from .spectral import (AdmissibilityResult, BandLimitedDensity, DifferenceDensit
                        PerturbedDensity, PowerLawDensity, ScaledDensity,
                        SineModulation, SpectralDensity, SumDensity, ZeroDensity,
                        brownian_density, check_admissible, check_domination,
-                       check_equivalence, difference_density, estimate_min_C,
+                       difference_density, estimate_min_C,
                        fractional_brownian_density, require_admissible)
-from .synthesis import (CouplingSample, CouplingSynthesizer, ExactFieldSampler,
-                        FieldSample, IndefiniteMatrixError, SpectralSynthesizer)
+from .synthesis import (CouplingSynthesizer, ExactFieldSampler, FieldSample,
+                        IndefiniteMatrixError, SpectralSynthesizer)
 from .verification import (BallProbabilityEstimate, CouplingLawReport, HurstEstimate,
                            InequalityReport, MCConfig, RadiusComparison,
                            ball_probability_profile, clopper_pearson_lower,

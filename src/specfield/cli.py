@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,11 @@ def _write_points_csv(path: Path, points: np.ndarray):
     _write_text(path, "\n".join(rows) + "\n")
 
 
+def _auto_constant(bound: float) -> float:
+    """The constant = auto rule: the grid bound plus its relative headroom."""
+    return bound * (1.0 + AUTO_CONSTANT_HEADROOM)
+
+
 def _resolve_constant(cfg: RunConfig):
     """The domination constant and its certificate for coupled commands."""
     density_x = cfg.densities["x"]
@@ -146,7 +152,7 @@ def _resolve_constant(cfg: RunConfig):
             raise RuntimeError("no finite domination constant exists on this grid "
                                "(the dominating density vanishes where the "
                                "dominated one does not)")
-        constant = bound * (1.0 + AUTO_CONSTANT_HEADROOM)
+        constant = _auto_constant(bound)
     else:
         constant = cfg.constant
     certificate = check_domination(density_x, density_y, constant, cfg.frequency_grid)
@@ -190,11 +196,11 @@ def _run_density_check(cfg: RunConfig, outdir: Path, threads: int, verbose: bool
         density_x, density_y = cfg.densities["x"], cfg.densities["y"]
         bound = estimate_min_C(density_x, density_y, cfg.frequency_grid)
         lines.append(f"min_constant = {_fmt(bound) if np.isfinite(bound) else 'inf'}")
-        if cfg.constant_auto and np.isfinite(bound):
-            constant = bound * (1.0 + AUTO_CONSTANT_HEADROOM)
-        else:
-            constant = cfg.constant
-        if constant is not None and np.isfinite(bound):
+        constant = _auto_constant(bound) if cfg.constant_auto else cfg.constant
+        if not np.isfinite(bound):
+            lines.append("domination = violated")
+            codes.append(EXIT_VIOLATED)
+        elif constant is not None:
             certificate = check_domination(density_x, density_y, constant,
                                            cfg.frequency_grid)
             lines.append(f"domination_constant = {_fmt(constant)}")
@@ -205,9 +211,6 @@ def _run_density_check(cfg: RunConfig, outdir: Path, threads: int, verbose: bool
                 node = ";".join(_fmt(c) for c in v.node)
                 lines.append(f"violation_node = {node}")
             codes.append(_VERDICT_EXIT[certificate.verdict])
-        elif not np.isfinite(bound):
-            lines.append("domination = violated")
-            codes.append(EXIT_VIOLATED)
     return _combine_exits(codes), lines
 
 
@@ -266,8 +269,7 @@ def _run_verify_anderson(cfg: RunConfig, outdir: Path, threads: int, verbose: bo
                                      cfg.norm, mc, threads)
     _write_inequality_csv(outdir / "report.csv", report)
     if verbose:
-        print(f"{report.name}: {report.worst_verdict} "
-              f"({report.runtime_seconds:.1f} s)")
+        print(f"{report.name}: {report.worst_verdict}")
     return _VERDICT_EXIT[report.worst_verdict], _inequality_summary_lines(report)
 
 
@@ -291,8 +293,7 @@ def _run_verify_coupling(cfg: RunConfig, outdir: Path, threads: int, verbose: bo
              f"{str(report.cross_orthogonality_passed).lower()}"]
     if verbose:
         print(f"coupling law: match {report.covariance_match:.3f} "
-              f"cross {report.cross_orthogonality:.3f} "
-              f"({report.runtime_seconds:.1f} s)")
+              f"cross {report.cross_orthogonality:.3f}")
     return (EXIT_OK if report.passed else EXIT_VIOLATED), lines
 
 
@@ -313,7 +314,7 @@ def _run_verify_comparison(cfg: RunConfig, outdir: Path, threads: int, verbose: 
     lines = [f"constant = {_fmt(constant)}"]
     lines.extend(_inequality_summary_lines(report))
     if verbose:
-        print(f"comparison: {report.worst_verdict} ({report.runtime_seconds:.1f} s)")
+        print(f"comparison: {report.worst_verdict}")
     return _VERDICT_EXIT[report.worst_verdict], lines
 
 
@@ -352,7 +353,10 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1,
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         _write_metadata(outdir, cfg)
+        started = time.perf_counter()
         exit_code, summary_lines = _RUNNERS[cfg.command](cfg, outdir, threads, verbose)
+        if verbose:
+            print(f"{cfg.command}: {time.perf_counter() - started:.1f} s")
         _write_summary(outdir, cfg, summary_lines, exit_code)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {exc}", file=sys.stderr)

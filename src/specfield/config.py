@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .grids import FrequencyGrid, SpatialGrid, dyadic_frequency_grid, uniform_spatial_grid
-from .norms import DEFAULT_PAIR_BUDGET, HolderNorm, SupNorm, norm_functional
+from .norms import DEFAULT_PAIR_BUDGET, HolderNorm, SupNorm
 from .spectral import (BandLimitedDensity, PerturbedDensity, PowerLawDensity,
                        ScaledDensity, SineModulation, SpectralDensity, SumDensity,
                        ZeroDensity, fractional_brownian_density)
@@ -410,15 +410,14 @@ def parse_config(text: str) -> RunConfig:
     norm_kind = reader.string("norm.kind", default="sup", choices=("sup", "holder"))
     norm_alpha = reader.floating("norm.alpha")
     pair_budget = reader.integer("norm.pair_budget", default=DEFAULT_PAIR_BUDGET, minimum=4)
-    norm = None
-    if norm_kind == "holder" and norm_alpha is None:
-        if not reader.has("norm.alpha"):
-            reader.error(None, "missing norm.alpha: the holder norm requires alpha in (0, 1]")
-    elif norm_kind is not None:
+    norm = SupNorm() if norm_kind == "sup" else None
+    if norm_kind == "holder" and norm_alpha is not None:
         try:
-            norm = norm_functional(norm_kind, norm_alpha, pair_budget)
+            norm = HolderNorm(norm_alpha, pair_budget)
         except ValueError as exc:
-            reader.error("norm.alpha" if reader.has("norm.alpha") else "norm.kind", str(exc))
+            reader.error("norm.alpha", str(exc))
+    elif norm_kind == "holder" and not reader.has("norm.alpha"):
+        reader.error(None, "missing norm.alpha: the holder norm requires alpha in (0, 1]")
 
     # grids
     j_lo = reader.integer("frequency_grid.j_lo", default=-20)

@@ -18,19 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import FrequencyGrid
-from .spectral import (DominationCertificate, SpectralDensity, difference_density,
-                       require_admissible)
+from .spectral import SpectralDensity, require_admissible
 
 # Eigenvalue floor scale: quadrature matrices may dip this far below zero.
 PSD_NOISE_FACTOR = 1e-8
 
 
 def _as_points(points, dimension: int | None = None) -> np.ndarray:
-    """Coerce to an (n, d) float array; scalars and flat lists mean d = 1."""
+    """Coerce to an (n, d) float array; a flat list means d = 1."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
+    if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be an (n, d) array, got shape {pts.shape}")
@@ -59,15 +56,6 @@ def spectral_factor(density: SpectralDensity, points: np.ndarray,
     factor[:, 0::2] = (np.cos(phase) - 1.0) * amplitude
     factor[:, 1::2] = -np.sin(phase) * amplitude
     return factor
-
-
-def increment_covariance(density: SpectralDensity, x, x_prime,
-                         grid: FrequencyGrid) -> float:
-    """Quadrature value of the increment kernel at a single pair of points."""
-    require_admissible(density, grid)
-    pts = _as_points([np.atleast_1d(x), np.atleast_1d(x_prime)], grid.dimension)
-    factor = spectral_factor(density, pts, grid)
-    return float(factor[0] @ factor[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,49 +129,8 @@ def covariance_matrix(density: SpectralDensity, points,
     return CovarianceMatrix(pts, sym, density.label, grid.grid_id)
 
 
-def coupling_covariance(density_x: SpectralDensity, density_y: SpectralDensity,
-                        p, p_prime, grid: FrequencyGrid,
-                        certificate: DominationCertificate) -> float:
-    """Extended-field kernel for points p = (x, y1, y2).
-
-    Value: y1*y1' * K_{f_X}(x, x') + y2*y2' * K_{f_Y - f_X}(x, x').  The second
-    term is one quadrature over the clamped difference density, never a
-    difference of two quadratures (which would cancel catastrophically for
-    nearly equal densities).  Requires a holds certificate at constant 1.
-    """
-    if certificate is None:
-        raise ValueError("coupling_covariance requires a domination certificate")
-    if certificate.constant != 1.0:
-        raise ValueError("the extended-field kernel is defined for constant 1; "
-                         f"certificate carries C={certificate.constant}")
-    residual = difference_density(density_y, density_x, 1.0, certificate)
-    x, y1, y2 = p
-    x_prime, y1p, y2p = p_prime
-    total = 0.0
-    if y1 * y1p != 0.0:
-        total += y1 * y1p * increment_covariance(density_x, x, x_prime, grid)
-    if y2 * y2p != 0.0:
-        total += y2 * y2p * increment_covariance(residual, x, x_prime, grid)
-    return total
-
-
 # --------------------------------------------------------------------------
 # closed forms for the power-law family
-
-
-def power_law_increment_covariance(x, x_prime, hurst: float) -> np.ndarray:
-    """(|x|^{2H} + |x'|^{2H} - |x - x'|^{2H}) / 2, the unit-variance closed form.
-
-    Broadcasts over (n, d) point arrays; scalars mean single d = 1 points.
-    """
-    a = _as_points(x)
-    b = _as_points(x_prime)
-    ra = np.sqrt(np.sum(a ** 2, axis=1))
-    rb = np.sqrt(np.sum(b ** 2, axis=1))
-    rd = np.sqrt(np.sum((a - b) ** 2, axis=1))
-    h2 = 2.0 * hurst
-    out = 0.5 * (ra ** h2 + rb ** h2 - rd ** h2)
-    return out if out.size > 1 else float(out[0])
 
 
 def power_law_covariance_matrix(points, hurst: float) -> CovarianceMatrix:

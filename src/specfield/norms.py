@@ -129,23 +129,3 @@ class HolderNorm:
                 lag *= 2
         return best
 
-
-def sup_norm(sample_or_values, grid=None):
-    return SupNorm()(sample_or_values, grid)
-
-
-def holder_norm(sample_or_values, alpha: float, grid=None,
-                pair_budget: int = DEFAULT_PAIR_BUDGET):
-    return HolderNorm(alpha, pair_budget)(sample_or_values, grid)
-
-
-def norm_functional(kind: str, alpha: float | None = None,
-                    pair_budget: int = DEFAULT_PAIR_BUDGET):
-    """Catalog lookup used by config parsing."""
-    if kind == "sup":
-        return SupNorm()
-    if kind == "holder":
-        if alpha is None:
-            raise ValueError("holder norm requires alpha")
-        return HolderNorm(alpha, pair_budget)
-    raise ValueError(f"unknown norm kind {kind!r} (expected sup or holder)")

@@ -418,20 +418,6 @@ def check_domination(dominated: SpectralDensity, dominating: SpectralDensity,
                                  max_ratio, "violated", violation)
 
 
-def check_equivalence(first: SpectralDensity, second: SpectralDensity,
-                      constant_fs: float, constant_sf: float,
-                      grid: FrequencyGrid) -> tuple:
-    """Two-sided domination: first <= constant_fs * second and
-    second <= constant_sf * first, each certified on the grid.
-
-    The coupling and the ball-probability comparison need only one
-    direction; this is the convenience for callers who mean genuine
-    equivalence.
-    """
-    return (check_domination(first, second, constant_fs, grid),
-            check_domination(second, first, constant_sf, grid))
-
-
 def estimate_min_C(dominated: SpectralDensity, dominating: SpectralDensity,
                    grid: FrequencyGrid) -> float:
     """Smallest constant C with f_X <= C f_Y over the grid nodes; +inf when

@@ -73,23 +73,6 @@ class FieldSample:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingSample:
-    """Joint realization (x1, x2, y_rep) with y_rep = C^{-1/2} x1 + x2 pointwise."""
-
-    x1: FieldSample
-    x2: FieldSample
-    y_rep: FieldSample
-    constant: float
-
-    def __post_init__(self):
-        if self.x1.stream_id == self.x2.stream_id:
-            raise ValueError("x1 and x2 must come from disjoint noise streams")
-        expected = self.constant ** -0.5 * self.x1.values + self.x2.values
-        if not np.array_equal(self.y_rep.values, expected):
-            raise ValueError("y_rep is not the exact pointwise combination of x1 and x2")
-
-
 class SpectralSynthesizer:
     """Samples the harmonizable sum as blocks of replicas.
 
@@ -214,13 +197,18 @@ class CouplingSynthesizer:
 
     x1 has the dominated density f_X, x2 the residual density f_Y - f_X/C,
     from disjoint streams (2k, 2k+1) for replicate k; y_rep = C^{-1/2} x1 + x2
-    then carries the dominating law up to quadrature accuracy.
+    then carries the dominating law up to quadrature accuracy.  The
+    certificate must come from the sampling grid: domination on one grid
+    says nothing about another.
     """
 
     def __init__(self, density_x: SpectralDensity, density_y: SpectralDensity,
                  constant: float, certificate: DominationCertificate,
                  frequency_grid, spatial_grid: SpatialGrid):
         residual = difference_density(density_y, density_x, constant, certificate)
+        if certificate.grid != frequency_grid:
+            raise ValueError(f"certificate was checked on {certificate.grid.grid_id}, "
+                             f"not on the sampling grid {frequency_grid.grid_id}")
         self.density_x = density_x
         self.density_y = density_y
         self.constant = float(constant)
@@ -250,10 +238,15 @@ class CouplingSynthesizer:
                                                [2 * k + 1 for k in replicate_ids])
         return x1, x2, self._inv_root * x1 + x2
 
-    def sample(self, master_seed: int, replicate_id: int) -> CouplingSample:
-        x1 = self._synth_x.sample(master_seed, 2 * replicate_id)
-        x2 = self._synth_residual.sample(master_seed, 2 * replicate_id + 1)
-        y_values = self._inv_root * x1.values + x2.values
-        y_rep = FieldSample(self.spatial_grid, y_values, master_seed,
-                            2 * replicate_id, "spectral", self._label)
-        return CouplingSample(x1, x2, y_rep, self.constant)
+    def sample(self, master_seed: int, replicate_id: int) -> tuple:
+        """One replicate as FieldSamples (x1, x2, y_rep) on streams 2k, 2k+1
+        and 2k: the one-row block.  As in SpectralSynthesizer.sample, R is
+        kept for the next call."""
+        self.keep_factor()
+        rows = self.sample_block(master_seed, [replicate_id])
+        streams = (2 * replicate_id, 2 * replicate_id + 1, 2 * replicate_id)
+        labels = (self.density_x.label, self._synth_residual.density.label,
+                  self._label)
+        return tuple(FieldSample(self.spatial_grid, values[0], master_seed, stream,
+                                 "spectral", label)
+                     for values, stream, label in zip(rows, streams, labels))

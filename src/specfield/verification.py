@@ -16,7 +16,6 @@ count.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -164,7 +163,6 @@ class InequalityReport:
     confidence: float
     lhs_label: str
     rhs_label: str
-    runtime_seconds: float
 
     @property
     def worst_verdict(self) -> str:
@@ -175,8 +173,8 @@ class InequalityReport:
 
 
 def _report_from_norms(name: str, lhs_norms: np.ndarray, rhs_norms: np.ndarray,
-                       cfg: MCConfig, lhs_label: str, rhs_label: str,
-                       started: float) -> InequalityReport:
+                       cfg: MCConfig, lhs_label: str,
+                       rhs_label: str) -> InequalityReport:
     if not cfg.radii:
         raise ValueError(f"{name} needs at least one radius in the config")
     rows = []
@@ -186,8 +184,7 @@ def _report_from_norms(name: str, lhs_norms: np.ndarray, rhs_norms: np.ndarray,
         rows.append(compare_counts(successes_lhs, successes_rhs, cfg.n_replicas,
                                    cfg.confidence, len(cfg.radii), radius))
     return InequalityReport(name, tuple(rows), cfg.n_replicas, cfg.master_seed,
-                            cfg.confidence, lhs_label, rhs_label,
-                            time.perf_counter() - started)
+                            cfg.confidence, lhs_label, rhs_label)
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +262,6 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
     Both sides use the same replicas (the shift is deterministic), which cuts
     variance and makes shift = 0 give lhs = rhs exactly.
     """
-    started = time.perf_counter()
     shift_values = _resolve_shift(shift, cfg.spatial_grid)
     synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
 
@@ -277,7 +273,7 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
     rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
     return _report_from_norms("anderson-shift", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X + shift|| (X ~ {density.label})",
-                              rhs_label="||X||", started=started)
+                              rhs_label="||X||")
 
 
 def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensity,
@@ -287,7 +283,6 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
     Replicate k draws X1 on stream 2k and X2 on stream 2k+1; both sides share
     the X1 replicas.
     """
-    started = time.perf_counter()
     synth_one = SpectralSynthesizer(density_one, cfg.frequency_grid, cfg.spatial_grid)
     synth_two = SpectralSynthesizer(density_two, cfg.frequency_grid, cfg.spatial_grid)
 
@@ -302,7 +297,7 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
     return _report_from_norms("anderson-sum", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X1 + X2|| (X1 ~ {density_one.label}, "
                                         f"X2 ~ {density_two.label})",
-                              rhs_label="||X1||", started=started)
+                              rhs_label="||X1||")
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +347,6 @@ class CouplingLawReport:
     empirical: np.ndarray
     reference: np.ndarray
     cross: np.ndarray
-    runtime_seconds: float
 
     @property
     def covariance_match_passed(self) -> bool:
@@ -379,7 +373,6 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     The sums of the products and of their squares are added up block by
     block, so memory is O(N^2) whatever the replica count.
     """
-    started = time.perf_counter()
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
                                   cfg.frequency_grid, cfg.spatial_grid)
     reference = covariance_matrix(density_y, cfg.spatial_grid.points,
@@ -401,8 +394,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
 
     return CouplingLawReport(match_stat, cross_stat, n, cfg.master_seed,
                              float(constant), density_x.label, density_y.label,
-                             empirical, reference, cross,
-                             time.perf_counter() - started)
+                             empirical, reference, cross)
 
 
 def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
@@ -414,7 +406,6 @@ def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
     Y is represented by the coupling (y_rep) and X by its x1 component, so the
     two sides are strongly paired.
     """
-    started = time.perf_counter()
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
                                   cfg.frequency_grid, cfg.spatial_grid)
     inv_root = float(constant) ** -0.5
@@ -428,8 +419,7 @@ def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
     return _report_from_norms("comparison", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||Y|| (Y ~ {density_y.label})",
                               rhs_label=f"||C^-1/2 X|| (X ~ {density_x.label}, "
-                                        f"C={float(constant)!r})",
-                              started=started)
+                                        f"C={float(constant)!r})")
 
 
 def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensity,
@@ -446,6 +436,8 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
         raise ValueError("count must be at least 1")
     if not 0.0 < span < 1.0:
         raise ValueError("span must lie in (0, 1)")
+    if n_pilot < 100:
+        raise ValueError(f"n_pilot must be at least 100, got {n_pilot}")
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
                                   cfg.frequency_grid, cfg.spatial_grid)
 

@@ -13,10 +13,9 @@ import time
 import numpy as np
 
 import specfield as sf
-from specfield import (MCConfig, SupNorm, compare_counts, coupling_norm_quantiles,
-                       covariance_matrix, check_domination,
-                       estimate_holder_exponent, holder_norm,
-                       increment_covariance, sup_norm, uniform_spatial_grid,
+from specfield import (HolderNorm, MCConfig, SupNorm, compare_counts,
+                       coupling_norm_quantiles, covariance_matrix, check_domination,
+                       estimate_holder_exponent, uniform_spatial_grid,
                        verify_anderson_shift, verify_anderson_sum,
                        verify_comparison, verify_coupling_law)
 
@@ -44,11 +43,8 @@ def within_3se(mean, reference, se):
 def test_01_brownian_covariance_oracle(default_grid, brownian):
     started = time.perf_counter()
     points = (0.25, 0.5, 0.75, 1.0)
-    worst = 0.0
-    for x in points:
-        for y in points:
-            value = increment_covariance(brownian, x, y, default_grid)
-            worst = max(worst, abs(value - min(x, y)) / min(x, y))
+    matrix = covariance_matrix(brownian, points, default_grid)
+    worst = max_rel_error(matrix.entries, np.minimum.outer(points, points))
     elapsed = time.perf_counter() - started
     ok = worst <= 0.01 and elapsed < 5.0
     report(1, "brownian covariance vs min(x, y)", ok,
@@ -204,10 +200,10 @@ def test_09_norm_axioms(default_grid, space_8, brownian):
             u = synth.sample(909, 2 * pair).values
             v = synth.sample(909, 2 * pair + 1).values
             if kind == "sup":
-                norm = lambda w: sup_norm(w, space_8)
+                norm = lambda w: SupNorm()(w, space_8)
             else:
                 alpha = alphas[pair % len(alphas)]
-                norm = lambda w: holder_norm(w, alpha, space_8)
+                norm = lambda w: HolderNorm(alpha)(w, space_8)
             c = float(scalars.uniform(-2.0, 2.0))
             theta = float(scalars.uniform(0.0, 1.0))
             nu, nv = norm(u), norm(v)
@@ -219,7 +215,7 @@ def test_09_norm_axioms(default_grid, space_8, brownian):
                         max(nu, nv)),                             # ball convexity
             ]
             if kind == "holder":
-                results.append(bounded(sup_norm(u, space_8), nu))  # embedding
+                results.append(bounded(SupNorm()(u, space_8), nu))  # embedding
             checks += len(results)
             failures += sum(1 for r in results if not r)
     ok = failures == 0

@@ -4,32 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specfield as sf
-from specfield import (CovarianceMatrix, InadmissibleDensityError,
-                       PowerLawDensity, ZeroDensity, check_domination,
-                       coupling_covariance, covariance_matrix, dyadic_frequency_grid,
-                       increment_covariance, power_law_covariance_matrix,
-                       power_law_increment_covariance)
+from specfield import (CouplingSynthesizer, CovarianceMatrix, InadmissibleDensityError,
+                       PowerLawDensity, SpectralSynthesizer, check_domination,
+                       covariance_matrix, difference_density, dyadic_frequency_grid,
+                       power_law_covariance_matrix, uniform_spatial_grid)
+
+BROWNIAN_POINTS = (0.25, 0.5, 0.75, 1.0)
+
+
+def kernel(density, x, y, grid):
+    """K(x, y) as an entry of covariance_matrix (one point when x == y)."""
+    points = [x] if np.array_equal(x, y) else [x, y]
+    return covariance_matrix(density, points, grid).entries[0, -1]
 
 
 class TestBrownianOracle:
     def test_increments_match_min(self, default_grid, brownian):
         # closed form: K(x, x') = min(x, x') for x, x' >= 0
-        for x in (0.25, 0.5, 0.75, 1.0):
-            for y in (0.25, 0.5, 0.75, 1.0):
-                value = increment_covariance(brownian, x, y, default_grid)
-                assert np.isclose(value, min(x, y), rtol=0.01)
+        matrix = covariance_matrix(brownian, BROWNIAN_POINTS, default_grid)
+        expected = np.minimum.outer(BROWNIAN_POINTS, BROWNIAN_POINTS)
+        assert np.allclose(matrix.entries, expected, rtol=0.01, atol=0.0)
 
     def test_refinement_shrinks_the_error(self, brownian):
         # richer quadrature must track the closed form markedly better
         coarse = dyadic_frequency_grid(1, -9, 9, 8)
         fine = dyadic_frequency_grid(1, -10, 10, 16)
-        pairs = [(0.25, 0.75), (0.5, 0.5), (0.25, 1.0)]
-        err = {id(g): 0.0 for g in (coarse, fine)}
-        for g in (coarse, fine):
-            for x, y in pairs:
-                err[id(g)] = max(err[id(g)],
-                                 abs(increment_covariance(brownian, x, y, g)
-                                     - min(x, y)))
+        expected = np.minimum.outer(BROWNIAN_POINTS, BROWNIAN_POINTS)
+        err = {id(g): np.max(np.abs(covariance_matrix(brownian, BROWNIAN_POINTS,
+                                                      g).entries - expected))
+               for g in (coarse, fine)}
         assert err[id(fine)] <= 0.5 * err[id(coarse)]
 
 
@@ -48,10 +51,13 @@ class TestPowerLawOracle:
         assert np.allclose(np.diag(matrix.entries), points ** 0.8, rtol=1e-12)
 
     def test_increment_closed_form_scalar_and_batch(self):
-        single = power_law_increment_covariance(0.5, 1.0, 0.5)
-        assert np.isclose(single, 0.5, rtol=1e-12)  # Brownian min
-        batch = power_law_increment_covariance([0.5, 0.25], [1.0, 0.75], 0.5)
-        assert np.allclose(batch, [0.5, 0.25], rtol=1e-12)
+        # at H = 1/2 every entry is the Brownian min(x, x'), one pair or many
+        pair = power_law_covariance_matrix([0.5, 1.0], 0.5)
+        assert np.isclose(pair.entries[0, 1], 0.5, rtol=1e-12)
+        batch = power_law_covariance_matrix(BROWNIAN_POINTS, 0.5)
+        assert np.allclose(batch.entries,
+                           np.minimum.outer(BROWNIAN_POINTS, BROWNIAN_POINTS),
+                           rtol=1e-12)
 
 
 class TestKernelStructure:
@@ -61,24 +67,26 @@ class TestKernelStructure:
         # K(x, x') = (v(x) + v(x') - v(x - x'))/2 with v(u) = K(u, u); the
         # quadrature inherits the identity node by node, so it holds to roundoff
         f = sf.fractional_brownian_density(0.35)
-        k = increment_covariance(f, x, y, default_grid)
-        v = {u: increment_covariance(f, u, u, default_grid) for u in (x, y, x - y)}
-        combined = 0.5 * (v[x] + v[y] - v[x - y])
+        points = np.unique([x, y, x - y])
+        matrix = covariance_matrix(f, points, default_grid).entries
+        at = {u: int(np.flatnonzero(points == u)[0]) for u in (x, y, x - y)}
+        k = matrix[at[x], at[y]]
+        combined = 0.5 * (matrix[at[x], at[x]] + matrix[at[y], at[y]]
+                          - matrix[at[x - y], at[x - y]])
         assert np.isclose(k, combined, rtol=1e-9, atol=1e-9)
 
     def test_value_at_origin_is_zero(self, default_grid, brownian):
-        assert increment_covariance(brownian, 0.0, 0.7, default_grid) == 0.0
-        assert increment_covariance(brownian, 0.0, 0.0, default_grid) == 0.0
+        assert kernel(brownian, 0.0, 0.7, default_grid) == 0.0
+        assert kernel(brownian, 0.0, 0.0, default_grid) == 0.0
 
     def test_admissibility_gate(self, default_grid):
         with pytest.raises(InadmissibleDensityError):
-            increment_covariance(PowerLawDensity(1, 0.03, 1.0), 0.5, 0.5,
-                                 default_grid)
+            covariance_matrix(PowerLawDensity(1, 0.03, 1.0), [0.5], default_grid)
 
     def test_dimension_mismatch(self, default_grid):
         f2 = sf.fractional_brownian_density(0.5, dimension=2)
         with pytest.raises(ValueError):
-            increment_covariance(f2, 0.5, 0.5, default_grid)
+            covariance_matrix(f2, [0.5], default_grid)
 
 
 class TestCovarianceMatrix:
@@ -109,7 +117,7 @@ class TestCovarianceMatrix:
         matrix = covariance_matrix(brownian, points, default_grid)
         for i, x in enumerate(points):
             for j, y in enumerate(points):
-                expected = increment_covariance(brownian, x, y, default_grid)
+                expected = kernel(brownian, x, y, default_grid)
                 assert np.isclose(matrix.entries[i, j], expected, rtol=1e-12,
                                   atol=1e-15)
 
@@ -138,81 +146,77 @@ class TestCovarianceMatrix:
 
 
 class TestCouplingKernel:
-    def make_cert(self, grid, fx, fy, constant=1.0):
-        return check_domination(fx, fy, constant, grid)
+    """The kernel identity behind the coupling: K_Y = K_X / C + K_residual,
+    with x1 and the residual drawn by their own synthesizers on disjoint
+    streams."""
+
+    def make_coupler(self, grid, fx, fy, constant=1.0):
+        cert = check_domination(fx, fy, constant, grid)
+        return CouplingSynthesizer(fx, fy, constant, cert, grid,
+                                   uniform_spatial_grid(1, 8))
 
     def test_requires_certificate(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         with pytest.raises(ValueError, match="certificate"):
-            coupling_covariance(perturbed, base, (0.5, 1.0, 0.0), (0.5, 1.0, 0.0),
-                                default_grid, None)
-
-    def test_rejects_nonunit_constant(self, default_grid, fbm_pair):
-        perturbed, base = fbm_pair
-        cert = self.make_cert(default_grid, perturbed, base, 3.0)
-        with pytest.raises(ValueError, match="constant 1"):
-            coupling_covariance(perturbed, base, (0.5, 1.0, 0.0), (0.5, 1.0, 0.0),
-                                default_grid, cert)
-
-    def test_orthogonal_components_give_zero(self, default_grid, fbm_pair):
-        perturbed, base = fbm_pair
-        cert = self.make_cert(default_grid, perturbed, base)
-        value = coupling_covariance(perturbed, base, (0.5, 1.0, 0.0),
-                                    (0.75, 0.0, 1.0), default_grid, cert)
-        assert value == 0.0
-
-    def test_first_component_reduces_to_dominated_kernel(self, default_grid,
-                                                         fbm_pair):
-        perturbed, base = fbm_pair
-        cert = self.make_cert(default_grid, perturbed, base)
-        value = coupling_covariance(perturbed, base, (0.5, 1.0, 0.0),
-                                    (0.75, 1.0, 0.0), default_grid, cert)
-        direct = increment_covariance(perturbed, 0.5, 0.75, default_grid)
-        assert value == direct
-
-    def test_identical_densities_reproduce_dominating_kernel(self, default_grid,
-                                                             brownian):
-        cert = self.make_cert(default_grid, brownian, brownian)
-        value = coupling_covariance(brownian, brownian, (0.5, 1.0, 1.0),
-                                    (0.75, 1.0, 1.0), default_grid, cert)
-        direct = increment_covariance(brownian, 0.5, 0.75, default_grid)
-        assert np.isclose(value, direct, rtol=1e-10, atol=1e-10)
+            CouplingSynthesizer(perturbed, base, 1.0, None, default_grid,
+                                uniform_spatial_grid(1, 8))
 
     def test_full_components_sum_the_two_kernels(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
-        cert = self.make_cert(default_grid, perturbed, base)
-        value = coupling_covariance(perturbed, base, (0.5, 2.0, 1.0),
-                                    (0.75, 0.5, 3.0), default_grid, cert)
-        residual = sf.difference_density(base, perturbed, 1.0, cert)
-        expected = (2.0 * 0.5 * increment_covariance(perturbed, 0.5, 0.75,
-                                                     default_grid)
-                    + 1.0 * 3.0 * increment_covariance(residual, 0.5, 0.75,
-                                                       default_grid))
-        assert np.isclose(value, expected, rtol=1e-12)
+        points = uniform_spatial_grid(1, 8).points
+        k_y = covariance_matrix(base, points, default_grid).entries
+        k_x = covariance_matrix(perturbed, points, default_grid).entries
+        for constant in (1.0, 3.0):
+            cert = check_domination(perturbed, base, constant, default_grid)
+            residual = difference_density(base, perturbed, constant, cert)
+            k_res = covariance_matrix(residual, points, default_grid).entries
+            assert (np.max(np.abs(k_y - (k_x / constant + k_res)))
+                    <= 1e-12 * np.max(np.abs(k_y)))
+
+    def test_identical_densities_reproduce_dominating_kernel(self, default_grid,
+                                                             brownian):
+        cert = check_domination(brownian, brownian, 1.0, default_grid)
+        residual = difference_density(brownian, brownian, 1.0, cert)
+        points = uniform_spatial_grid(1, 8).points
+        assert not np.any(covariance_matrix(residual, points, default_grid).entries)
+
+    def test_first_component_reduces_to_dominated_kernel(self, default_grid,
+                                                         fbm_pair):
+        # x1 is the f_X synthesizer on the even streams, row for row
+        perturbed, base = fbm_pair
+        coupler = self.make_coupler(default_grid, perturbed, base)
+        x1 = coupler.sample_block(5, range(4))[0]
+        direct = SpectralSynthesizer(perturbed, default_grid, coupler.spatial_grid)
+        assert np.array_equal(x1, direct.sample_block(5, [0, 2, 4, 6]))
+
+    def test_orthogonal_components_give_zero(self, default_grid, fbm_pair):
+        # x2 is the residual synthesizer on the odd streams, which never
+        # meet the even streams of x1, so the cross kernel vanishes
+        perturbed, base = fbm_pair
+        coupler = self.make_coupler(default_grid, perturbed, base, 3.0)
+        x2 = coupler.sample_block(5, range(4))[1]
+        residual = difference_density(base, perturbed, 3.0, coupler.certificate)
+        direct = SpectralSynthesizer(residual, default_grid, coupler.spatial_grid)
+        assert np.array_equal(x2, direct.sample_block(5, [1, 3, 5, 7]))
+        streams = [sample.stream_id for sample in coupler.sample(5, 2)[:2]]
+        assert streams == [4, 5]
 
     def test_extended_kernel_is_positive_semidefinite(self, default_grid,
                                                       fbm_pair):
         perturbed, base = fbm_pair
-        cert = self.make_cert(default_grid, perturbed, base)
-        rng = np.random.default_rng(7)
-        triples = [(x, y1, y2)
-                   for x in (0.25, 0.7)
-                   for (y1, y2) in rng.normal(size=(3, 2))]
-        n = len(triples)
-        gram = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                gram[i, j] = gram[j, i] = coupling_covariance(
-                    perturbed, base, triples[i], triples[j], default_grid, cert)
-        eigmin = np.linalg.eigvalsh(gram)[0]
-        assert eigmin >= -1e-8 * np.max(np.diag(gram))
+        points = uniform_spatial_grid(1, 8).points
+        for constant in (1.0, 3.0):
+            cert = check_domination(perturbed, base, constant, default_grid)
+            residual = difference_density(base, perturbed, constant, cert)
+            matrix = covariance_matrix(residual, points, default_grid)
+            assert matrix.min_eigenvalue() >= -matrix.psd_floor
 
 
 class TestPlaneKernel:
     def test_variance_at_unit_vectors_matches(self, grid_2d):
         f = sf.fractional_brownian_density(0.5, dimension=2)
-        v1 = increment_covariance(f, (1.0, 0.0), (1.0, 0.0), grid_2d)
-        v2 = increment_covariance(f, (0.0, 1.0), (0.0, 1.0), grid_2d)
+        v1, v2 = np.diag(covariance_matrix(f, [(1.0, 0.0), (0.0, 1.0)],
+                                           grid_2d).entries)
         # isotropy: the two variances agree far inside quadrature error
         assert np.isclose(v1, v2, rtol=1e-6)
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specfield import (HolderNorm, PointSet, SupNorm, holder_norm, norm_functional,
-                       sup_norm, uniform_spatial_grid)
+from specfield import (ConfigError, HolderNorm, PointSet, SupNorm, parse_config,
+                       uniform_spatial_grid)
 
 GRID_9 = uniform_spatial_grid(1, 9)
 
@@ -16,21 +16,21 @@ value_arrays = st.lists(
 class TestExamples:
     def test_zero_field(self):
         zeros = np.zeros(9)
-        assert sup_norm(zeros, GRID_9) == 0.0
-        assert holder_norm(zeros, 0.5, GRID_9) == 0.0
+        assert SupNorm()(zeros, GRID_9) == 0.0
+        assert HolderNorm(0.5)(zeros, GRID_9) == 0.0
 
     def test_identity_ramp(self):
         # g(x) = x on [0, 1]: sup 1; every pair ratio of the alpha = 1 norm is
         # exactly 1, and for alpha = 1/2 the best pair is the full span
         grid = uniform_spatial_grid(1, 65)
         ramp = grid.points[:, 0].copy()
-        assert sup_norm(ramp, grid) == 1.0
-        assert holder_norm(ramp, 1.0, grid) == 2.0
-        assert holder_norm(ramp, 0.5, grid) == 2.0
+        assert SupNorm()(ramp, grid) == 1.0
+        assert HolderNorm(1.0)(ramp, grid) == 2.0
+        assert HolderNorm(0.5)(ramp, grid) == 2.0
 
     def test_single_point_set_has_no_pairs(self):
         ps = PointSet(1, "solo", np.array([[0.3]]))
-        assert holder_norm(np.array([2.5]), 0.5, ps) == 2.5
+        assert HolderNorm(0.5)(np.array([2.5]), ps) == 2.5
 
 
 class TestAxioms:
@@ -71,7 +71,7 @@ class TestAxioms:
            alpha=st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=80, deadline=None)
     def test_sup_is_dominated_by_holder(self, values, alpha):
-        assert sup_norm(values, GRID_9) <= holder_norm(values, alpha, GRID_9)
+        assert SupNorm()(values, GRID_9) <= HolderNorm(alpha)(values, GRID_9)
 
     @given(values=value_arrays)
     @settings(max_examples=40, deadline=None)
@@ -92,7 +92,7 @@ class TestPairSubsampling:
         values = rng.normal(size=70)
         full = HolderNorm(0.5)(values, grid)
         dyadic = HolderNorm(0.5, pair_budget=16)(values, grid)
-        assert sup_norm(values, grid) <= dyadic <= full
+        assert SupNorm()(values, grid) <= dyadic <= full
 
     def test_dyadic_square_grid(self):
         rng = np.random.default_rng(4)
@@ -100,12 +100,12 @@ class TestPairSubsampling:
         values = rng.normal(size=grid.size)
         full = HolderNorm(0.5)(values, grid)
         dyadic = HolderNorm(0.5, pair_budget=16)(values, grid)
-        assert sup_norm(values, grid) <= dyadic <= full
+        assert SupNorm()(values, grid) <= dyadic <= full
 
     def test_point_set_needs_full_pairs(self):
         ps = PointSet(1, "scatter", np.array([[0.1], [0.4], [0.9]]))
         values = np.array([1.0, 2.0, 0.0])
-        assert holder_norm(values, 0.5, ps) > 0  # full pairs fit the budget
+        assert HolderNorm(0.5)(values, ps) > 0  # full pairs fit the budget
         with pytest.raises(ValueError, match="uniform grid"):
             HolderNorm(0.5, pair_budget=4)(values, ps)
 
@@ -114,13 +114,13 @@ class TestInterface:
     def test_field_sample_carries_its_grid(self, default_grid, space_8, brownian):
         from specfield import SpectralSynthesizer
         sample = SpectralSynthesizer(brownian, default_grid, space_8).sample(21, 0)
-        direct = holder_norm(sample.values, 0.5, space_8)
-        assert holder_norm(sample, 0.5) == direct
-        assert sup_norm(sample) == np.max(np.abs(sample.values))
+        direct = HolderNorm(0.5)(sample.values, space_8)
+        assert HolderNorm(0.5)(sample) == direct
+        assert SupNorm()(sample) == np.max(np.abs(sample.values))
 
     def test_values_without_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            holder_norm(np.ones(4), 0.5)
+            HolderNorm(0.5)(np.ones(4))
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -133,14 +133,17 @@ class TestInterface:
             HolderNorm(0.5, pair_budget=2)
 
     def test_catalog(self):
-        assert isinstance(norm_functional("sup"), SupNorm)
-        holder = norm_functional("holder", alpha=0.3)
+        # the config builds the norm from norm.kind
+        base = ("command = density-check\nseed = 1\n"
+                "density.family = power-law\ndensity.hurst = 0.5\n")
+        assert isinstance(parse_config(base).norm, SupNorm)
+        holder = parse_config(base + "norm.kind = holder\nnorm.alpha = 0.3\n").norm
         assert isinstance(holder, HolderNorm)
         assert holder.alpha == 0.3
-        with pytest.raises(ValueError, match="alpha"):
-            norm_functional("holder")
-        with pytest.raises(ValueError, match="unknown"):
-            norm_functional("energy")
+        with pytest.raises(ConfigError, match="alpha"):
+            parse_config(base + "norm.kind = holder\n")
+        with pytest.raises(ConfigError, match="norm.kind must be one of"):
+            parse_config(base + "norm.kind = energy\n")
 
     def test_labels(self):
         assert SupNorm().label == "sup"

@@ -10,7 +10,7 @@ import specfield as sf
 from specfield import (BandLimitedDensity, DifferenceDensity, InadmissibleDensityError,
                        PerturbedDensity, PowerLawDensity, ScaledDensity, SineModulation,
                        SumDensity, ZeroDensity, brownian_density, check_admissible,
-                       check_domination, check_equivalence, difference_density,
+                       check_domination, difference_density,
                        estimate_min_C, fractional_brownian_density, require_admissible)
 from specfield.spectral import SpectralDensity, _unit_variance_scale
 
@@ -96,12 +96,12 @@ class TestNormalization:
         # the whole pipeline reproduces Var X(1) = 1 for a couple of exponents
         for hurst in (0.3, 0.7):
             f = fractional_brownian_density(hurst)
-            var = sf.increment_covariance(f, 1.0, 1.0, default_grid)
+            var = sf.covariance_matrix(f, [1.0], default_grid).entries[0, 0]
             assert np.isclose(var, 1.0, rtol=0.01)
 
     def test_unit_variance_in_the_plane(self, grid_2d):
         f = fractional_brownian_density(0.5, dimension=2)
-        var = sf.increment_covariance(f, (1.0, 0.0), (1.0, 0.0), grid_2d)
+        var = sf.covariance_matrix(f, [(1.0, 0.0)], grid_2d).entries[0, 0]
         assert np.isclose(var, 1.0, rtol=0.01)
 
 
@@ -338,8 +338,9 @@ class TestDomination:
 
     def test_equivalence_pair(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
-        fwd, back = check_equivalence(perturbed, base, 1.0, 3.0, default_grid)
-        assert fwd.holds and back.holds
+        # equivalence is domination both ways, each certified on the grid
+        assert check_domination(perturbed, base, 1.0, default_grid).holds
+        assert check_domination(base, perturbed, 3.0, default_grid).holds
 
 
 class TestDifferenceDensity:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import specfield as sf
-from specfield import (CouplingSample, CouplingSynthesizer, CovarianceMatrix,
+from specfield import (BandLimitedDensity, CouplingSynthesizer, CovarianceMatrix,
                        ExactFieldSampler, FieldSample, IndefiniteMatrixError,
                        PointSet, SpectralSynthesizer, ZeroDensity, check_domination,
                        covariance_matrix, hermitian_noise, substream,
@@ -87,7 +87,7 @@ class TestSpectralSynthesizer:
         synth = SpectralSynthesizer(brownian, default_grid, grid)
         n = 4000
         values = np.array([synth.sample(7, k).values[1] for k in range(n)])
-        target = sf.increment_covariance(brownian, 1.0, 1.0, default_grid)
+        target = covariance_matrix(brownian, [1.0], default_grid).entries[0, 0]
         # variance estimate has relative standard error sqrt(2/n)
         assert np.isclose(np.mean(values ** 2), target,
                           rtol=4.0 * np.sqrt(2.0 / n))
@@ -139,8 +139,7 @@ class TestSampleBlock:
         x1, x2, y = coupler.sample_block(12, range(5))
         assert np.array_equal(y, x1 + x2)
         for k in range(5):
-            cs = coupler.sample(12, k)
-            for got, row in ((cs.x1, x1[k]), (cs.x2, x2[k]), (cs.y_rep, y[k])):
+            for got, row in zip(coupler.sample(12, k), (x1[k], x2[k], y[k])):
                 assert np.max(np.abs(got.values - row)) <= 1e-12 * np.max(np.abs(y))
 
     def test_single_block_campaign_never_holds_the_whole_factor(
@@ -283,37 +282,36 @@ class TestCoupling:
         cert = check_domination(perturbed, base, 1.0, default_grid)
         coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
                                       space_8)
-        cs = coupler.sample(31, 3)
-        assert cs.x1.stream_id == 6
-        assert cs.x2.stream_id == 7
-        assert np.array_equal(cs.y_rep.values, cs.x1.values + cs.x2.values)
+        x1, x2, y_rep = coupler.sample(31, 3)
+        assert (x1.stream_id, x2.stream_id, y_rep.stream_id) == (6, 7, 6)
+        assert np.array_equal(y_rep.values, x1.values + x2.values)
 
     def test_one_off_matches_synthesizer(self, default_grid, space_8, fbm_pair):
         perturbed, base = fbm_pair
         cert = check_domination(perturbed, base, 1.0, default_grid)
         coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
                                       space_8)
-        a = coupler.sample(31, 2)
+        a = coupler.sample(31, 2)[2]
         b = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
-                                space_8).sample(31, 2)
-        assert np.array_equal(a.y_rep.values, b.y_rep.values)
+                                space_8).sample(31, 2)[2]
+        assert np.array_equal(a.values, b.values)
 
     def test_identical_densities_make_residual_vanish(self, default_grid,
                                                       space_8, brownian):
         cert = check_domination(brownian, brownian, 1.0, default_grid)
-        cs = CouplingSynthesizer(brownian, brownian, 1.0, cert, default_grid,
-                                 space_8).sample(31, 0)
-        assert np.all(cs.x2.values == 0.0)
-        assert np.array_equal(cs.y_rep.values, cs.x1.values)
+        x1, x2, y_rep = CouplingSynthesizer(brownian, brownian, 1.0, cert,
+                                            default_grid, space_8).sample(31, 0)
+        assert np.all(x2.values == 0.0)
+        assert np.array_equal(y_rep.values, x1.values)
 
     def test_zero_dominated_density_passes_through(self, default_grid, space_8,
                                                    brownian):
         zero = ZeroDensity(1)
         cert = check_domination(zero, brownian, 1.0, default_grid)
-        cs = CouplingSynthesizer(zero, brownian, 1.0, cert, default_grid,
-                                 space_8).sample(31, 0)
-        assert np.all(cs.x1.values == 0.0)
-        assert np.array_equal(cs.y_rep.values, cs.x2.values)
+        x1, x2, y_rep = CouplingSynthesizer(zero, brownian, 1.0, cert,
+                                            default_grid, space_8).sample(31, 0)
+        assert np.all(x1.values == 0.0)
+        assert np.array_equal(y_rep.values, x2.values)
 
     def test_constant_three_variance(self, default_grid, space_8, fbm_pair):
         # y = x1/sqrt(3) + x2 must still carry the dominating law
@@ -322,19 +320,33 @@ class TestCoupling:
         coupler = CouplingSynthesizer(perturbed, base, 3.0, cert, default_grid,
                                       space_8)
         n = 1500
-        tail = np.array([coupler.sample(13, k).y_rep.values[-1] for k in range(n)])
-        target = sf.increment_covariance(base, 1.0, 1.0, default_grid)
+        tail = np.array([coupler.sample(13, k)[2].values[-1] for k in range(n)])
+        target = covariance_matrix(base, [1.0], default_grid).entries[0, 0]
         assert np.isclose(np.mean(tail ** 2), target, rtol=4.0 * np.sqrt(2.0 / n))
 
-    def test_sample_validation_rejects_shared_streams(self, default_grid,
-                                                      space_8, brownian):
-        sample = SpectralSynthesizer(brownian, default_grid, space_8).sample(1, 4)
-        with pytest.raises(ValueError, match="disjoint"):
-            CouplingSample(sample, sample, sample, 1.0)
+    def test_sample_is_the_one_row_block(self, default_grid, space_8, fbm_pair):
+        perturbed, base = fbm_pair
+        cert = check_domination(perturbed, base, 3.0, default_grid)
+        coupler = CouplingSynthesizer(perturbed, base, 3.0, cert, default_grid,
+                                      space_8)
+        for k in (0, 4):
+            samples = coupler.sample(17, k)
+            rows = coupler.sample_block(17, [k])
+            for sample, row in zip(samples, rows):
+                assert sample.values.tobytes() == row[0].tobytes()
+            x1, x2, y_rep = (sample.values for sample in samples)
+            assert np.array_equal(y_rep, 3.0 ** -0.5 * x1 + x2)
 
-    def test_sample_validation_rejects_broken_linearity(self, default_grid,
-                                                        space_8, brownian):
-        synth = SpectralSynthesizer(brownian, default_grid, space_8)
-        x1, x2 = synth.sample(1, 0), synth.sample(1, 1)
-        with pytest.raises(ValueError, match="combination"):
-            CouplingSample(x1, x2, synth.sample(1, 2), 1.0)
+    def test_certificate_from_another_grid_is_rejected(self):
+        # the pair is dominated on j = -5..5 but not on j = -5..12, where the
+        # clamp of the residual would silently change the law
+        dominated = BandLimitedDensity(1, 100.0, 200.0)
+        dominating = BandLimitedDensity(1, 0.0, 150.0)
+        checked = sf.dyadic_frequency_grid(1, -5, 5, 16)
+        sampled = sf.dyadic_frequency_grid(1, -5, 12, 16)
+        cert = check_domination(dominated, dominating, 1.0, checked)
+        assert cert.holds
+        assert not check_domination(dominated, dominating, 1.0, sampled).holds
+        with pytest.raises(ValueError, match="certificate was checked on"):
+            CouplingSynthesizer(dominated, dominating, 1.0, cert, sampled,
+                                uniform_spatial_grid(1, 4))

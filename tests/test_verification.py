@@ -103,10 +103,10 @@ class TestVerdictEngine:
             return RadiusComparison(1.0, 100, 50, 50, 0.5, 0.5, 0.4, 0.6, 0.4,
                                     0.6, 0.2, verdict)
         report = InequalityReport("t", (row("consistent"), row("underpowered")),
-                                  100, 0, 0.99, "l", "r", 0.0)
+                                  100, 0, 0.99, "l", "r")
         assert report.worst_verdict == "underpowered"
         report = InequalityReport("t", (row("violated"), row("consistent")),
-                                  100, 0, 0.99, "l", "r", 0.0)
+                                  100, 0, 0.99, "l", "r")
         assert report.worst_verdict == "violated"
 
 
@@ -376,6 +376,15 @@ class TestQuantileRadii:
         with pytest.raises(ValueError, match="span"):
             coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
                                     span=1.0)
+
+    def test_pilot_count_validation(self, default_grid, fbm_pair):
+        perturbed, base = fbm_pair
+        cfg = small_mc(default_grid, radii=())
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        for n_pilot in (0, 99):
+            with pytest.raises(ValueError, match="n_pilot must be at least 100"):
+                coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
+                                        n_pilot=n_pilot)
 
 
 class TestStandardizedMax:
