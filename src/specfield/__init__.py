@@ -29,7 +29,6 @@ from .verification import (BallProbabilityEstimate, CouplingLawReport, HurstEsti
                            ball_probability_profile, clopper_pearson_lower,
                            clopper_pearson_upper, compare_counts,
                            coupling_norm_quantiles, estimate_holder_exponent,
-                           path_hurst,
                            quadratic_variation_profile, verify_anderson_shift,
                            verify_anderson_sum, verify_comparison,
                            verify_coupling_law)

@@ -3,7 +3,10 @@
 Format: one `key = value` per line, `#` starts a comment, blank lines are
 ignored.  Nested structure is spelled with dots (density.x.base.hurst = 0.5).
 Parsing validates the whole file and reports every problem with its line
-number, not just the first; unknown and duplicate keys are errors.
+number, not just the first; unknown and duplicate keys are errors.  A
+command reads only the keys it uses, so a key it has no use for is an
+unknown key, and the echo (metadata.txt) is exactly the keys the parse read,
+every default resolved.
 
 The seed is mandatory.  There is deliberately no wall-clock fallback: every
 run must be replayable from its config alone.
@@ -11,6 +14,7 @@ run must be replayable from its config alone.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -19,11 +23,13 @@ from .norms import DEFAULT_PAIR_BUDGET, HolderNorm, SupNorm
 from .spectral import (BandLimitedDensity, PerturbedDensity, PowerLawDensity,
                        ScaledDensity, SineModulation, SpectralDensity, SumDensity,
                        ZeroDensity, fractional_brownian_density)
+from .verification import check_radii
 
 COMMANDS = ("density-check", "simulate", "covariance", "verify-anderson",
             "verify-coupling", "verify-comparison", "estimate-hurst")
 
 _TWO_DENSITY_COMMANDS = ("verify-coupling", "verify-comparison")
+_BALL_COMMANDS = ("verify-anderson", "verify-comparison")
 _KEY_RE = re.compile(r"^[a-z0-9_.-]+$")
 
 _DEFAULT_MC_REPLICAS = {"verify-anderson": 10000, "verify-comparison": 10000,
@@ -55,7 +61,7 @@ class RunConfig:
     densities: dict
     frequency_grid: FrequencyGrid
     spatial_grid: SpatialGrid
-    norm: object
+    norm: object                      # None for commands that use no norm
     output: str | None = None
     constant: float | None = None
     constant_auto: bool = False
@@ -76,12 +82,18 @@ class RunConfig:
 
 
 class _Reader:
-    """Typed access to parsed key/value lines with error collection."""
+    """Typed access to parsed key/value lines with error collection.
+
+    `echo` records the canonical text of every value a getter resolves, given
+    or defaulted: str for integers, repr for floats, the raw text for strings.
+    `required` is the text after "missing <key>" when an absent key is an error.
+    """
 
     def __init__(self, entries: dict):
         self.entries = entries            # key -> (raw value, line number)
         self.errors = []
         self.consumed = set()
+        self.echo = {}
 
     def error(self, key_or_line, message):
         if isinstance(key_or_line, str):
@@ -93,69 +105,62 @@ class _Reader:
     def has(self, key: str) -> bool:
         return key in self.entries
 
-    def raw(self, key: str, default=None):
+    def record(self, key: str, value):
+        if value is not None:
+            self.echo[key] = value if isinstance(value, str) else repr(value)
+        return value
+
+    def raw(self, key: str, required=None):
         if key in self.entries:
             self.consumed.add(key)
             return self.entries[key][0]
-        return default
+        if required is not None:
+            self.errors.append((None, f"missing {key}{required}"))
+        return None
 
-    def string(self, key: str, default=None, choices=None):
-        value = self.raw(key, default)
+    def string(self, key: str, default=None, choices=None, required=None):
+        value = self.raw(key, required)
         if value is not None and choices is not None and value not in choices:
             self.error(key, f"{key} must be one of {', '.join(choices)}; got {value!r}")
-            return default
-        return value
+            return None
+        return self.record(key, default if value is None else value)
 
-    def integer(self, key: str, default=None, minimum=None, maximum=None):
-        raw = self.raw(key)
+    def integer(self, key: str, default=None, minimum=None, maximum=None, required=None):
+        raw = self.raw(key, required)
         if raw is None:
-            return default
+            return self.record(key, default)
         try:
             value = int(raw)
         except ValueError:
             self.error(key, f"{key} must be an integer, got {raw!r}")
-            return default
+            return None
         if minimum is not None and value < minimum:
             self.error(key, f"{key} must be >= {minimum}, got {value}")
-            return default
+            return None
         if maximum is not None and value > maximum:
             self.error(key, f"{key} must be <= {maximum}, got {value}")
-            return default
-        return value
+            return None
+        return self.record(key, value)
 
-    def floating(self, key: str, default=None, positive=False):
-        raw = self.raw(key)
+    def floating(self, key: str, default=None, positive=False, required=None):
+        raw = self.raw(key, required)
         if raw is None:
-            return default
+            return self.record(key, default)
         try:
             value = float(raw)
         except ValueError:
-            self.error(key, f"{key} must be a number, got {raw!r}")
-            return default
+            value = math.nan
+        if not math.isfinite(value):
+            self.error(key, f"{key} must be a finite number, got {raw!r}")
+            return None
         if positive and not value > 0:
             self.error(key, f"{key} must be positive, got {value}")
-            return default
-        return value
-
-    def float_list(self, key: str):
-        raw = self.raw(key)
-        if raw is None:
             return None
-        try:
-            return tuple(float(part) for part in raw.split(","))
-        except ValueError:
-            self.error(key, f"{key} must be a comma-separated list of numbers, got {raw!r}")
-            return None
+        return self.record(key, value)
 
     def subkeys(self, prefix: str):
         dot = prefix + "."
         return [k for k in self.entries if k.startswith(dot)]
-
-    def require(self, key: str, description: str) -> bool:
-        if key not in self.entries:
-            self.errors.append((None, f"missing {key}: {description}"))
-            return False
-        return True
 
     def finish_unknown(self):
         for key in sorted(self.entries):
@@ -194,57 +199,44 @@ _FAMILIES = ("zero", "power-law", "perturbed", "band-limited", "sum", "scalar-mu
 
 def _parse_density(reader: _Reader, prefix: str) -> SpectralDensity | None:
     """Build one density from the keys under `prefix.`; None on any error."""
-    family_key = f"{prefix}.family"
-    if not reader.has(family_key):
-        reader.error(None, f"missing {family_key}: density family is required "
-                           f"(one of {', '.join(_FAMILIES)})")
-        for key in reader.subkeys(prefix):
-            reader.consumed.add(key)
-        return None
-    family = reader.string(family_key, choices=_FAMILIES)
+    family = reader.string(f"{prefix}.family", choices=_FAMILIES,
+                           required=f": density family is required "
+                                    f"(one of {', '.join(_FAMILIES)})")
     if family is None:
-        for key in reader.subkeys(prefix):
-            reader.consumed.add(key)
+        reader.consumed.update(reader.subkeys(prefix))
         return None
+
+    dim = None
+    if family in ("zero", "power-law", "band-limited"):
+        dim = reader.integer(f"{prefix}.dimension", default=1)
+        if dim not in (1, 2):
+            reader.error(f"{prefix}.dimension", "dimension must be 1 or 2")
+            dim = None
 
     if family == "zero":
-        dim = reader.integer(f"{prefix}.dimension", default=1)
-        if dim not in (1, 2):
-            reader.error(f"{prefix}.dimension", "dimension must be 1 or 2")
-            return None
-        return ZeroDensity(dim)
+        return None if dim is None else ZeroDensity(dim)
 
     if family == "power-law":
-        dim = reader.integer(f"{prefix}.dimension", default=1)
-        hurst = reader.floating(f"{prefix}.hurst")
+        hurst = reader.floating(f"{prefix}.hurst", required=" for the power-law family")
         scale = reader.floating(f"{prefix}.scale", positive=True)
-        if dim not in (1, 2):
-            reader.error(f"{prefix}.dimension", "dimension must be 1 or 2")
-            return None
-        if hurst is None:
-            if not reader.has(f"{prefix}.hurst"):
-                reader.error(None, f"missing {prefix}.hurst for the power-law family")
+        if dim is None or hurst is None:
             return None
         if not 0.0 < hurst < 1.0:
             reader.error(f"{prefix}.hurst", f"H must lie in (0,1), got {hurst}")
             return None
-        if scale is None and reader.has(f"{prefix}.scale"):
+        if scale is not None:
+            return PowerLawDensity(dim, hurst, scale)
+        if reader.has(f"{prefix}.scale"):
             return None
-        if scale is None:
-            return fractional_brownian_density(hurst, dim)
-        return PowerLawDensity(dim, hurst, scale)
+        density = fractional_brownian_density(hurst, dim)
+        reader.record(f"{prefix}.scale", density.scale)
+        return density
 
     if family == "band-limited":
-        dim = reader.integer(f"{prefix}.dimension", default=1)
         inner = reader.floating(f"{prefix}.inner", default=0.0)
-        outer = reader.floating(f"{prefix}.outer")
+        outer = reader.floating(f"{prefix}.outer", required=" for the band-limited family")
         amplitude = reader.floating(f"{prefix}.amplitude", default=1.0)
-        if dim not in (1, 2):
-            reader.error(f"{prefix}.dimension", "dimension must be 1 or 2")
-            return None
-        if outer is None:
-            if not reader.has(f"{prefix}.outer"):
-                reader.error(None, f"missing {prefix}.outer for the band-limited family")
+        if None in (dim, inner, outer, amplitude):
             return None
         try:
             return BandLimitedDensity(dim, inner, outer, amplitude)
@@ -254,15 +246,11 @@ def _parse_density(reader: _Reader, prefix: str) -> SpectralDensity | None:
 
     if family == "perturbed":
         base = _parse_density(reader, f"{prefix}.base")
-        offset = reader.floating(f"{prefix}.modulation.offset")
-        amplitude = reader.floating(f"{prefix}.modulation.amplitude")
+        offset = reader.floating(f"{prefix}.modulation.offset", required="")
+        amplitude = reader.floating(f"{prefix}.modulation.amplitude", required="")
         frequency = reader.floating(f"{prefix}.modulation.frequency", default=1.0)
         mod_scale = reader.floating(f"{prefix}.modulation.scale", default=1.0)
-        if offset is None and not reader.has(f"{prefix}.modulation.offset"):
-            reader.error(None, f"missing {prefix}.modulation.offset")
-        if amplitude is None and not reader.has(f"{prefix}.modulation.amplitude"):
-            reader.error(None, f"missing {prefix}.modulation.amplitude")
-        if base is None or offset is None or amplitude is None:
+        if None in (base, offset, amplitude, frequency, mod_scale):
             return None
         try:
             modulation = SineModulation(offset, amplitude, frequency, mod_scale)
@@ -283,9 +271,7 @@ def _parse_density(reader: _Reader, prefix: str) -> SpectralDensity | None:
 
     # scalar-multiple
     base = _parse_density(reader, f"{prefix}.base")
-    factor = reader.floating(f"{prefix}.factor")
-    if factor is None and not reader.has(f"{prefix}.factor"):
-        reader.error(None, f"missing {prefix}.factor for the scalar-multiple family")
+    factor = reader.floating(f"{prefix}.factor", required=" for the scalar-multiple family")
     if base is None or factor is None:
         return None
     if factor < 0:
@@ -294,39 +280,74 @@ def _parse_density(reader: _Reader, prefix: str) -> SpectralDensity | None:
     return ScaledDensity(base, factor)
 
 
-def _echo_density(prefix: str, density: SpectralDensity, out: dict):
-    """Canonical key/value echo of a constructed density, defaults resolved."""
-    if isinstance(density, ZeroDensity):
-        out[f"{prefix}.family"] = "zero"
-        out[f"{prefix}.dimension"] = str(density.dimension)
-    elif isinstance(density, PowerLawDensity):
-        out[f"{prefix}.family"] = "power-law"
-        out[f"{prefix}.dimension"] = str(density.dimension)
-        out[f"{prefix}.hurst"] = repr(density.hurst)
-        out[f"{prefix}.scale"] = repr(density.scale)
-    elif isinstance(density, BandLimitedDensity):
-        out[f"{prefix}.family"] = "band-limited"
-        out[f"{prefix}.dimension"] = str(density.dimension)
-        out[f"{prefix}.inner"] = repr(density.inner)
-        out[f"{prefix}.outer"] = repr(density.outer)
-        out[f"{prefix}.amplitude"] = repr(density.amplitude)
-    elif isinstance(density, PerturbedDensity):
-        out[f"{prefix}.family"] = "perturbed"
-        _echo_density(f"{prefix}.base", density.base, out)
-        out[f"{prefix}.modulation.offset"] = repr(density.modulation.offset)
-        out[f"{prefix}.modulation.amplitude"] = repr(density.modulation.amplitude)
-        out[f"{prefix}.modulation.frequency"] = repr(density.modulation.frequency)
-        out[f"{prefix}.modulation.scale"] = repr(density.modulation.scale)
-    elif isinstance(density, SumDensity):
-        out[f"{prefix}.family"] = "sum"
-        _echo_density(f"{prefix}.first", density.first, out)
-        _echo_density(f"{prefix}.second", density.second, out)
-    elif isinstance(density, ScaledDensity):
-        out[f"{prefix}.family"] = "scalar-multiple"
-        out[f"{prefix}.factor"] = repr(density.factor)
-        _echo_density(f"{prefix}.base", density.base, out)
+def _constant(reader: _Reader, command: str, pair_check: bool):
+    """(C, auto) from the constant key; a density-check pair defaults to auto."""
+    raw = reader.raw("constant")
+    if raw is None and not pair_check:
+        reader.error(None, f"{command} needs constant = <positive C> or constant = auto "
+                           "(auto estimates the smallest C on the grid)")
+        return None, False
+    if raw is None or raw == "auto":
+        reader.record("constant", "auto")
+        return None, True
+    try:
+        constant = float(raw)
+    except ValueError:
+        reader.error("constant", f"constant must be a positive number or auto, got {raw!r}")
+        return None, False
+    if not 0.0 < constant < math.inf:
+        reader.error("constant", f"constant must be positive and finite, got {constant}")
+        return None, False
+    return reader.record("constant", constant), False
+
+
+def _norm(reader: _Reader):
+    """The norm of a ball-probability command; its parameters only for holder."""
+    kind = reader.string("norm.kind", default="sup", choices=("sup", "holder"))
+    if kind != "holder":
+        return SupNorm() if kind == "sup" else None
+    alpha = reader.floating("norm.alpha", required=": the holder norm requires alpha in (0, 1]")
+    budget = reader.integer("norm.pair_budget", default=DEFAULT_PAIR_BUDGET, minimum=4)
+    if alpha is None or budget is None:
+        return None
+    try:
+        return HolderNorm(alpha, budget)
+    except ValueError as exc:
+        reader.error("norm.alpha", str(exc))
+        return None
+
+
+def _radii(reader: _Reader, command: str, fields: dict):
+    """mc.radii, fixed or auto; the pilot settings exist only for auto."""
+    raw = reader.raw("mc.radii")
+    if raw is None:
+        reader.error(None, f"{command} needs mc.radii (comma-separated positive radii"
+                           + (" or auto)" if command == "verify-comparison" else ")"))
+    elif raw == "auto" and command != "verify-comparison":
+        reader.error("mc.radii", "mc.radii = auto is only supported for verify-comparison")
+    elif raw == "auto":
+        reader.record("mc.radii", "auto")
+        fields["radii_auto"] = True
+        fields["radii_count"] = reader.integer("mc.radii_count", default=5, minimum=1)
+        span = reader.floating("mc.radii_span", default=0.9)
+        if span is not None and not 0.0 < span < 1.0:
+            reader.error("mc.radii_span", f"radii span must lie in (0,1), got {span}")
+        fields["radii_span"] = span
+        fields["pilot_replicas"] = reader.integer("mc.pilot_replicas", default=2000,
+                                                  minimum=100)
     else:
-        raise TypeError(f"no config echo for density type {type(density).__name__}")
+        try:
+            radii = tuple(float(p) for p in raw.split(","))
+        except ValueError:
+            reader.error("mc.radii", f"mc.radii must be comma-separated numbers or auto, "
+                                     f"got {raw!r}")
+            return
+        try:
+            fields["radii"] = check_radii(radii)
+        except ValueError as exc:
+            reader.error("mc.radii", str(exc))
+            return
+        reader.record("mc.radii", ", ".join(repr(r) for r in radii))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -334,25 +355,20 @@ def parse_config(text: str) -> RunConfig:
     reader = _Reader(entries)
     reader.errors.extend(scan_errors)
 
-    command = reader.string("command", choices=COMMANDS)
-    if command is None and "command" not in entries:
-        reader.error(None, f"missing command (one of {', '.join(COMMANDS)})")
-
-    if reader.require("seed", "a master seed is mandatory, there is no wall-clock default"):
-        seed = reader.integer("seed", minimum=0, maximum=2 ** 64 - 1)
-    else:
-        seed = None
-
-    output = reader.string("output")
+    command = reader.string("command", choices=COMMANDS,
+                            required=f" (one of {', '.join(COMMANDS)})")
+    seed = reader.integer("seed", minimum=0, maximum=2 ** 64 - 1,
+                          required=": a master seed is mandatory, there is no "
+                                   "wall-clock default")
+    fields = {"output": reader.string("output")}
 
     # densities
-    densities = {}
     if command in _TWO_DENSITY_COMMANDS:
         roles = ("x", "y")
     elif command == "verify-anderson":
-        kind = reader.string("anderson.kind", choices=("shift", "sum"))
-        if kind is None and "anderson.kind" not in entries:
-            reader.error(None, "missing anderson.kind (shift or sum)")
+        kind = reader.string("anderson.kind", choices=("shift", "sum"),
+                             required=" (shift or sum)")
+        fields["anderson_kind"] = kind
         roles = ("x", "y") if kind == "sum" else ("main",)
     elif command == "density-check":
         # a single density gets an admissibility check; a pair adds domination
@@ -363,6 +379,7 @@ def parse_config(text: str) -> RunConfig:
     else:
         roles = ()
     role_prefix = {"main": "density", "x": "density.x", "y": "density.y"}
+    densities = {}
     for role in roles:
         density = _parse_density(reader, role_prefix[role])
         if density is not None:
@@ -373,51 +390,20 @@ def parse_config(text: str) -> RunConfig:
         reader.error(None, "densities must share one dimension")
     dimension = dims.pop() if len(dims) == 1 else 1
 
-    # constant
-    constant = None
-    constant_auto = False
-    raw_constant = reader.raw("constant")
-    if raw_constant is not None:
-        if raw_constant == "auto":
-            constant_auto = True
-        else:
-            try:
-                constant = float(raw_constant)
-            except ValueError:
-                reader.error("constant", f"constant must be a positive number or auto, "
-                                         f"got {raw_constant!r}")
-            else:
-                if constant <= 0:
-                    reader.error("constant", f"constant must be positive, got {constant}")
-                    constant = None
-    elif command in _TWO_DENSITY_COMMANDS:
-        reader.error(None, f"{command} needs constant = <positive C> or constant = auto "
-                           "(auto estimates the smallest C on the grid)")
-    elif command == "density-check" and "x" in roles:
-        constant_auto = True
+    if command in _TWO_DENSITY_COMMANDS or (command == "density-check" and "x" in roles):
+        fields["constant"], fields["constant_auto"] = _constant(
+            reader, command, command == "density-check")
 
-    # anderson shift
-    anderson_kind = reader.string("anderson.kind", choices=("shift", "sum")) \
-        if command == "verify-anderson" else None
-    shift_kind = None
-    shift_slope = None
-    if anderson_kind == "shift":
+    if fields.get("anderson_kind") == "shift":
         shift_kind = reader.string("shift.kind", default="linear", choices=("zero", "linear"))
+        fields["shift_kind"] = shift_kind
         if shift_kind == "linear":
-            shift_slope = reader.floating("shift.slope", default=0.5)
+            fields["shift_slope"] = reader.floating("shift.slope", default=0.5)
 
-    # norm
-    norm_kind = reader.string("norm.kind", default="sup", choices=("sup", "holder"))
-    norm_alpha = reader.floating("norm.alpha")
-    pair_budget = reader.integer("norm.pair_budget", default=DEFAULT_PAIR_BUDGET, minimum=4)
-    norm = SupNorm() if norm_kind == "sup" else None
-    if norm_kind == "holder" and norm_alpha is not None:
-        try:
-            norm = HolderNorm(norm_alpha, pair_budget)
-        except ValueError as exc:
-            reader.error("norm.alpha", str(exc))
-    elif norm_kind == "holder" and not reader.has("norm.alpha"):
-        reader.error(None, "missing norm.alpha: the holder norm requires alpha in (0, 1]")
+    norm = None
+    if command in _BALL_COMMANDS:
+        norm = _norm(reader)
+        _radii(reader, command, fields)
 
     # grids
     j_lo = reader.integer("frequency_grid.j_lo", default=-20)
@@ -437,52 +423,19 @@ def parse_config(text: str) -> RunConfig:
     if resolution is not None:
         spatial_grid = uniform_spatial_grid(dimension, resolution)
 
-    # Monte Carlo settings
-    mc_replicas = reader.integer("mc.replicas",
-                                 default=_DEFAULT_MC_REPLICAS.get(command, 10000),
-                                 minimum=100)
-    confidence = reader.floating("mc.confidence", default=0.99)
-    if confidence is not None and not 0.0 < confidence < 1.0:
-        reader.error("mc.confidence", f"confidence must lie in (0,1), got {confidence}")
-        confidence = None
-    radii = ()
-    radii_auto = False
-    raw_radii = reader.raw("mc.radii")
-    if raw_radii is not None:
-        if raw_radii == "auto":
-            if command == "verify-comparison":
-                radii_auto = True
-            else:
-                reader.error("mc.radii", "mc.radii = auto is only supported for "
-                                         "verify-comparison")
-        else:
-            try:
-                radii = tuple(float(p) for p in raw_radii.split(","))
-            except ValueError:
-                reader.error("mc.radii", f"mc.radii must be comma-separated numbers or "
-                                         f"auto, got {raw_radii!r}")
-                radii = ()
-            if radii and (any(r <= 0 for r in radii) or list(radii) != sorted(radii)):
-                reader.error("mc.radii", "radii must be positive and sorted ascending")
-                radii = ()
-    elif command in ("verify-anderson", "verify-comparison"):
-        reader.error(None, f"{command} needs mc.radii (comma-separated positive radii"
-                           + (" or auto)" if command == "verify-comparison" else ")"))
-    radii_count = reader.integer("mc.radii_count", default=5, minimum=1)
-    radii_span = reader.floating("mc.radii_span", default=0.9)
-    if radii_span is not None and not 0.0 < radii_span < 1.0:
-        reader.error("mc.radii_span", f"radii span must lie in (0,1), got {radii_span}")
-        radii_span = None
-    pilot_replicas = reader.integer("mc.pilot_replicas", default=2000, minimum=100)
+    if command in _DEFAULT_MC_REPLICAS:
+        fields["mc_replicas"] = reader.integer("mc.replicas", minimum=100,
+                                               default=_DEFAULT_MC_REPLICAS[command])
+        confidence = reader.floating("mc.confidence", default=0.99)
+        if confidence is not None and not 0.0 < confidence < 1.0:
+            reader.error("mc.confidence", f"confidence must lie in (0,1), got {confidence}")
+        fields["confidence"] = confidence
 
-    # simulate-specific
-    replicas = reader.integer("replicas", default=1, minimum=1) \
-        if command == "simulate" else 1
-    method = reader.string("method", default="spectral", choices=("spectral", "exact")) \
-        if command == "simulate" else "spectral"
+    if command == "simulate":
+        fields["replicas"] = reader.integer("replicas", default=1, minimum=1)
+        fields["method"] = reader.string("method", default="spectral",
+                                         choices=("spectral", "exact"))
 
-    # covariance-specific points
-    points = ()
     raw_points = reader.raw("points")
     if raw_points is not None:
         if command != "covariance":
@@ -496,68 +449,20 @@ def parse_config(text: str) -> RunConfig:
             except ValueError:
                 reader.error("points", f"points must be comma-separated numbers, "
                                        f"got {raw_points!r}")
-                points = ()
-            if points and len(set(points)) != len(points):
-                reader.error("points", "points must be distinct")
-                points = ()
+            else:
+                if len(set(points)) != len(points):
+                    reader.error("points", "points must be distinct")
+                fields["points"] = points
+                reader.record("points", ", ".join(repr(p) for p in points))
 
     reader.finish_unknown()
-
-    required_ok = (command is not None and seed is not None and norm is not None
-                   and confidence is not None and frequency_grid is not None
-                   and spatial_grid is not None and len(densities) == len(roles)
-                   and radii_span is not None
-                   and None not in (mc_replicas, radii_count, pilot_replicas,
-                                    replicas, method))
-    if reader.errors or not required_ok:
-        if not reader.errors:
-            reader.error(None, "configuration incomplete")
+    if not reader.errors and (None in (command, seed, frequency_grid, spatial_grid)
+                              or len(densities) != len(roles)):
+        reader.error(None, "configuration incomplete")
+    if reader.errors:
         raise ConfigError(reader.errors)
 
-    echo = {"command": command, "seed": str(seed)}
-    if output is not None:
-        echo["output"] = output
-    for role, density in densities.items():
-        _echo_density(role_prefix[role], density, echo)
-    echo["frequency_grid.j_lo"] = str(j_lo)
-    echo["frequency_grid.j_hi"] = str(j_hi)
-    echo["frequency_grid.nodes_per_annulus"] = str(nodes)
-    echo["spatial_grid.resolution"] = str(resolution)
-    echo["norm.kind"] = norm.kind
-    if isinstance(norm, HolderNorm):
-        echo["norm.alpha"] = repr(norm.alpha)
-        echo["norm.pair_budget"] = str(norm.pair_budget)
-    if command in _TWO_DENSITY_COMMANDS or (command == "density-check" and "x" in densities):
-        echo["constant"] = "auto" if constant_auto else repr(constant)
-    if command == "verify-anderson":
-        echo["anderson.kind"] = anderson_kind
-        if anderson_kind == "shift":
-            echo["shift.kind"] = shift_kind
-            if shift_kind == "linear":
-                echo["shift.slope"] = repr(shift_slope)
-    if command == "simulate":
-        echo["replicas"] = str(replicas)
-        echo["method"] = method
-    elif command == "covariance":
-        if points:
-            echo["points"] = ", ".join(repr(p) for p in points)
-    elif command != "density-check":
-        echo["mc.replicas"] = str(mc_replicas)
-        echo["mc.confidence"] = repr(confidence)
-        if command in ("verify-anderson", "verify-comparison"):
-            echo["mc.radii"] = "auto" if radii_auto else ", ".join(repr(r) for r in radii)
-        if radii_auto:
-            echo["mc.radii_count"] = str(radii_count)
-            echo["mc.radii_span"] = repr(radii_span)
-            echo["mc.pilot_replicas"] = str(pilot_replicas)
-
-    echo_text = "".join(f"{key} = {echo[key]}\n" for key in sorted(echo))
+    echo = "".join(f"{key} = {value}\n" for key, value in sorted(reader.echo.items()))
     return RunConfig(command=command, master_seed=seed, densities=densities,
                      frequency_grid=frequency_grid, spatial_grid=spatial_grid,
-                     norm=norm, output=output, constant=constant,
-                     constant_auto=constant_auto, anderson_kind=anderson_kind,
-                     shift_kind=shift_kind, shift_slope=shift_slope, method=method,
-                     replicas=replicas, mc_replicas=mc_replicas, confidence=confidence,
-                     radii=radii, radii_auto=radii_auto, radii_count=radii_count,
-                     radii_span=radii_span, pilot_replicas=pilot_replicas,
-                     points=points, echo=echo_text)
+                     norm=norm, echo=echo, **fields)

@@ -400,8 +400,8 @@ def check_domination(dominated: SpectralDensity, dominating: SpectralDensity,
         raise ValueError("dimension mismatch between densities")
     if dominated.dimension != grid.dimension:
         raise ValueError("dimension mismatch between densities and grid")
-    if constant <= 0:
-        raise ValueError("constant must be positive")
+    if not 0.0 < constant < np.inf:
+        raise ValueError(f"constant must be positive and finite, got {constant}")
     fx = dominated.evaluate(grid.nodes)
     fy = dominating.evaluate(grid.nodes)
     bound = constant * fy

@@ -39,6 +39,15 @@ MIN_HURST_RESOLUTION = 256
 VERDICT_ORDER = ("consistent", "underpowered", "violated")
 
 
+def check_radii(radii) -> tuple:
+    """Ball radii as floats: finite, positive and sorted ascending."""
+    radii = tuple(float(r) for r in radii)
+    if not all(0.0 < r < np.inf for r in radii) or list(radii) != sorted(radii):
+        raise ValueError(f"radii must be finite, positive and sorted ascending, "
+                         f"got {radii}")
+    return radii
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Replica budget, seed, grids, radii, and confidence for one campaign."""
@@ -55,12 +64,7 @@ class MCConfig:
             raise ValueError("need at least 100 replicas for any verdict to mean much")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
-        radii = tuple(float(r) for r in self.radii)
-        if any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
-        if list(radii) != sorted(radii):
-            raise ValueError("radii must be sorted ascending")
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radii", check_radii(self.radii))
 
 
 def _collect_blocks(work, n_replicas: int, samplers, threads: int) -> list:
@@ -477,19 +481,13 @@ def quadratic_variation_profile(values: np.ndarray,
 
 
 def _profile_hurst(profile: np.ndarray, scales=HURST_SCALES):
-    """Half the least-squares slope of each log2 profile against j."""
-    slope = np.polyfit(np.asarray(scales, dtype=float), profile.T, 1)[0]
-    return slope / 2.0
-
-
-def path_hurst(values: np.ndarray, scales=HURST_SCALES):
-    """Regularity exponent per path from the quadratic-variation slope.
+    """Half the least-squares slope of each log2 profile against j.
 
     E of the lag-l mean squared increment scales like l^{2H}, so the log2
-    profile against j has slope 2H.  A path of shape (N,) gives one exponent,
-    a block of shape (B, N) one per row.
+    profile against j has slope 2H.
     """
-    return _profile_hurst(quadratic_variation_profile(values, scales), scales)
+    slope = np.polyfit(np.asarray(scales, dtype=float), profile.T, 1)[0]
+    return slope / 2.0
 
 
 @dataclass(frozen=True)

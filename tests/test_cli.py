@@ -285,6 +285,17 @@ class TestErrorPaths:
         assert "error: line 3: H must lie in (0,1), got 1.2" in err
         assert "master seed is mandatory" in err
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("mc.radii = 0.3, 0.6, 1.0", "mc.radii = 0.3, nan", 8),
+        ("mc.radii = 0.3, 0.6, 1.0", "mc.radii = inf", 8),
+        ("constant = 1.0", "constant = nan", 7),
+        ("constant = 1.0", "constant = inf", 7)],
+        ids=["radius-nan", "radius-inf", "constant-nan", "constant-inf"])
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys, old, new, line):
+        code, outdir = run_cli(tmp_path, COMPARISON_SELF.replace(old, new))
+        assert code == 3 and not outdir.exists()
+        assert f"error: line {line}: " in capsys.readouterr().err
+
     def test_zero_threads(self, tmp_path, capsys):
         config = tmp_path / "ok.cfg"
         config.write_text(CHECK_MAIN)

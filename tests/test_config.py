@@ -106,7 +106,7 @@ class TestMinimalConfigs:
         assert isinstance(cfg.densities["main"], PowerLawDensity)
         assert cfg.frequency_grid.grid_id == "dyadic(d=1,J=-20..20,m=64)"
         assert cfg.spatial_grid.resolution == 8
-        assert isinstance(cfg.norm, SupNorm)
+        assert cfg.norm is None
         assert not cfg.constant_auto and cfg.constant is None
 
     def test_pair_check_gets_auto_constant(self):
@@ -131,6 +131,7 @@ class TestMinimalConfigs:
         assert cfg.shift_slope == 0.5
         assert cfg.radii == (0.25, 0.5, 1.0)
         assert cfg.mc_replicas == 10000
+        assert isinstance(cfg.norm, SupNorm)
         assert set(cfg.densities) == {"main"}
 
     def test_anderson_sum_takes_two_densities(self):
@@ -159,7 +160,7 @@ class TestMinimalConfigs:
         assert cfg.mc_replicas == 100
 
     def test_holder_norm_settings(self):
-        cfg = parse_config(DENSITY_CHECK + "norm.kind = holder\nnorm.alpha = 0.4\n")
+        cfg = parse_config(ANDERSON_SHIFT + "norm.kind = holder\nnorm.alpha = 0.4\n")
         assert isinstance(cfg.norm, HolderNorm)
         assert cfg.norm.alpha == 0.4
 
@@ -181,10 +182,12 @@ class TestEchoIdempotence:
         assert parse_config(echo).echo == echo
 
     def test_echo_spells_out_defaults(self):
-        echo = parse_config(DENSITY_CHECK).echo
+        echo = parse_config(ANDERSON_SHIFT).echo
         assert "frequency_grid.j_lo = -20\n" in echo
         assert "spatial_grid.resolution = 8\n" in echo
         assert "norm.kind = sup\n" in echo
+        assert "shift.slope = 0.5\n" in echo
+        assert "density.scale = 0.15915494309189535\n" in echo
 
 
 class TestScanErrors:
@@ -275,6 +278,18 @@ class TestValidationErrors:
                                                 "mc.radii = 1.0, 0.5"))
         assert any("positive and sorted ascending" in m for m in msgs)
 
+    @pytest.mark.parametrize("radii", ["nan", "inf", "0.3, nan"], ids=["nan", "inf", "0.3-nan"])
+    def test_non_finite_radii(self, radii):
+        msgs = errors_of(ANDERSON_SHIFT.replace("mc.radii = 0.25, 0.5, 1.0",
+                                                f"mc.radii = {radii}"))
+        assert len(msgs) == 1
+        assert msgs[0].startswith("line 6: radii must be finite, positive and sorted")
+
+    @pytest.mark.parametrize("constant", ["nan", "inf"])
+    def test_non_finite_constant(self, constant):
+        msgs = errors_of(COUPLING.replace("constant = 1.0", f"constant = {constant}"))
+        assert msgs == [f"line 7: constant must be positive and finite, got {constant}"]
+
     def test_replica_floor(self):
         msgs = errors_of(ANDERSON_SHIFT + "mc.replicas = 50\n")
         assert any("mc.replicas must be >= 100" in m for m in msgs)
@@ -291,12 +306,12 @@ class TestValidationErrors:
         assert any("missing anderson.kind" in m for m in msgs)
 
     def test_holder_needs_alpha(self):
-        msgs = errors_of(DENSITY_CHECK + "norm.kind = holder\n")
+        msgs = errors_of(ANDERSON_SHIFT + "norm.kind = holder\n")
         assert any("missing norm.alpha" in m for m in msgs)
 
     def test_bad_alpha(self):
-        msgs = errors_of(DENSITY_CHECK + "norm.kind = holder\nnorm.alpha = 1.5\n")
-        assert any("alpha" in m for m in msgs)
+        msgs = errors_of(ANDERSON_SHIFT + "norm.kind = holder\nnorm.alpha = 1.5\n")
+        assert msgs == ["line 8: alpha must lie in (0, 1], got 1.5"]
 
     def test_inverted_annulus_range(self):
         msgs = errors_of(DENSITY_CHECK + "frequency_grid.j_lo = 4\n"
@@ -320,9 +335,77 @@ class TestValidationErrors:
         msgs = errors_of(ANDERSON_SHIFT + "mc.confidence = 1.0\n")
         assert any("confidence must lie in (0,1)" in m for m in msgs)
 
+    @pytest.mark.parametrize("text, line", [
+        (SIMULATE, "density.scale = inf"),
+        (SIMULATE.replace("density.", "density.base.") + "density.family = scalar-multiple\n",
+         "density.factor = inf"),
+        (PAIR_CHECK, "density.x.modulation.frequency = nan"),
+        (ANDERSON_SHIFT, "shift.slope = -inf")], ids=["scale", "factor", "frequency", "slope"])
+    def test_non_finite_numbers_are_config_errors(self, text, line):
+        key, value = line.split(" = ")
+        msgs = errors_of(text + line + "\n")
+        assert msgs == [f"line {len(text.splitlines()) + 1}: "
+                        f"{key} must be a finite number, got {value!r}"]
+
     def test_error_class_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse_config("command = density-check\n")
+
+
+# (config, key) pairs where the command has no use for the key
+IGNORED = [
+    (COVARIANCE, "mc.replicas = 200"),
+    (SIMULATE, "mc.confidence = 0.95"),
+    (COUPLING, "norm.kind = holder"),
+    (COUPLING, "mc.radii = 0.5"),
+    (HURST, "mc.radii = 0.5"),
+    (ANDERSON_SHIFT, "constant = 2.0"),
+    (DENSITY_CHECK, "constant = 2.0"),
+    (COMPARISON_AUTO.replace("mc.radii = auto", "mc.radii = 0.5"), "mc.pilot_replicas = 500"),
+    (ANDERSON_SHIFT, "norm.pair_budget = 1000"),
+]
+
+
+class TestIgnoredKeysAreUnknown:
+    @pytest.mark.parametrize("text, line", IGNORED, ids=[
+        "covariance-replicas", "simulate-confidence", "coupling-norm", "coupling-radii",
+        "hurst-radii", "anderson-constant", "single-check-constant",
+        "fixed-radii-pilot", "sup-pair-budget"])
+    def test_refused_as_unknown(self, text, line):
+        key = line.split(" = ")[0]
+        lineno = text.count("\n") + 1
+        assert errors_of(text + line + "\n") == [f"line {lineno}: unknown key {key}"]
+
+    def test_the_same_keys_are_read_where_used(self):
+        cfg = parse_config(COMPARISON_AUTO + "mc.pilot_replicas = 500\n"
+                                             "norm.kind = holder\nnorm.alpha = 0.5\n"
+                                             "norm.pair_budget = 1000\n")
+        assert cfg.pilot_replicas == 500 and cfg.norm.pair_budget == 1000
+
+
+_COMMON_KEYS = {"command", "seed", "frequency_grid.j_lo", "frequency_grid.j_hi",
+                "frequency_grid.nodes_per_annulus", "spatial_grid.resolution"}
+_MC_KEYS = {"mc.replicas", "mc.confidence"}
+_PAIR = {"density.x.family", "density.x.base.family", "density.x.base.dimension",
+         "density.x.base.hurst", "density.x.base.scale", "density.x.modulation.offset",
+         "density.x.modulation.amplitude", "density.x.modulation.frequency",
+         "density.x.modulation.scale", "density.y.family", "density.y.dimension",
+         "density.y.hurst", "density.y.scale"}
+_POWER_LAW = {"density.family", "density.dimension", "density.hurst", "density.scale"}
+SHIPPED_ECHO_KEYS = {
+    "covariance": _COMMON_KEYS | _POWER_LAW | {"points"},
+    "density-check": _COMMON_KEYS | _PAIR | {"constant"},
+    "estimate-hurst": _COMMON_KEYS | _MC_KEYS | _POWER_LAW,
+    "simulate": _COMMON_KEYS | _POWER_LAW | {"replicas", "method"},
+    "verify-anderson-shift": _COMMON_KEYS | _MC_KEYS | _POWER_LAW | {
+        "anderson.kind", "shift.kind", "shift.slope", "norm.kind", "mc.radii"},
+    "verify-anderson-sum": _COMMON_KEYS | _MC_KEYS | _PAIR | {
+        "anderson.kind", "norm.kind", "mc.radii"},
+    "verify-comparison": _COMMON_KEYS | _MC_KEYS | _PAIR | {
+        "constant", "norm.kind", "mc.radii", "mc.radii_count",
+        "mc.radii_span", "mc.pilot_replicas"},
+    "verify-coupling": _COMMON_KEYS | _MC_KEYS | _PAIR | {"constant"},
+}
 
 
 class TestShippedExamples:
@@ -334,3 +417,10 @@ class TestShippedExamples:
     def test_example_parses_and_names_its_command(self, path):
         cfg = parse_config(path.read_text())
         assert path.stem.startswith(cfg.command)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                             ids=lambda p: p.stem)
+    def test_echo_names_exactly_the_keys_the_command_reads(self, path):
+        echo = parse_config(path.read_text()).echo
+        keys = {line.split(" = ")[0] for line in echo.splitlines()}
+        assert keys == SHIPPED_ECHO_KEYS[path.stem]

@@ -134,8 +134,8 @@ class TestInterface:
 
     def test_catalog(self):
         # the config builds the norm from norm.kind
-        base = ("command = density-check\nseed = 1\n"
-                "density.family = power-law\ndensity.hurst = 0.5\n")
+        base = ("command = verify-anderson\nanderson.kind = shift\nseed = 1\n"
+                "density.family = power-law\ndensity.hurst = 0.5\nmc.radii = 0.5\n")
         assert isinstance(parse_config(base).norm, SupNorm)
         holder = parse_config(base + "norm.kind = holder\nnorm.alpha = 0.3\n").norm
         assert isinstance(holder, HolderNorm)

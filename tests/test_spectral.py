@@ -336,6 +336,11 @@ class TestDomination:
         with pytest.raises(ValueError, match="positive"):
             check_domination(brownian, brownian, 0.0, default_grid)
 
+    @pytest.mark.parametrize("constant", [float("inf"), float("nan")])
+    def test_constant_must_be_finite(self, default_grid, brownian, constant):
+        with pytest.raises(ValueError, match="positive and finite"):
+            check_domination(brownian, brownian, constant, default_grid)
+
     def test_equivalence_pair(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         # equivalence is domination both ways, each certified on the grid

@@ -6,15 +6,15 @@ import specfield as sf
 from specfield import (MCConfig, SupNorm, ZeroDensity, ball_probability_profile,
                        check_domination, clopper_pearson_lower, clopper_pearson_upper,
                        compare_counts, coupling_norm_quantiles,
-                       estimate_holder_exponent, path_hurst,
+                       estimate_holder_exponent,
                        power_law_covariance_matrix,
                        quadratic_variation_profile, uniform_spatial_grid,
                        verify_anderson_shift, verify_anderson_sum,
                        verify_comparison, verify_coupling_law)
 from specfield.synthesis import block_rows
 from specfield.verification import (InequalityReport, RadiusComparison,
-                                    _collect_blocks, _resolve_shift,
-                                    _standardized_max)
+                                    _collect_blocks, _profile_hurst,
+                                    _resolve_shift, _standardized_max)
 
 
 def small_mc(default_grid, seed=5, n=300, radii=(0.3, 0.6, 1.2), resolution=8):
@@ -121,6 +121,12 @@ class TestMCConfig:
             MCConfig(100, 0, default_grid, grid, radii=(-1.0,))
         with pytest.raises(ValueError, match="sorted"):
             MCConfig(100, 0, default_grid, grid, radii=(2.0, 1.0))
+
+    @pytest.mark.parametrize("radii", [(float("nan"),), (float("inf"),), (0.3, float("nan"))],
+                             ids=["nan", "inf", "0.3-nan"])
+    def test_radii_must_be_finite(self, default_grid, radii):
+        with pytest.raises(ValueError, match="finite"):
+            MCConfig(100, 0, default_grid, uniform_spatial_grid(1, 8), radii=radii)
 
     def test_confidence_range(self, default_grid):
         with pytest.raises(ValueError, match="confidence"):
@@ -413,18 +419,18 @@ class TestPathRegularity:
         profile = quadratic_variation_profile(values)
         slopes = np.diff(profile)
         assert np.allclose(slopes, 2.0, atol=1e-12)
-        assert path_hurst(values) == pytest.approx(1.0, abs=1e-12)
+        assert _profile_hurst(profile) == pytest.approx(1.0, abs=1e-12)
 
     def test_block_profiles_and_exponents_are_per_row(self):
         rng = np.random.default_rng(8)
         block = np.cumsum(rng.normal(size=(5, 512)), axis=1)
         profiles = quadratic_variation_profile(block)
-        estimates = path_hurst(block)
+        estimates = _profile_hurst(profiles)
         assert profiles.shape == (5, 4) and estimates.shape == (5,)
         for row, profile, estimate in zip(block, profiles, estimates):
             assert np.allclose(quadratic_variation_profile(row), profile,
                                rtol=0, atol=1e-12)
-            assert abs(path_hurst(row) - estimate) <= 1e-12
+            assert abs(_profile_hurst(quadratic_variation_profile(row)) - estimate) <= 1e-12
 
     def test_short_path_rejected(self):
         with pytest.raises(ValueError, match="short"):
@@ -441,7 +447,8 @@ class TestPathRegularity:
         grid = uniform_spatial_grid(1, 512)
         matrix = power_law_covariance_matrix(grid.points, hurst)
         sampler = sf.ExactFieldSampler(matrix, grid)
-        estimates = [path_hurst(sampler.sample(3, k).values) for k in range(40)]
+        estimates = [_profile_hurst(quadratic_variation_profile(sampler.sample(3, k).values))
+                     for k in range(40)]
         assert abs(np.mean(estimates) - hurst) < 0.05
 
     def test_estimator_needs_line_fields(self, grid_2d):
