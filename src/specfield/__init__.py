@@ -24,9 +24,8 @@ from .spectral import (AdmissibilityResult, BandLimitedDensity, DifferenceDensit
                        fractional_brownian_density, require_admissible)
 from .synthesis import (CouplingSynthesizer, ExactFieldSampler, FieldSample,
                         IndefiniteMatrixError, SpectralSynthesizer)
-from .verification import (BallProbabilityEstimate, CouplingLawReport, HurstEstimate,
-                           InequalityReport, MCConfig, RadiusComparison,
-                           ball_probability_profile, clopper_pearson_lower,
+from .verification import (CouplingLawReport, HurstEstimate, InequalityReport,
+                           MCConfig, RadiusComparison, clopper_pearson_lower,
                            clopper_pearson_upper, compare_counts,
                            coupling_norm_quantiles, estimate_holder_exponent,
                            quadratic_variation_profile, verify_anderson_shift,

@@ -72,10 +72,10 @@ def _write_metadata(outdir: Path, cfg: RunConfig):
              f"package_version = {__version__}",
              f"master_seed = {cfg.master_seed}",
              f"config_hash = {_config_hash(cfg)}",
-             f"frequency_grid = {cfg.frequency_grid.grid_id}",
-             f"spatial_grid = {cfg.spatial_grid.grid_id}",
-             "",
-             "# resolved configuration (defaults filled in)"]
+             f"frequency_grid = {cfg.frequency_grid.grid_id}"]
+    if cfg.spatial_grid is not None:
+        lines.append(f"spatial_grid = {cfg.spatial_grid.grid_id}")
+    lines += ["", "# resolved configuration (defaults filled in)"]
     _write_text(outdir / "metadata.txt", "\n".join(lines) + "\n" + cfg.echo)
 
 

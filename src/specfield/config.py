@@ -60,7 +60,7 @@ class RunConfig:
     master_seed: int
     densities: dict
     frequency_grid: FrequencyGrid
-    spatial_grid: SpatialGrid
+    spatial_grid: SpatialGrid | None  # None for commands that place no field on it
     norm: object                      # None for commands that use no norm
     output: str | None = None
     constant: float | None = None
@@ -409,8 +409,12 @@ def parse_config(text: str) -> RunConfig:
     j_lo = reader.integer("frequency_grid.j_lo", default=-20)
     j_hi = reader.integer("frequency_grid.j_hi", default=20)
     nodes = reader.integer("frequency_grid.nodes_per_annulus", default=64, minimum=1)
-    resolution = reader.integer("spatial_grid.resolution",
-                                default=_DEFAULT_RESOLUTION.get(command, 8), minimum=2)
+    # density-check and covariance on explicit points place no field on the
+    # spatial grid, so they do not read its resolution
+    resolution = None
+    if command != "density-check" and not (command == "covariance" and reader.has("points")):
+        resolution = reader.integer("spatial_grid.resolution",
+                                    default=_DEFAULT_RESOLUTION.get(command, 8), minimum=2)
     frequency_grid = None
     spatial_grid = None
     if None not in (j_lo, j_hi, nodes) and j_lo <= j_hi:
@@ -456,7 +460,7 @@ def parse_config(text: str) -> RunConfig:
                 reader.record("points", ", ".join(repr(p) for p in points))
 
     reader.finish_unknown()
-    if not reader.errors and (None in (command, seed, frequency_grid, spatial_grid)
+    if not reader.errors and (None in (command, seed, frequency_grid)
                               or len(densities) != len(roles)):
         reader.error(None, "configuration incomplete")
     if reader.errors:

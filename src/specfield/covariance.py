@@ -3,9 +3,9 @@
 The kernel of a field with stationary increments is
 K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi,
 approximated here as a weighted sum over a symmetric dyadic grid.  With f
-and the weights even, each (xi, -xi) pair of nodes contributes a real term,
-so the sum is written over half the grid as K = R R^T with the real factor
-R of `spectral_factor`, which the spectral synthesizer shares.
+even, each (xi, -xi) pair of nodes contributes a real term, so the sum runs
+over the grid's stored node per pair as K = R R^T with the real factor R of
+`spectral_factor`, which the spectral synthesizer shares.
 
 Closed forms for the power-law (fractional-Brownian) family live here too,
 both as test oracles and as the input to the exact-factorization sampler.
@@ -38,21 +38,20 @@ def _as_points(points, dimension: int | None = None) -> np.ndarray:
 
 def spectral_factor(density: SpectralDensity, points: np.ndarray,
                     grid: FrequencyGrid) -> np.ndarray:
-    """Real (n, m) quadrature factor R over n points and the m grid nodes.
+    """Real (n, grid.size) quadrature factor R over n points.
 
-    Column pair (2k, 2k+1) belongs to the k-th node xi of grid.half_indices
-    and holds sqrt(2 w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)).  This folds the
-    Hermitian sum over the pair (xi, -xi) into one real term, which relies on
-    f and w being even: f(-xi) = f(xi) and w(-xi) = w(xi) on the mirrored
-    node.  Then R R^T is the quadrature kernel, and R times m standard
-    normals, read as pairs (a, b) per half node, is the harmonizable sum
-    against zeta = (a + ib)/sqrt(2) with zeta(-xi) = conj(zeta(xi)).
+    Column pair (2k, 2k+1) belongs to the k-th stored node xi, which stands
+    for the pair (xi, -xi) and carries its weight w, and holds
+    sqrt(w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)).  This folds the Hermitian
+    sum over the pair into one real term, which relies on f being even.
+    Then R R^T is the quadrature kernel, and R times grid.size standard
+    normals, read in order as one pair (a, b) per stored node, is the
+    harmonizable sum against zeta = (a + ib)/sqrt(2) on xi (so
+    E|zeta|^2 = 1) and conj(zeta) on -xi.
     """
-    half = grid.half_indices
-    nodes = grid.nodes[half]
-    amplitude = np.sqrt(2.0 * grid.weights[half] * density.evaluate(nodes))
-    phase = points @ nodes.T
-    factor = np.empty((phase.shape[0], 2 * half.size))
+    amplitude = np.sqrt(grid.weights * density.evaluate(grid.nodes))
+    phase = points @ grid.nodes.T
+    factor = np.empty((phase.shape[0], grid.size))
     factor[:, 0::2] = (np.cos(phase) - 1.0) * amplitude
     factor[:, 1::2] = -np.sin(phase) * amplitude
     return factor

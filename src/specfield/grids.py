@@ -3,9 +3,9 @@
 The frequency grid discretizes the integral over R^d as a sum over dyadic
 annuli 2^j <= |xi| < 2^(j+1).  Midpoint nodes handle both the power-law
 singularity at the origin and the heavy tail with geometric error control.
-The node set is exactly closed under xi -> -xi with equal weights on each
-(xi, -xi) pair, so quadrature sums of Hermitian integrands can be folded
-into real sums over half the grid (`FrequencyGrid.half_indices`).
+Every density here is even, so every quadrature sum is a sum over (xi, -xi)
+pairs: the grid stores one node per pair, weighted for the pair, and a rule
+that is not symmetric under xi -> -xi cannot be written down.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Symmetric dyadic-annular quadrature rule on R^d (d in {1, 2}).
+    """Symmetric dyadic-annular quadrature rule on R^d (d in {1, 2}), folded.
+
+    `nodes` holds one node xi of each (xi, -xi) pair and `weights` the weight
+    of the pair, twice that of either node.  `size` is the node count of the
+    symmetric rule, 2 * len(nodes), which is also the width of the real
+    factor R and of a noise row.
 
     Equality and hashing use the defining parameters only; the node arrays
     are derived deterministically from them.
@@ -27,14 +32,13 @@ class FrequencyGrid:
     j_lo: int
     j_hi: int
     nodes_per_annulus: int
-    nodes: np.ndarray = field(compare=False, repr=False)    # (m, d)
-    weights: np.ndarray = field(compare=False, repr=False)  # (m,)
-    mirror: np.ndarray = field(compare=False, repr=False)   # index of -xi per node
+    nodes: np.ndarray = field(compare=False, repr=False)    # (size // 2, d)
+    weights: np.ndarray = field(compare=False, repr=False)  # (size // 2,)
     annulus: np.ndarray = field(compare=False, repr=False)  # annulus ordinal per node
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[0]
+        return 2 * self.nodes.shape[0]
 
     @property
     def n_annuli(self) -> int:
@@ -45,11 +49,6 @@ class FrequencyGrid:
         return (f"dyadic(d={self.dimension},J={self.j_lo}..{self.j_hi},"
                 f"m={self.nodes_per_annulus})")
 
-    @property
-    def half_indices(self) -> np.ndarray:
-        """Canonical representatives: one node out of each (xi, -xi) pair."""
-        return np.flatnonzero(np.arange(self.size) < self.mirror)
-
     def radii(self) -> np.ndarray:
         if self.dimension == 1:
             return np.abs(self.nodes[:, 0])
@@ -58,13 +57,14 @@ class FrequencyGrid:
 
 def dyadic_frequency_grid(dimension: int = 1, j_lo: int = -20, j_hi: int = 20,
                           nodes_per_annulus: int = 64) -> FrequencyGrid:
-    """Build the midpoint rule over dyadic annuli.
+    """Build the midpoint rule over dyadic annuli, one node per (xi, -xi) pair.
 
-    d=1: each annulus [2^j, 2^(j+1)) gets `nodes_per_annulus` midpoints,
-    mirrored to the negative half-line with equal weights.
+    d=1: each annulus [2^j, 2^(j+1)) gets `nodes_per_annulus` positive
+    midpoints, each standing for itself and its negation.
     d=2: polar midpoints, `nodes_per_annulus` radial x `nodes_per_annulus`
-    angular per annulus; the angular count must be even so that the node set
-    is closed under xi -> -xi (theta -> theta + pi).
+    angular per annulus; the angular count must be even so that the rule is
+    closed under xi -> -xi (theta -> theta + pi), and the angles in [0, pi)
+    are stored.
     """
     if dimension not in (1, 2):
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
@@ -76,48 +76,22 @@ def dyadic_frequency_grid(dimension: int = 1, j_lo: int = -20, j_hi: int = 20,
         raise ValueError("nodes_per_annulus must be even in dimension 2")
 
     m = nodes_per_annulus
-    js = range(j_lo, j_hi + 1)
     if dimension == 1:
-        pos, w, ann = [], [], []
-        for k, j in enumerate(js):
-            lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-            h = (hi - lo) / m
-            pos.append(lo + (np.arange(m) + 0.5) * h)
-            w.append(np.full(m, h))
-            ann.append(np.full(m, k, dtype=np.intp))
-        pos = np.concatenate(pos)
-        nodes = np.concatenate([pos, -pos])[:, None]
-        weights = np.concatenate(w + w)
-        annulus = np.concatenate(ann + ann)
-        half = pos.size
-        mirror = np.concatenate([np.arange(half) + half, np.arange(half)])
+        directions, arc = np.ones((1, 1)), 1.0
     else:
-        # Build directions for half the circle and use their exact float
-        # negations for the other half, so the node set is closed under
-        # xi -> -xi bit for bit (not merely up to cos/sin roundoff).
-        theta_half = (np.arange(m // 2) + 0.5) * (2 * np.pi / m)
-        ux = np.concatenate([np.cos(theta_half), -np.cos(theta_half)])
-        uy = np.concatenate([np.sin(theta_half), -np.sin(theta_half)])
-        blocks, w, ann, mirror_blocks = [], [], [], []
-        per_annulus = m * m
-        for k, j in enumerate(js):
-            lo, hi = 2.0 ** j, 2.0 ** (j + 1)
-            dr = (hi - lo) / m
-            r = lo + (np.arange(m) + 0.5) * dr
-            blocks.append(np.column_stack([np.outer(r, ux).ravel(),
-                                           np.outer(r, uy).ravel()]))
-            w.append(np.repeat(r * dr * (2 * np.pi / m), m))
-            ann.append(np.full(per_annulus, k, dtype=np.intp))
-            # node (i_r, i_theta) maps to (i_r, i_theta + m/2 mod m)
-            i_r, i_t = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-            local = (i_r * m + (i_t + m // 2) % m).ravel()
-            mirror_blocks.append(local + k * per_annulus)
-        nodes = np.concatenate(blocks)
-        weights = np.concatenate(w)
-        annulus = np.concatenate(ann)
-        mirror = np.concatenate(mirror_blocks)
-    return FrequencyGrid(dimension, j_lo, j_hi, nodes_per_annulus,
-                         nodes, weights, mirror, annulus)
+        theta = (np.arange(m // 2) + 0.5) * (2 * np.pi / m)
+        directions, arc = np.column_stack([np.cos(theta), np.sin(theta)]), 2 * np.pi / m
+    nodes, weights, annulus = [], [], []
+    for k, j in enumerate(range(j_lo, j_hi + 1)):
+        lo, hi = 2.0 ** j, 2.0 ** (j + 1)
+        dr = (hi - lo) / m
+        r = lo + (np.arange(m) + 0.5) * dr
+        nodes.append((r[:, None, None] * directions).reshape(-1, dimension))
+        # the pair weight: twice the cell measure dr (d=1) or r dr dtheta (d=2)
+        weights.append(np.repeat(2.0 * (r ** (dimension - 1) * dr * arc), len(directions)))
+        annulus.append(np.full(m * len(directions), k, dtype=np.intp))
+    return FrequencyGrid(dimension, j_lo, j_hi, nodes_per_annulus, np.concatenate(nodes),
+                         np.concatenate(weights), np.concatenate(annulus))
 
 
 @dataclass(frozen=True)

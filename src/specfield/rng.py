@@ -29,14 +29,10 @@ def substream(master_seed: int, stream_id: int) -> Generator:
 
 
 def hermitian_noise(grid: FrequencyGrid, master_seed: int, stream_ids) -> np.ndarray:
-    """A (len(stream_ids), grid.size) block of noise, one row per stream.
+    """A (len(stream_ids), grid.size) block of standard normals.
 
-    Row j holds the grid.size standard normals of substream(master_seed,
-    stream_ids[j]), drawn in place, read in order as one pair (a, b) per node
-    of grid.half_indices.  The pair stands for zeta = (a + ib)/sqrt(2) on that
-    node (so E|zeta|^2 = 1) and conj(zeta) on its mirror.  The column pairs of
-    covariance.spectral_factor consume this layout, so spectral sums are real
-    by construction.
+    Row j is the draw of substream(master_seed, stream_ids[j]), written in
+    place.  covariance.spectral_factor describes how a row is read.
     """
     block = np.empty((len(stream_ids), grid.size))
     for row, stream_id in zip(block, stream_ids):

@@ -4,11 +4,11 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 
 - SpectralSynthesizer: the direct discretization of the harmonizable
   representation, sum over frequency nodes of (e^{i x.xi} - 1) sqrt(f w) zeta
-  with Hermitian noise, computed for a block of replicas at once as one
-  product of a standard-normal block with the real factor R of the
-  quadrature kernel.  Its distribution matches the quadrature covariance
-  matrix R R^T exactly, which is what makes the next sampler an oracle for
-  it.
+  with Hermitian noise, each (xi, -xi) pair folded into one real term.  It
+  is computed for a block of replicas at once as one product of a
+  standard-normal block with the real factor R of the quadrature kernel.
+  Its distribution matches the quadrature covariance matrix R R^T exactly,
+  which is what makes the next sampler an oracle for it.
 - ExactFieldSampler: factorizes a covariance matrix (jittered Cholesky) and
   maps standard normals through the factor.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of

@@ -192,65 +192,12 @@ def _report_from_norms(name: str, lhs_norms: np.ndarray, rhs_norms: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# ball probabilities
-
-
-@dataclass(frozen=True)
-class BallProbabilityEstimate:
-    radius: float
-    p_hat: float
-    lower: float
-    upper: float
-    successes: int
-    n_replicas: int
-    confidence: float
-
-
-def _ball_estimates(norm_values: np.ndarray, radii, n: int,
-                    confidence: float) -> tuple:
-    side_level = (1.0 + confidence) / 2.0
-    out = []
-    for radius in radii:
-        successes = int(np.count_nonzero(norm_values <= radius))
-        out.append(BallProbabilityEstimate(
-            float(radius), successes / n,
-            clopper_pearson_lower(successes, n, side_level),
-            clopper_pearson_upper(successes, n, side_level),
-            successes, n, confidence))
-    return tuple(out)
-
-
-def ball_probability_profile(density: SpectralDensity, norm, cfg: MCConfig,
-                             threads: int = 1) -> tuple:
-    """Estimates at every cfg radius from one shared replica set.
-
-    Sharing replicas makes p-hat exactly nondecreasing in r.
-    """
-    if not cfg.radii:
-        raise ValueError("profile needs at least one radius in the config")
-    synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
-
-    def work(ids: range) -> np.ndarray:
-        return norm(synth.sample_block(cfg.master_seed, ids), cfg.spatial_grid)
-
-    norms = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
-    return _ball_estimates(norms, cfg.radii, cfg.n_replicas, cfg.confidence)
-
-
-# --------------------------------------------------------------------------
 # Anderson-type inequalities
 
 
 def _resolve_shift(shift, spatial_grid: SpatialGrid) -> np.ndarray:
-    if hasattr(shift, "values") and hasattr(shift, "grid"):
-        if shift.grid != spatial_grid:
-            raise ValueError("shift sample lives on a different grid "
-                             f"({shift.grid.grid_id} vs {spatial_grid.grid_id})")
-        return np.asarray(shift.values, dtype=float)
-    if callable(shift):
-        values = np.asarray(shift(spatial_grid.points), dtype=float)
-    else:
-        values = np.asarray(shift, dtype=float)
+    """The shift as a finite float array with one value per grid point."""
+    values = np.asarray(shift, dtype=float)
     if values.shape != (spatial_grid.size,):
         raise ValueError(f"shift shape {values.shape} does not match grid size "
                          f"{spatial_grid.size}")
@@ -263,7 +210,7 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
                           cfg: MCConfig, threads: int = 1) -> InequalityReport:
     """Check P(||X + shift|| <= r) <= P(||X|| <= r) at every config radius.
 
-    Both sides use the same replicas (the shift is deterministic), which cuts
+    `shift` holds one value per point of cfg.spatial_grid.  Both sides use the same replicas (the shift is deterministic), which cuts
     variance and makes shift = 0 give lhs = rhs exactly.
     """
     shift_values = _resolve_shift(shift, cfg.spatial_grid)

@@ -8,19 +8,19 @@ import pytest
 from specfield import cli, parse_config
 from specfield.cli import console_main
 
-SMALL_GRID = """\
+SMALL_FREQUENCY_GRID = """\
 frequency_grid.j_lo = -12
 frequency_grid.j_hi = 12
 frequency_grid.nodes_per_annulus = 16
-spatial_grid.resolution = 6
 """
+SMALL_GRID = SMALL_FREQUENCY_GRID + "spatial_grid.resolution = 6\n"
 
 CHECK_MAIN = """\
 command = density-check
 seed = 17
 density.family = power-law
 density.hurst = 0.5
-""" + SMALL_GRID
+""" + SMALL_FREQUENCY_GRID
 
 CHECK_PAIR = """\
 command = density-check
@@ -33,7 +33,7 @@ density.y.base.hurst = 0.5
 density.y.modulation.offset = 2.0
 density.y.modulation.amplitude = 1.0
 density.y.modulation.scale = 3.0
-""" + SMALL_GRID
+""" + SMALL_FREQUENCY_GRID
 
 SIMULATE = """\
 command = simulate
@@ -142,6 +142,8 @@ class TestDensityCheck:
         assert "config_hash = " in metadata
         assert "frequency_grid.j_lo = -12\n" in metadata
         assert parse_config(CHECK_MAIN).echo in metadata
+        # density-check places no field on a spatial grid
+        assert "spatial_grid" not in metadata
 
 
 class TestSimulate:
@@ -174,7 +176,7 @@ class TestCovariance:
     def test_points_against_closed_form(self, tmp_path):
         text = ("command = covariance\nseed = 2\n"
                 "density.family = power-law\ndensity.hurst = 0.5\n"
-                "points = 0.25, 0.5, 1.0\n") + SMALL_GRID
+                "points = 0.25, 0.5, 1.0\n") + SMALL_FREQUENCY_GRID
         code, outdir = run_cli(tmp_path, text)
         assert code == 0
         points = read_csv(outdir / "points.csv")
@@ -266,6 +268,19 @@ class TestDeterminism:
         _, three = run_cli(tmp_path, COUPLING_SELF, name="t3",
                            extra=["--threads", "3"])
         assert tree_bytes(one) == tree_bytes(three)
+
+    def test_threads_do_not_change_any_byte_in_the_plane(self, tmp_path):
+        # the default 2-d grid holds 6 replicas per block, so 120 replicas
+        # make 20 blocks for the pool to share
+        text = ("command = verify-anderson\nseed = 21\nanderson.kind = shift\n"
+                "density.family = power-law\ndensity.dimension = 2\n"
+                "density.hurst = 0.5\nnorm.kind = holder\nnorm.alpha = 0.25\n"
+                "mc.radii = 0.5, 1.0, 2.0\nmc.replicas = 120\n"
+                "spatial_grid.resolution = 4\n")
+        _, one = run_cli(tmp_path, text, name="t1", extra=["--threads", "1"])
+        _, two = run_cli(tmp_path, text, name="t2", extra=["--threads", "2"])
+        assert (one / "report.csv").exists()
+        assert tree_bytes(one) == tree_bytes(two)
 
 
 class TestErrorPaths:

@@ -105,7 +105,7 @@ class TestMinimalConfigs:
         assert set(cfg.densities) == {"main"}
         assert isinstance(cfg.densities["main"], PowerLawDensity)
         assert cfg.frequency_grid.grid_id == "dyadic(d=1,J=-20..20,m=64)"
-        assert cfg.spatial_grid.resolution == 8
+        assert cfg.spatial_grid is None
         assert cfg.norm is None
         assert not cfg.constant_auto and cfg.constant is None
 
@@ -123,6 +123,12 @@ class TestMinimalConfigs:
     def test_covariance_points(self):
         cfg = parse_config(COVARIANCE)
         assert cfg.points == (0.25, 0.5, 1.0)
+        assert cfg.spatial_grid is None
+
+    def test_covariance_without_points_uses_the_spatial_grid(self):
+        cfg = parse_config(COVARIANCE.replace("points = 0.25, 0.5, 1.0\n",
+                                              "spatial_grid.resolution = 5\n"))
+        assert cfg.points == () and cfg.spatial_grid.resolution == 5
 
     def test_anderson_shift_defaults(self):
         cfg = parse_config(ANDERSON_SHIFT)
@@ -363,6 +369,9 @@ IGNORED = [
     (DENSITY_CHECK, "constant = 2.0"),
     (COMPARISON_AUTO.replace("mc.radii = auto", "mc.radii = 0.5"), "mc.pilot_replicas = 500"),
     (ANDERSON_SHIFT, "norm.pair_budget = 1000"),
+    (DENSITY_CHECK, "spatial_grid.resolution = 16"),
+    (PAIR_CHECK, "spatial_grid.resolution = 16"),
+    (COVARIANCE, "spatial_grid.resolution = 16"),
 ]
 
 
@@ -370,7 +379,8 @@ class TestIgnoredKeysAreUnknown:
     @pytest.mark.parametrize("text, line", IGNORED, ids=[
         "covariance-replicas", "simulate-confidence", "coupling-norm", "coupling-radii",
         "hurst-radii", "anderson-constant", "single-check-constant",
-        "fixed-radii-pilot", "sup-pair-budget"])
+        "fixed-radii-pilot", "sup-pair-budget", "single-check-resolution",
+        "pair-check-resolution", "covariance-points-resolution"])
     def test_refused_as_unknown(self, text, line):
         key = line.split(" = ")[0]
         lineno = text.count("\n") + 1
@@ -383,8 +393,9 @@ class TestIgnoredKeysAreUnknown:
         assert cfg.pilot_replicas == 500 and cfg.norm.pair_budget == 1000
 
 
-_COMMON_KEYS = {"command", "seed", "frequency_grid.j_lo", "frequency_grid.j_hi",
-                "frequency_grid.nodes_per_annulus", "spatial_grid.resolution"}
+_FREQUENCY_KEYS = {"command", "seed", "frequency_grid.j_lo", "frequency_grid.j_hi",
+                   "frequency_grid.nodes_per_annulus"}
+_COMMON_KEYS = _FREQUENCY_KEYS | {"spatial_grid.resolution"}
 _MC_KEYS = {"mc.replicas", "mc.confidence"}
 _PAIR = {"density.x.family", "density.x.base.family", "density.x.base.dimension",
          "density.x.base.hurst", "density.x.base.scale", "density.x.modulation.offset",
@@ -393,8 +404,8 @@ _PAIR = {"density.x.family", "density.x.base.family", "density.x.base.dimension"
          "density.y.hurst", "density.y.scale"}
 _POWER_LAW = {"density.family", "density.dimension", "density.hurst", "density.scale"}
 SHIPPED_ECHO_KEYS = {
-    "covariance": _COMMON_KEYS | _POWER_LAW | {"points"},
-    "density-check": _COMMON_KEYS | _PAIR | {"constant"},
+    "covariance": _FREQUENCY_KEYS | _POWER_LAW | {"points"},
+    "density-check": _FREQUENCY_KEYS | _PAIR | {"constant"},
     "estimate-hurst": _COMMON_KEYS | _MC_KEYS | _POWER_LAW,
     "simulate": _COMMON_KEYS | _POWER_LAW | {"replicas", "method"},
     "verify-anderson-shift": _COMMON_KEYS | _MC_KEYS | _POWER_LAW | {

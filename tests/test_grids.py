@@ -11,8 +11,9 @@ class TestFrequencyGrid1D:
         assert g.dimension == 1
         assert g.n_annuli == 41
         assert g.size == 41 * 64 * 2
-        assert g.nodes.shape == (g.size, 1)
-        assert g.weights.shape == (g.size,)
+        assert g.nodes.shape == (g.size // 2, 1)
+        assert g.weights.shape == (g.size // 2,)
+        assert g.annulus.shape == (g.size // 2,)
 
     def test_weights_sum_to_band_length(self, default_grid):
         g = default_grid
@@ -20,23 +21,19 @@ class TestFrequencyGrid1D:
         expected = 2.0 * (2.0 ** 21 - 2.0 ** -20)
         assert np.isclose(g.weights.sum(), expected, rtol=1e-12)
 
-    def test_mirror_is_exact_negation(self, default_grid):
-        g = default_grid
-        assert np.array_equal(g.nodes[g.mirror], -g.nodes)
-        assert np.array_equal(g.weights[g.mirror], g.weights)
-        assert np.array_equal(g.annulus[g.mirror], g.annulus)
+    def test_nodes_are_positive(self, default_grid):
+        assert np.all(default_grid.nodes > 0)
 
-    def test_mirror_is_an_involution_without_fixed_points(self, default_grid):
+    def test_each_annulus_holds_m_nodes(self, default_grid):
         g = default_grid
-        assert np.array_equal(g.mirror[g.mirror], np.arange(g.size))
-        assert np.all(g.mirror != np.arange(g.size))
+        assert np.array_equal(np.bincount(g.annulus), np.full(g.n_annuli, 64))
 
-    def test_half_indices_cover_grid_with_mirrors(self, default_grid):
-        g = default_grid
-        half = g.half_indices
-        assert half.size == g.size // 2
-        covered = np.sort(np.concatenate([half, g.mirror[half]]))
-        assert np.array_equal(covered, np.arange(g.size))
+    def test_stores_the_positive_midpoints(self):
+        g = dyadic_frequency_grid(1, -2, 1, 4)
+        lo = 2.0 ** np.arange(-2, 2)
+        midpoints = lo[:, None] * (1.0 + (np.arange(4) + 0.5) / 4)
+        assert np.allclose(g.nodes[:, 0], midpoints.ravel(), rtol=1e-15)
+        assert np.allclose(g.weights, np.repeat(2 * lo / 4, 4), rtol=1e-15)
 
     def test_nodes_lie_in_their_annuli(self, default_grid):
         g = default_grid
@@ -64,13 +61,18 @@ class TestFrequencyGrid2D:
     def test_layout(self, grid_2d):
         g = grid_2d
         assert g.dimension == 2
-        assert g.nodes.shape == (g.n_annuli * 64 * 64, 2)
+        assert g.size == g.n_annuli * 64 * 64
+        assert g.nodes.shape == (g.size // 2, 2)
+        assert g.weights.shape == (g.size // 2,)
 
-    def test_mirror_is_exact_negation(self, grid_2d):
+    def test_stored_angles_lie_in_half_circle(self, grid_2d):
+        theta = np.arctan2(grid_2d.nodes[:, 1], grid_2d.nodes[:, 0])
+        assert np.all(theta >= 0.0)
+        assert np.all(theta < np.pi)
+
+    def test_each_annulus_holds_half_of_m_squared_nodes(self, grid_2d):
         g = grid_2d
-        assert np.array_equal(g.nodes[g.mirror], -g.nodes)
-        assert np.array_equal(g.weights[g.mirror], g.weights)
-        assert np.array_equal(g.mirror[g.mirror], np.arange(g.size))
+        assert np.array_equal(np.bincount(g.annulus), np.full(g.n_annuli, 64 * 64 // 2))
 
     def test_weights_sum_to_band_area(self):
         g = dyadic_frequency_grid(2, -4, 4, 8)

@@ -285,6 +285,45 @@ class TestAdmissibility:
 # domination
 
 
+def _full_symmetric_rule(dimension, j_lo, j_hi, m):
+    """The unfolded midpoint rule, built independently of the package: every
+    node of every (xi, -xi) pair, each with its own cell measure."""
+    nodes, weights, annulus = [], [], []
+    for k, j in enumerate(range(j_lo, j_hi + 1)):
+        lo = 2.0 ** j
+        dr = lo / m
+        r = lo + (np.arange(m) + 0.5) * dr
+        if dimension == 1:
+            nodes.append(np.concatenate([r, -r])[:, None])
+            weights.append(np.full(2 * m, dr))
+        else:
+            theta = (np.arange(m) + 0.5) * (2 * np.pi / m)
+            nodes.append(np.column_stack([np.outer(r, np.cos(theta)).ravel(),
+                                          np.outer(r, np.sin(theta)).ravel()]))
+            weights.append(np.repeat(r * dr * (2 * np.pi / m), m))
+        annulus.append(np.full(len(weights[-1]), k))
+    return np.concatenate(nodes), np.concatenate(weights), np.concatenate(annulus)
+
+
+class TestFoldedRule:
+    """check_admissible on the stored node per pair against the full rule."""
+
+    @pytest.mark.parametrize("dimension,j_lo,j_hi,m", [(1, -20, 20, 64), (2, -12, 12, 16)])
+    def test_contributions_match_the_full_symmetric_rule(self, dimension, j_lo, j_hi, m):
+        grid = sf.dyadic_frequency_grid(dimension, j_lo, j_hi, m)
+        base = fractional_brownian_density(0.5, dimension)
+        density = PerturbedDensity(base, SineModulation(2.0, 1.0, scale=3.0))
+        nodes, weights, annulus = _full_symmetric_rule(dimension, j_lo, j_hi, m)
+        assert nodes.shape[0] == grid.size
+        r2 = np.sum(nodes ** 2, axis=1)
+        terms = weights * np.minimum(1.0, r2) * density.evaluate(nodes)
+        expected = np.bincount(annulus, weights=terms)
+        result = check_admissible(density, grid)
+        assert result.status == "admissible"
+        assert np.allclose(result.contributions, expected, rtol=1e-13, atol=0.0)
+        assert np.isclose(result.value, expected.sum(), rtol=1e-13, atol=0.0)
+
+
 class TestDomination:
     def test_self_domination_at_one(self, default_grid, brownian):
         cert = check_domination(brownian, brownian, 1.0, default_grid)

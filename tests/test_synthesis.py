@@ -159,22 +159,22 @@ class TestSampleBlock:
 
 
 class TestComplexReference:
-    """The real half-grid factor against the complex Hermitian sum it folds."""
+    """The real folded factor against the complex Hermitian sum over the full
+    symmetric rule: nodes and -nodes, each with half the pair weight."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 6), (2, 3)])
     def test_sample_and_covariance_match_complex_sum(self, dimension, resolution):
         grid = sf.dyadic_frequency_grid(dimension, -8, 8, 8)
         space = uniform_spatial_grid(dimension, resolution)
         density = sf.fractional_brownian_density(0.7, dimension)
-        phases = np.exp(1j * space.points @ grid.nodes.T) - 1.0
-        weighted = grid.weights * density.evaluate(grid.nodes)
+        full_nodes = np.concatenate([grid.nodes, -grid.nodes])
+        phases = np.exp(1j * space.points @ full_nodes.T) - 1.0
+        weighted = np.tile(grid.weights / 2, 2) * density.evaluate(full_nodes)
 
         values = SpectralSynthesizer(density, grid, space).sample(8, 3).values
-        half = grid.half_indices
-        draws = substream(8, 3).standard_normal((half.size, 2))
-        zeta = np.empty(grid.size, dtype=complex)
-        zeta[half] = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
-        zeta[grid.mirror[half]] = np.conj(zeta[half])
+        draws = substream(8, 3).standard_normal((len(grid.nodes), 2))
+        zeta = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+        zeta = np.concatenate([zeta, np.conj(zeta)])
         reference = phases @ (np.sqrt(weighted) * zeta)
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(values))
 

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 import specfield as sf
-from specfield import (MCConfig, SupNorm, ZeroDensity, ball_probability_profile,
+from specfield import (MCConfig, SupNorm, ZeroDensity,
                        check_domination, clopper_pearson_lower, clopper_pearson_upper,
                        compare_counts, coupling_norm_quantiles,
                        estimate_holder_exponent,
@@ -169,21 +169,23 @@ class TestCollectBlocks:
 
 class TestBallProbabilities:
     def test_profile_is_monotone_in_radius(self, default_grid, brownian):
+        # the rhs of a zero-shift report is the ball-probability profile
         cfg = small_mc(default_grid, radii=(0.2, 0.5, 0.9, 1.5))
-        profile = ball_probability_profile(brownian, SupNorm(), cfg)
-        p_hats = [e.p_hat for e in profile]
-        assert p_hats == sorted(p_hats)
-        for e in profile:
-            assert 0.0 <= e.lower <= e.p_hat <= e.upper <= 1.0
+        rows = verify_anderson_shift(brownian, np.zeros(8), SupNorm(), cfg).rows
+        counts = [row.successes_rhs for row in rows]
+        assert counts == sorted(counts)
+        for row in rows:
+            assert 0.0 <= row.lower_rhs <= row.p_rhs <= row.upper_rhs <= 1.0
 
     def test_single_estimate_matches_profile(self, default_grid, brownian):
-        # a one-radius profile is the same estimate as that radius of a wider
-        # profile, because both share one replica set
-        single = ball_probability_profile(brownian, SupNorm(),
-                                          small_mc(default_grid, radii=(0.5,)))
-        profile = ball_probability_profile(brownian, SupNorm(),
-                                           small_mc(default_grid, radii=(0.2, 0.5)))
-        assert single == profile[1:]
+        # a one-radius report counts the same successes as that radius of a
+        # wider report, because both share one replica set
+        single = verify_anderson_shift(brownian, np.zeros(8), SupNorm(),
+                                       small_mc(default_grid, radii=(0.5,)))
+        profile = verify_anderson_shift(brownian, np.zeros(8), SupNorm(),
+                                        small_mc(default_grid, radii=(0.2, 0.5)))
+        assert single.rows[0].successes_rhs == profile.rows[1].successes_rhs
+        assert single.rows[0].successes_lhs == profile.rows[1].successes_lhs
 
     def test_radius_validation(self, default_grid):
         with pytest.raises(ValueError, match="positive"):
@@ -214,8 +216,9 @@ class TestAndersonShift:
             assert row.verdict == "consistent"
 
     def test_callable_shift(self, default_grid, brownian):
+        # a shift given as a function is evaluated on the grid by the caller
         cfg = small_mc(default_grid)
-        report = verify_anderson_shift(brownian, lambda pts: 0.5 * pts[:, 0],
+        report = verify_anderson_shift(brownian, 0.5 * cfg.spatial_grid.points[:, 0],
                                        SupNorm(), cfg)
         assert report.name == "anderson-shift"
 
@@ -233,19 +236,6 @@ class TestAndersonShift:
 
 
 class TestShiftResolution:
-    def test_field_sample_shift(self, default_grid, brownian):
-        cfg = small_mc(default_grid)
-        sample = sf.SpectralSynthesizer(brownian, default_grid,
-                                        cfg.spatial_grid).sample(77, 0)
-        resolved = _resolve_shift(sample, cfg.spatial_grid)
-        assert np.array_equal(resolved, sample.values)
-
-    def test_grid_mismatch_rejected(self, default_grid, brownian):
-        sample = sf.SpectralSynthesizer(brownian, default_grid,
-                                        uniform_spatial_grid(1, 16)).sample(77, 0)
-        with pytest.raises(ValueError, match="different grid"):
-            _resolve_shift(sample, uniform_spatial_grid(1, 8))
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             _resolve_shift(np.zeros(5), uniform_spatial_grid(1, 8))
