@@ -459,7 +459,10 @@ def parse_config(text: str) -> RunConfig:
                 fields["points"] = points
                 reader.record("points", ", ".join(repr(p) for p in points))
 
-    reader.finish_unknown()
+    # which keys are known depends on the command; without one, reporting
+    # the rest as unknown would blame keys that are fine
+    if command is not None:
+        reader.finish_unknown()
     if not reader.errors and (None in (command, seed, frequency_grid)
                               or len(densities) != len(roles)):
         reader.error(None, "configuration incomplete")

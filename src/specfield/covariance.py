@@ -5,7 +5,9 @@ K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi,
 approximated here as a weighted sum over a symmetric dyadic grid.  With f
 even, each (xi, -xi) pair of nodes contributes a real term, so the sum runs
 over the grid's stored node per pair as K = R R^T with the real factor R of
-`spectral_factor`, which the spectral synthesizer shares.
+`spectral_factor`, which the spectral synthesizer shares.  `quadrature_gram`
+forms K chunk by chunk of node pairs, so no more than BLOCK_BYTES of R exists
+at once.
 
 Closed forms for the power-law (fractional-Brownian) family live here too,
 both as test oracles and as the input to the exact-factorization sampler.
@@ -23,6 +25,15 @@ from .spectral import SpectralDensity, require_admissible
 # Eigenvalue floor scale: quadrature matrices may dip this far below zero.
 PSD_NOISE_FACTOR = 1e-8
 
+# Bytes of one chunk of the spectral factor, and of one replica block of
+# noise.
+BLOCK_BYTES = 8 << 20
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` float64 values that fit in BLOCK_BYTES (at least one)."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
 
 def _as_points(points, dimension: int | None = None) -> np.ndarray:
     """Coerce to an (n, d) float array; a flat list means d = 1."""
@@ -37,8 +48,9 @@ def _as_points(points, dimension: int | None = None) -> np.ndarray:
 
 
 def spectral_factor(density: SpectralDensity, points: np.ndarray,
-                    grid: FrequencyGrid) -> np.ndarray:
-    """Real (n, grid.size) quadrature factor R over n points.
+                    grid: FrequencyGrid, pairs: slice = slice(None)) -> np.ndarray:
+    """Real (n, grid.size) quadrature factor R over n points, or its columns
+    for the stored nodes `pairs` selects.
 
     Column pair (2k, 2k+1) belongs to the k-th stored node xi, which stands
     for the pair (xi, -xi) and carries its weight w, and holds
@@ -49,12 +61,36 @@ def spectral_factor(density: SpectralDensity, points: np.ndarray,
     harmonizable sum against zeta = (a + ib)/sqrt(2) on xi (so
     E|zeta|^2 = 1) and conj(zeta) on -xi.
     """
-    amplitude = np.sqrt(grid.weights * density.evaluate(grid.nodes))
-    phase = points @ grid.nodes.T
-    factor = np.empty((phase.shape[0], grid.size))
+    nodes = grid.nodes[pairs]
+    amplitude = np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
+    phase = points @ nodes.T
+    factor = np.empty((phase.shape[0], 2 * phase.shape[1]))
     factor[:, 0::2] = (np.cos(phase) - 1.0) * amplitude
     factor[:, 1::2] = -np.sin(phase) * amplitude
     return factor
+
+
+def quadrature_gram(density: SpectralDensity, points: np.ndarray,
+                    grid: FrequencyGrid) -> np.ndarray:
+    """The quadrature kernel R R^T on n points, exactly symmetric.
+
+    Summed as R_c R_c^T over chunks R_c of node pairs within BLOCK_BYTES, so
+    memory is O(n^2) plus one chunk whatever the grid size.  Each chunk adds
+    only the row blocks of the upper triangle, and the lower triangle is
+    mirrored from the upper one, so symmetry is exact rather than a float
+    coincidence.
+    """
+    n = points.shape[0]
+    pairs = block_rows(2 * n)
+    rows = block_rows(n)
+    gram = np.zeros((n, n))
+    for start in range(0, len(grid.nodes), pairs):
+        chunk = spectral_factor(density, points, grid, slice(start, start + pairs))
+        for top in range(0, n, rows):
+            gram[top:top + rows, top:] += chunk[top:top + rows] @ chunk[top:].T
+    gram = np.triu(gram)
+    gram += np.triu(gram, 1).T
+    return gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,18 +150,11 @@ class CovarianceMatrix:
 
 def covariance_matrix(density: SpectralDensity, points,
                       grid: FrequencyGrid) -> CovarianceMatrix:
-    """Assemble the quadrature covariance matrix on a point list.
-
-    The lower triangle is mirrored from the upper one, so symmetry is exact
-    rather than a float coincidence.
-    """
+    """Assemble the quadrature covariance matrix on a point list."""
     require_admissible(density, grid)
     pts = _as_points(points, grid.dimension)
-    factor = spectral_factor(density, pts, grid)
-    raw = factor @ factor.T
-    upper = np.triu(raw)
-    sym = upper + np.triu(raw, 1).T
-    return CovarianceMatrix(pts, sym, density.label, grid.grid_id)
+    return CovarianceMatrix(pts, quadrature_gram(density, pts, grid), density.label,
+                            grid.grid_id)
 
 
 # --------------------------------------------------------------------------

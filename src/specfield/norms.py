@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import block_rows
 from .grids import SpatialGrid
-from .synthesis import block_rows
 
 # Above this many point pairs the Holder norm switches from all pairs to the
 # deterministic dyadic-offset subset.

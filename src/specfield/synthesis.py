@@ -7,8 +7,11 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
   with Hermitian noise, each (xi, -xi) pair folded into one real term.  It
   is computed for a block of replicas at once as one product of a
   standard-normal block with the real factor R of the quadrature kernel.
-  Its distribution matches the quadrature covariance matrix R R^T exactly,
-  which is what makes the next sampler an oracle for it.
+  Its distribution matches the quadrature covariance matrix K = R R^T
+  exactly, which is what makes the next sampler an oracle for it.  A
+  campaign with more replicas than points draws the same law through a
+  factor F with F F^T = K instead, from N - 1 normals per replica rather
+  than one per frequency node.
 - ExactFieldSampler: factorizes a covariance matrix (jittered Cholesky) and
   maps standard normals through the factor.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, spectral_factor
+from .covariance import CovarianceMatrix, block_rows, quadrature_gram, spectral_factor
 from .grids import PointSet, SpatialGrid
 from .rng import hermitian_noise, substream
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
@@ -30,15 +33,6 @@ from .spectral import (DominationCertificate, SpectralDensity, difference_densit
 
 # Jitter multipliers tried before declaring a covariance matrix indefinite.
 JITTER_LADDER = (1, 2, 4, 8)
-
-# Bytes of one replica block of noise, and of one chunk of points of the
-# spectral factor.
-BLOCK_BYTES = 8 << 20
-
-
-def block_rows(width: int) -> int:
-    """Rows of `width` float64 values that fit in BLOCK_BYTES (at least one)."""
-    return max(1, BLOCK_BYTES // (8 * width))
 
 
 class IndefiniteMatrixError(RuntimeError):
@@ -74,15 +68,27 @@ class FieldSample:
 
 
 class SpectralSynthesizer:
-    """Samples the harmonizable sum as blocks of replicas.
+    """Samples the quadrature law N(0, K) on the spatial grid as blocks of
+    replicas, K = R R^T for the real (N, M) spectral factor R.
 
-    A block of B replicas is the (B, N) product noise @ R^T of a (B, M) noise
-    block against the real (N, M) spectral factor R, computed over chunks of
-    points whose rows of R fit in BLOCK_BYTES.  R is built chunk by chunk and
-    dropped after its product unless keep_factor() stored it whole, which
-    pays only when more than one block reuses it; the two paths compute the
-    same chunks and give bit-identical rows.  Each row is the draw of its own
-    stream, so rows do not depend on which replicas share a block.
+    prepare(n) picks one of two ways to draw a campaign of n replicas, from
+    n and the grids alone:
+
+    - Direct (n <= N): a block of B replicas is the (B, N) product
+      noise @ R^T of a (B, M) block of Hermitian noise, computed over chunks
+      of points whose rows of R fit in BLOCK_BYTES.  R is built chunk by
+      chunk and dropped after its product unless keep_factor() stored it
+      whole, which pays only when more than one block reuses it; the two
+      give bit-identical rows.
+    - Low rank (n > N, where the one-time N^2 M of a factor costs less than
+      the n N M of direct blocks): K's Gram is summed over chunks of
+      frequency nodes, its origin row and column dropped, and
+      F = V sqrt(max(lambda, 0)) taken from its eigendecomposition.  A block
+      is the product (B, N - 1) noise @ F^T on the points other than the
+      origin, and the origin column is written as +0.0.
+
+    Each row is the draw of its own stream, so rows do not depend on which
+    replicas share a block.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -96,9 +102,30 @@ class SpectralSynthesizer:
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
         self._factor = None
+        self._low_rank = None
+        self._off_origin = np.arange(spatial_grid.size) != spatial_grid.origin_index
+
+    def prepare(self, n_replicas: int) -> int:
+        """Choose the way to draw a campaign of n_replicas, build what it
+        needs, and return the replicas per block.  Depends on n and the grids
+        only, so block bounds do not depend on threads."""
+        points = self.spatial_grid.size
+        if n_replicas > points:
+            if self._low_rank is None:
+                gram = quadrature_gram(self.density, self.spatial_grid.points,
+                                       self.frequency_grid)
+                eigenvalues, vectors = np.linalg.eigh(
+                    gram[np.ix_(self._off_origin, self._off_origin)])
+                self._low_rank = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
+            return min(n_replicas, block_rows(points - 1))
+        self._low_rank = None
+        rows = min(n_replicas, block_rows(self.frequency_grid.size))
+        if rows < n_replicas:
+            self.keep_factor()
+        return rows
 
     def keep_factor(self):
-        """Build R once and keep it for every later block."""
+        """Build R once and keep it for every later direct block."""
         if self._factor is None:
             factor = np.empty((self.spatial_grid.size, self.frequency_grid.size))
             for start, stop, chunk in self._factor_chunks():
@@ -118,16 +145,28 @@ class SpectralSynthesizer:
                 yield start, stop, spectral_factor(self.density, points[start:stop],
                                                    self.frequency_grid)
 
+    def _direct_block(self, master_seed: int, stream_ids) -> np.ndarray:
+        noise = hermitian_noise(self.frequency_grid.size, master_seed, stream_ids)
+        block = np.empty((noise.shape[0], self.spatial_grid.size))
+        for start, stop, chunk in self._factor_chunks():
+            block[:, start:stop] = noise @ chunk.T
+        return block
+
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
-        """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j].
+        """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j],
+        the way the last prepare() chose (direct without one).
 
         Checks once per block what FieldSample checks per replica: every
         value is finite and the origin column is exactly +0.0.
         """
-        noise = hermitian_noise(self.frequency_grid, master_seed, stream_ids)
-        block = np.empty((noise.shape[0], self.spatial_grid.size))
-        for start, stop, chunk in self._factor_chunks():
-            block[:, start:stop] = noise @ chunk.T
+        if self._low_rank is None:
+            return self._checked(self._direct_block(master_seed, stream_ids))
+        noise = hermitian_noise(self._low_rank.shape[1], master_seed, stream_ids)
+        block = np.zeros((noise.shape[0], self.spatial_grid.size))
+        block[:, self._off_origin] = noise @ self._low_rank.T
+        return self._checked(block)
+
+    def _checked(self, block: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(block)):
             raise ValueError("sample values must be finite")
         origin = block[:, self.spatial_grid.origin_index]
@@ -136,10 +175,10 @@ class SpectralSynthesizer:
         return block
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
-        """One replica: the one-row block.  Callers that draw replicas one at
-        a time reuse R, so it is kept."""
+        """One replica: the one-row direct block.  Callers that draw replicas
+        one at a time reuse R, so it is kept."""
         self.keep_factor()
-        values = self.sample_block(master_seed, [stream_id])[0]
+        values = self._checked(self._direct_block(master_seed, [stream_id]))[0]
         return FieldSample(self.spatial_grid, values, master_seed, stream_id,
                            "spectral", self.density.label)
 
@@ -223,13 +262,11 @@ class CouplingSynthesizer:
     def spatial_grid(self) -> SpatialGrid:
         return self._synth_x.spatial_grid
 
-    @property
-    def frequency_grid(self):
-        return self._synth_x.frequency_grid
-
-    def keep_factor(self):
-        self._synth_x.keep_factor()
-        self._synth_residual.keep_factor()
+    def prepare(self, n_replicas: int) -> int:
+        """SpectralSynthesizer.prepare for both components; they share the
+        grids, so they choose the same way and the same block size."""
+        self._synth_x.prepare(n_replicas)
+        return self._synth_residual.prepare(n_replicas)
 
     def sample_block(self, master_seed: int, replicate_ids) -> tuple:
         """(x1, x2, y) blocks for the replicates, y = C^{-1/2} x1 + x2 exactly."""
@@ -240,13 +277,9 @@ class CouplingSynthesizer:
 
     def sample(self, master_seed: int, replicate_id: int) -> tuple:
         """One replicate as FieldSamples (x1, x2, y_rep) on streams 2k, 2k+1
-        and 2k: the one-row block.  As in SpectralSynthesizer.sample, R is
-        kept for the next call."""
-        self.keep_factor()
-        rows = self.sample_block(master_seed, [replicate_id])
-        streams = (2 * replicate_id, 2 * replicate_id + 1, 2 * replicate_id)
-        labels = (self.density_x.label, self._synth_residual.density.label,
-                  self._label)
-        return tuple(FieldSample(self.spatial_grid, values[0], master_seed, stream,
-                                 "spectral", label)
-                     for values, stream, label in zip(rows, streams, labels))
+        and 2k, each component drawn by SpectralSynthesizer.sample."""
+        x1 = self._synth_x.sample(master_seed, 2 * replicate_id)
+        x2 = self._synth_residual.sample(master_seed, 2 * replicate_id + 1)
+        y = FieldSample(self.spatial_grid, self._inv_root * x1.values + x2.values,
+                        master_seed, 2 * replicate_id, "spectral", self._label)
+        return x1, x2, y

@@ -25,7 +25,7 @@ from scipy import special
 from .covariance import covariance_matrix
 from .grids import FrequencyGrid, SpatialGrid
 from .spectral import DominationCertificate, SpectralDensity
-from .synthesis import CouplingSynthesizer, SpectralSynthesizer, block_rows
+from .synthesis import CouplingSynthesizer, SpectralSynthesizer
 
 # Pilot draws (quantile estimation) use replicate ids offset far past any
 # verification replica so the two stream ranges never collide.
@@ -70,18 +70,16 @@ class MCConfig:
 def _collect_blocks(work, n_replicas: int, samplers, threads: int) -> list:
     """work(ids) for consecutive blocks of replica ids, results in block order.
 
-    A block holds B = min(n, max(1, BLOCK_BYTES // (8 M))) replicas for M
-    noise draws each, so its bounds depend on n and the grid only.  When more
-    than one block reuses the samplers' spectral factors, they are kept whole,
-    built once before the blocks go to the pool.  Reductions over the block
-    results happen in block order, so the output is independent of threads.
+    Each sampler's prepare(n) chooses how the campaign is drawn, builds its
+    factor before the blocks go to the pool, and returns the block size:
+    as many replicas as fit in BLOCK_BYTES at the noise width of the chosen
+    factor.  Block bounds depend on n and the grids only, and reductions over
+    the block results happen in block order, so the output is independent of
+    threads.
     """
-    size = min(n_replicas, block_rows(samplers[0].frequency_grid.size))
+    size = min(sampler.prepare(n_replicas) for sampler in samplers)
     blocks = [range(start, min(start + size, n_replicas))
               for start in range(0, n_replicas, size)]
-    if len(blocks) > 1:
-        for sampler in samplers:
-            sampler.keep_factor()
     if threads <= 1:
         return [work(ids) for ids in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -331,9 +329,11 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
 
     def work(ids: range) -> tuple:
         x1, x2, y = coupler.sample_block(cfg.master_seed, ids)
-        squares_x1, squares_x2, squares_y = x1 * x1, x2 * x2, y * y
-        return (y.T @ y, squares_y.T @ squares_y, x1.T @ x2,
-                squares_x1.T @ squares_x2)
+        products, cross = y.T @ y, x1.T @ x2
+        # the squares overwrite the block, so one block is held, not two
+        for values in (x1, x2, y):
+            np.square(values, out=values)
+        return products, y.T @ y, cross, x1.T @ x2
 
     n = cfg.n_replicas
     sums = [sum(parts) for parts in

@@ -133,10 +133,13 @@ def test_05_sum_inequality(default_grid, space_8, fbm_pair):
 
 
 def test_06_shift_inequality(default_grid, space_8, brownian):
+    # at radius 0.25, p is about 0.005 and the true gap about 0.6 SD at 10,000
+    # replicas, so a correct sampler missed "all consistent" on about a
+    # quarter of 20-seed batches; 100,000 replicas give the gap room
     shift = 0.5 * space_8.points[:, 0]
     verdicts = []
     for seed in range(200, 220):
-        cfg = MCConfig(10000, seed, default_grid, space_8,
+        cfg = MCConfig(100000, seed, default_grid, space_8,
                        radii=(0.25, 0.5, 1.0))
         rep = verify_anderson_shift(brownian, shift, SupNorm(), cfg, threads=4)
         verdicts.extend(row.verdict for row in rep.rows)

@@ -236,6 +236,14 @@ class TestValidationErrors:
         msgs = errors_of("command = frobnicate\nseed = 1\n")
         assert any("command must be one of" in m for m in msgs)
 
+    @pytest.mark.parametrize("command", ["", "command = simulat\n"])
+    def test_bad_command_is_the_only_error(self, command):
+        # which keys are known depends on the command, so none is called unknown
+        msgs = errors_of(command + "seed = 1\ndensity.family = power-law\n"
+                                   "density.hurst = 0.5\n")
+        assert len(msgs) == 1
+        assert "missing command" in msgs[0] or "command must be one of" in msgs[0]
+
     def test_missing_seed_names_the_policy(self):
         msgs = errors_of("command = density-check\ndensity.family = zero\n")
         assert any("a master seed is mandatory, there is no wall-clock default"

@@ -101,6 +101,20 @@ class TestCovarianceMatrix:
         assert np.all(matrix.entries[oi] == 0.0)
         assert np.all(matrix.entries[:, oi] == 0.0)
 
+    @pytest.mark.parametrize("block_bytes", [sf.covariance.BLOCK_BYTES, 8 * 300 * 64])
+    def test_chunked_gram_matches_the_whole_factor(self, default_grid, brownian,
+                                                   block_bytes, monkeypatch):
+        # 300 points split the 2,624 node pairs into two chunks; the small
+        # budget gives 82 chunks of 32 pairs and row blocks of 64 points
+        monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", block_bytes)
+        points = np.linspace(0, 1, 300)[:, None]
+        assert sf.covariance.block_rows(2 * 300) < len(default_grid.nodes)
+        factor = sf.covariance.spectral_factor(brownian, points, default_grid)
+        whole = factor @ factor.T
+        entries = covariance_matrix(brownian, points, default_grid).entries
+        assert np.array_equal(entries, entries.T)
+        assert np.max(np.abs(entries - whole)) <= 1e-13 * np.max(whole)
+
     def test_origin_absent(self, default_grid, brownian):
         matrix = covariance_matrix(brownian, [0.25, 0.5], default_grid)
         assert matrix.origin_index is None

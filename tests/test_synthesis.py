@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 import specfield as sf
 from specfield import (BandLimitedDensity, CouplingSynthesizer, CovarianceMatrix,
@@ -31,22 +32,32 @@ class TestSubstreams:
 
 class TestHermitianNoise:
     def test_unit_second_moment(self, default_grid):
-        noise = hermitian_noise(default_grid, 11, [3])
+        noise = hermitian_noise(default_grid.size, 11, [3])
         assert noise.shape == (1, default_grid.size)
         assert np.isclose(np.mean(noise ** 2), 1.0, atol=0.05)
 
-    def test_determinism_and_stream_separation(self, default_grid):
-        a = hermitian_noise(default_grid, 11, [3])
-        b = hermitian_noise(default_grid, 11, [3])
-        c = hermitian_noise(default_grid, 11, [4])
+    def test_determinism_and_stream_separation(self):
+        a = hermitian_noise(64, 11, [3])
+        b = hermitian_noise(64, 11, [3])
+        c = hermitian_noise(64, 11, [4])
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_block_rows_are_their_streams(self, default_grid):
-        block = hermitian_noise(default_grid, 11, [9, 3, 4])
-        for row, stream_id in zip(block, (9, 3, 4)):
-            expected = substream(11, stream_id).standard_normal(default_grid.size)
-            assert np.array_equal(row, expected)
+    def test_block_rows_are_their_streams(self):
+        # the reused generator must leave nothing of one row in the next,
+        # including the extreme keys
+        ids = [9, 3, 4, 9, 2 ** 64 - 1, 0]
+        for width in (8, 5248):
+            block = hermitian_noise(width, 2 ** 64 - 1, ids)
+            for row, stream_id in zip(block, ids):
+                expected = substream(2 ** 64 - 1, stream_id).standard_normal(width)
+                assert row.tobytes() == expected.tobytes()
+
+    def test_stream_id_range_is_checked(self):
+        with pytest.raises(ValueError, match="stream id"):
+            hermitian_noise(8, 0, [1, 2 ** 64])
+        with pytest.raises(ValueError, match="master seed"):
+            hermitian_noise(8, -1, [1])
 
 
 class TestSpectralSynthesizer:
@@ -156,6 +167,78 @@ class TestSampleBlock:
         sf.estimate_holder_exponent(brownian, cfg)
         assert sum(built) == space.size
         assert max(built) == synthesis.block_rows(default_grid.size) < space.size
+
+
+class TestLowRankFactor:
+    """Campaigns with more replicas than points draw through F, F F^T = K."""
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 64), (2, 8)])
+    def test_factor_reproduces_the_quadrature_kernel(self, default_grid, grid_2d,
+                                                     dimension, resolution):
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(0.7, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        synth = SpectralSynthesizer(density, grid, space)
+        synth.prepare(space.size + 1)
+        factor = sf.covariance.spectral_factor(density, space.points, grid)
+        kernel = factor @ factor.T
+        low_rank = np.zeros_like(kernel)
+        low_rank[1:, 1:] = synth._low_rank @ synth._low_rank.T
+        assert np.max(np.abs(low_rank - kernel)) <= 1e-13 * np.max(kernel)
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (2, 3)])
+    def test_blocks_carry_the_quadrature_law(self, default_grid, grid_2d, dimension,
+                                             resolution):
+        # every distinct second moment off the origin within the Bonferroni
+        # normal quantile of a family-wise false-alarm rate of 1e-3
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(0.5, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        synth = SpectralSynthesizer(density, grid, space)
+        n = 20000
+        synth.prepare(n)
+        block = synth.sample_block(77, range(n))
+        assert np.all(block[:, 0] == 0.0) and not np.any(np.signbit(block[:, 0]))
+        rows, cols = np.triu_indices(space.size, 0)
+        off_origin = rows > 0
+        rows, cols = rows[off_origin], cols[off_origin]
+        products = block[:, rows] * block[:, cols]
+        kernel = covariance_matrix(density, space.points, grid).entries[rows, cols]
+        z = (products.mean(axis=0) - kernel) / (products.std(axis=0, ddof=1)
+                                                / np.sqrt(n))
+        threshold = stats.norm.isf(1e-3 / (2 * len(kernel)))
+        assert np.max(np.abs(z)) <= threshold
+
+    def test_more_replicas_than_points_switch_to_the_factor(self, default_grid,
+                                                            space_8, brownian):
+        synth = SpectralSynthesizer(brownian, default_grid, space_8)
+        assert synth.prepare(8) == 8
+        assert synth._low_rank is None
+        assert synth.prepare(9) == 9
+        assert synth._low_rank.shape == (7, 7)
+        assert synth.prepare(8) == 8
+        assert synth._low_rank is None
+
+    def test_long_path_campaigns_keep_the_direct_factor(self, default_grid, brownian):
+        # estimate-hurst on 4,096 points and 100 replicas: one direct block,
+        # R streamed by chunks and never built whole
+        synth = SpectralSynthesizer(brownian, default_grid,
+                                    uniform_spatial_grid(1, 4096))
+        assert synth.prepare(100) == 100
+        assert synth._low_rank is None and synth._factor is None
+
+    def test_per_replica_samples_stay_direct(self, default_grid, space_8, fbm_pair):
+        perturbed, base = fbm_pair
+        fresh = SpectralSynthesizer(base, default_grid, space_8).sample(12, 3)
+        prepared = SpectralSynthesizer(base, default_grid, space_8)
+        prepared.prepare(1000)
+        assert prepared.sample(12, 3).values.tobytes() == fresh.values.tobytes()
+        cert = check_domination(perturbed, base, 3.0, default_grid)
+        coupler = CouplingSynthesizer(perturbed, base, 3.0, cert, default_grid, space_8)
+        expected = coupler.sample(12, 3)
+        coupler.prepare(1000)
+        for got, want in zip(coupler.sample(12, 3), expected):
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestComplexReference:

@@ -135,36 +135,64 @@ class TestMCConfig:
 
 
 class TestCollectBlocks:
-    def test_threading_never_changes_results(self, default_grid, space_8, brownian):
+    # With no more replicas than points, blocks are drawn directly through R
+    # (width M); with more, through the low-rank factor (width N - 1).
+    def test_threading_never_changes_results(self, default_grid, brownian):
+        space = uniform_spatial_grid(1, 512)
         n = 2 * block_rows(default_grid.size) + 51       # three blocks, one short
-        synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+        synth = sf.SpectralSynthesizer(brownian, default_grid, space)
 
         def work(ids):
             return synth.sample_block(3, ids)
         serial = np.concatenate(_collect_blocks(work, n, (synth,), 1))
         threaded = np.concatenate(_collect_blocks(work, n, (synth,), 4))
-        assert serial.shape == (n, 8)
+        assert serial.shape == (n, 512)
         assert serial.tobytes() == threaded.tobytes()
+
+    def test_low_rank_rows_do_not_depend_on_blocks_or_threads(
+            self, default_grid, space_8, brownian, monkeypatch):
+        from specfield import synthesis
+        synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+
+        def work(ids):
+            return synth.sample_block(3, ids)
+        whole = np.concatenate(_collect_blocks(work, 200, (synth,), 1))
+        monkeypatch.setattr(synthesis, "block_rows", lambda width: 64)
+        serial = _collect_blocks(work, 200, (synth,), 1)
+        threaded = np.concatenate(_collect_blocks(work, 200, (synth,), 4))
+        assert [len(block) for block in serial] == [64, 64, 64, 8]
+        assert np.concatenate(serial).tobytes() == whole.tobytes()
+        assert threaded.tobytes() == whole.tobytes()
 
     def test_blocks_depend_on_count_and_grid_only(self, default_grid, space_8,
                                                   brownian):
-        size = block_rows(default_grid.size)
-        synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-        for threads in (1, 3):
-            blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, (synth,), threads)
-            assert blocks == [range(0, size), range(size, 2 * size),
-                              range(2 * size, 2 * size + 1)]
-        assert _collect_blocks(lambda ids: ids, 5, (synth,), 2) == [range(5)]
+        direct = sf.SpectralSynthesizer(brownian, default_grid,
+                                        uniform_spatial_grid(1, 512))
+        low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+        for synth, size in ((direct, block_rows(default_grid.size)),
+                            (low_rank, block_rows(space_8.size - 1))):
+            for threads in (1, 3):
+                blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, (synth,),
+                                         threads)
+                assert blocks == [range(0, size), range(size, 2 * size),
+                                  range(2 * size, 2 * size + 1)]
+            assert _collect_blocks(lambda ids: ids, 5, (synth,), 2) == [range(5)]
 
     def test_factor_is_kept_only_when_blocks_reuse_it(self, default_grid, space_8,
                                                        brownian):
-        single = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-        _collect_blocks(lambda ids: None, block_rows(default_grid.size), (single,), 1)
-        assert single._factor is None
-        several = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-        _collect_blocks(lambda ids: None, block_rows(default_grid.size) + 1,
-                        (several,), 1)
-        assert several._factor.shape == (8, default_grid.size)
+        space = uniform_spatial_grid(1, 512)
+        rows = block_rows(default_grid.size)
+        single = sf.SpectralSynthesizer(brownian, default_grid, space)
+        _collect_blocks(lambda ids: None, rows, (single,), 1)
+        assert single._factor is None and single._low_rank is None
+        several = sf.SpectralSynthesizer(brownian, default_grid, space)
+        _collect_blocks(lambda ids: None, rows + 1, (several,), 1)
+        assert several._factor.shape == (512, default_grid.size)
+        assert several._low_rank is None
+        low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+        _collect_blocks(lambda ids: None, 9, (low_rank,), 1)
+        assert low_rank._factor is None
+        assert low_rank._low_rank.shape == (7, 7)
 
 
 class TestBallProbabilities:
@@ -294,6 +322,7 @@ class TestCouplingLaw:
         # block of replicas
         coupler = sf.CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
                                          cfg.spatial_grid)
+        coupler.prepare(n)
         x1, x2, y = coupler.sample_block(cfg.master_seed, range(n))
         products_y = y[:, :, None] * y[:, None, :]
         mean = products_y.mean(axis=0)
