@@ -4,7 +4,7 @@ Reads a config file, runs the requested campaign, and writes deterministic
 artifacts into the output directory: metadata.txt (resolved config echo and
 its hash), command-specific CSV data, and summary.txt (flat key = value).
 Files never contain timestamps or runtimes, so a rerun with the same config
-is byte-identical regardless of --threads.
+is byte-identical.
 
 Exit status: 0 all checks pass/consistent, 1 any violated, 2 any
 underpowered (with no violation), 3 runtime or configuration error.
@@ -173,7 +173,7 @@ def _mc_config(cfg: RunConfig, radii=()) -> MCConfig:
 # command runners (each returns exit code and summary lines, writes CSVs)
 
 
-def _run_density_check(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_density_check(cfg: RunConfig, outdir: Path, verbose: bool):
     lines = []
     codes = []
     exponents = np.arange(cfg.frequency_grid.j_lo, cfg.frequency_grid.j_hi + 1)
@@ -214,7 +214,7 @@ def _run_density_check(cfg: RunConfig, outdir: Path, threads: int, verbose: bool
     return _combine_exits(codes), lines
 
 
-def _run_simulate(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
     density = cfg.densities["main"]
     samples_dir = outdir / "samples"
     samples_dir.mkdir(exist_ok=True)
@@ -240,7 +240,7 @@ def _run_simulate(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
     return EXIT_OK, lines
 
 
-def _run_covariance(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_covariance(cfg: RunConfig, outdir: Path, verbose: bool):
     density = cfg.densities["main"]
     if cfg.points:
         points = np.asarray(cfg.points, dtype=float)[:, None]
@@ -255,7 +255,7 @@ def _run_covariance(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
     return EXIT_OK, lines
 
 
-def _run_verify_anderson(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_verify_anderson(cfg: RunConfig, outdir: Path, verbose: bool):
     mc = _mc_config(cfg, cfg.radii)
     if cfg.anderson_kind == "shift":
         density = cfg.densities["main"]
@@ -263,21 +263,21 @@ def _run_verify_anderson(cfg: RunConfig, outdir: Path, threads: int, verbose: bo
             shift = np.zeros(cfg.spatial_grid.size)
         else:
             shift = cfg.shift_slope * np.sum(cfg.spatial_grid.points, axis=1)
-        report = verify_anderson_shift(density, shift, cfg.norm, mc, threads)
+        report = verify_anderson_shift(density, shift, cfg.norm, mc)
     else:
         report = verify_anderson_sum(cfg.densities["x"], cfg.densities["y"],
-                                     cfg.norm, mc, threads)
+                                     cfg.norm, mc)
     _write_inequality_csv(outdir / "report.csv", report)
     if verbose:
         print(f"{report.name}: {report.worst_verdict}")
     return _VERDICT_EXIT[report.worst_verdict], _inequality_summary_lines(report)
 
 
-def _run_verify_coupling(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_verify_coupling(cfg: RunConfig, outdir: Path, verbose: bool):
     constant, certificate = _resolve_constant(cfg)
     mc = _mc_config(cfg)
     report = verify_coupling_law(cfg.densities["x"], cfg.densities["y"],
-                                 constant, mc, certificate, threads)
+                                 constant, mc, certificate)
     size = report.empirical.shape[0]
     csv_rows = ["i,j,empirical,reference,cross"]
     for i in range(size):
@@ -297,19 +297,19 @@ def _run_verify_coupling(cfg: RunConfig, outdir: Path, threads: int, verbose: bo
     return (EXIT_OK if report.passed else EXIT_VIOLATED), lines
 
 
-def _run_verify_comparison(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_verify_comparison(cfg: RunConfig, outdir: Path, verbose: bool):
     constant, certificate = _resolve_constant(cfg)
     if cfg.radii_auto:
         probe = _mc_config(cfg)
         radii = coupling_norm_quantiles(cfg.densities["x"], cfg.densities["y"],
                                         constant, cfg.norm, probe, certificate,
                                         cfg.radii_count, cfg.radii_span,
-                                        cfg.pilot_replicas, threads)
+                                        cfg.pilot_replicas)
     else:
         radii = cfg.radii
     mc = _mc_config(cfg, radii)
     report = verify_comparison(cfg.densities["x"], cfg.densities["y"], constant,
-                               cfg.norm, mc, certificate, threads)
+                               cfg.norm, mc, certificate)
     _write_inequality_csv(outdir / "report.csv", report)
     lines = [f"constant = {_fmt(constant)}"]
     lines.extend(_inequality_summary_lines(report))
@@ -318,10 +318,10 @@ def _run_verify_comparison(cfg: RunConfig, outdir: Path, threads: int, verbose: 
     return _VERDICT_EXIT[report.worst_verdict], lines
 
 
-def _run_estimate_hurst(cfg: RunConfig, outdir: Path, threads: int, verbose: bool):
+def _run_estimate_hurst(cfg: RunConfig, outdir: Path, verbose: bool):
     density = cfg.densities["main"]
     mc = _mc_config(cfg)
-    estimate = estimate_holder_exponent(density, mc, threads)
+    estimate = estimate_holder_exponent(density, mc)
     csv_rows = ["scale,lag,mean_log2_variation"]
     for j, value in zip(estimate.scales, estimate.mean_log2_variation):
         csv_rows.append(f"{j},{1 << j},{_fmt(value)}")
@@ -345,8 +345,7 @@ _RUNNERS = {"density-check": _run_density_check,
             "estimate-hurst": _run_estimate_hurst}
 
 
-def run(cfg: RunConfig, output_dir=None, threads: int = 1,
-        verbose: bool = False) -> int:
+def run(cfg: RunConfig, output_dir=None, verbose: bool = False) -> int:
     """Execute one validated RunConfig; returns the exit status."""
     outdir = Path(output_dir if output_dir is not None
                   else (cfg.output or "specfield-run"))
@@ -354,7 +353,7 @@ def run(cfg: RunConfig, output_dir=None, threads: int = 1,
         outdir.mkdir(parents=True, exist_ok=True)
         _write_metadata(outdir, cfg)
         started = time.perf_counter()
-        exit_code, summary_lines = _RUNNERS[cfg.command](cfg, outdir, threads, verbose)
+        exit_code, summary_lines = _RUNNERS[cfg.command](cfg, outdir, verbose)
         if verbose:
             print(f"{cfg.command}: {time.perf_counter() - started:.1f} s")
         _write_summary(outdir, cfg, summary_lines, exit_code)
@@ -373,15 +372,9 @@ def console_main(argv=None) -> int:
     parser.add_argument("--output", default=None,
                         help="output directory (default: the config's output key, "
                              "or ./specfield-run)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for blocks of replicas; affects "
-                             "speed only, never results")
     parser.add_argument("--verbose", action="store_true",
                         help="print progress and runtimes to stdout")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -393,7 +386,7 @@ def console_main(argv=None) -> int:
         for line in exc.format_errors():
             print(f"error: {line}", file=sys.stderr)
         return EXIT_ERROR
-    return run(cfg, args.output, args.threads, args.verbose)
+    return run(cfg, args.output, args.verbose)
 
 
 if __name__ == "__main__":

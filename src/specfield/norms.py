@@ -84,8 +84,11 @@ class HolderNorm:
         values = _values_of(sample_or_values)
         grid = _grid_of(sample_or_values, grid)
         rows = np.atleast_2d(values)
-        sup = np.max(np.abs(rows), axis=1, initial=0.0)
         n = rows.shape[1]
+        if n != grid.size:
+            raise ValueError(f"a path of {n} values does not fit a grid of "
+                             f"{grid.size} points")
+        sup = np.max(np.abs(rows), axis=1, initial=0.0)
         if n < 2:
             return _per_path(values, sup)
         if n * n <= self.pair_budget:

@@ -87,8 +87,8 @@ class SpectralSynthesizer:
       is the product (B, N - 1) noise @ F^T on the points other than the
       origin, and the origin column is written as +0.0.
 
-    Each row is the draw of its own stream, so rows do not depend on which
-    replicas share a block.
+    Each row is the draw of its own stream, so which replicas share a block
+    changes a row at roundoff at most, through the product's blocking.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -108,7 +108,7 @@ class SpectralSynthesizer:
     def prepare(self, n_replicas: int) -> int:
         """Choose the way to draw a campaign of n_replicas, build what it
         needs, and return the replicas per block.  Depends on n and the grids
-        only, so block bounds do not depend on threads."""
+        only, so a rerun splits the campaign into the same blocks."""
         points = self.spatial_grid.size
         if n_replicas > points:
             if self._low_rank is None:

@@ -8,15 +8,13 @@ Bonferroni adjustment over radii), or "underpowered" (point estimates lean
 the wrong way but the intervals overlap).  Violations of the inequalities
 indicate bugs, not discoveries; underpowered is never coerced to either side.
 
-Replicas are addressed by counter-based streams and produced in blocks whose
-bounds depend only on the replica count and the grid, so reports are
-reproducible bit-for-bit from (config, master seed) regardless of thread
-count.
+Replicas are addressed by counter-based streams and produced in order, in
+blocks whose bounds depend only on the replica count and the grids, so
+reports are reproducible bit-for-bit from (config, master seed).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,23 +65,19 @@ class MCConfig:
         object.__setattr__(self, "radii", check_radii(self.radii))
 
 
-def _collect_blocks(work, n_replicas: int, samplers, threads: int) -> list:
-    """work(ids) for consecutive blocks of replica ids, results in block order.
+def _collect_blocks(work, n_replicas: int, samplers) -> list:
+    """work(ids) for consecutive blocks of replica ids, in order.
 
     Each sampler's prepare(n) chooses how the campaign is drawn, builds its
-    factor before the blocks go to the pool, and returns the block size:
-    as many replicas as fit in BLOCK_BYTES at the noise width of the chosen
-    factor.  Block bounds depend on n and the grids only, and reductions over
-    the block results happen in block order, so the output is independent of
-    threads.
+    factor, and returns the block size: as many replicas as fit in
+    BLOCK_BYTES at the noise width of the chosen factor.  A row is drawn
+    from its own stream, but its product with the factor, like a sum over
+    blocks, can change at roundoff with the block bounds, so they are fixed
+    by n and the grids alone.
     """
     size = min(sampler.prepare(n_replicas) for sampler in samplers)
-    blocks = [range(start, min(start + size, n_replicas))
-              for start in range(0, n_replicas, size)]
-    if threads <= 1:
-        return [work(ids) for ids in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, blocks))
+    return [work(range(start, min(start + size, n_replicas)))
+            for start in range(0, n_replicas, size)]
 
 
 # --------------------------------------------------------------------------
@@ -205,11 +199,12 @@ def _resolve_shift(shift, spatial_grid: SpatialGrid) -> np.ndarray:
 
 
 def verify_anderson_shift(density: SpectralDensity, shift, norm,
-                          cfg: MCConfig, threads: int = 1) -> InequalityReport:
+                          cfg: MCConfig) -> InequalityReport:
     """Check P(||X + shift|| <= r) <= P(||X|| <= r) at every config radius.
 
-    `shift` holds one value per point of cfg.spatial_grid.  Both sides use the same replicas (the shift is deterministic), which cuts
-    variance and makes shift = 0 give lhs = rhs exactly.
+    `shift` holds one value per point of cfg.spatial_grid.  Both sides use
+    the same replicas (the shift is deterministic), which cuts variance and
+    makes shift = 0 give lhs = rhs exactly.
     """
     shift_values = _resolve_shift(shift, cfg.spatial_grid)
     synth = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
@@ -219,14 +214,14 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
         return np.column_stack([norm(block + shift_values, cfg.spatial_grid),
                                 norm(block, cfg.spatial_grid)])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,)))
     return _report_from_norms("anderson-shift", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X + shift|| (X ~ {density.label})",
                               rhs_label="||X||")
 
 
 def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensity,
-                        norm, cfg: MCConfig, threads: int = 1) -> InequalityReport:
+                        norm, cfg: MCConfig) -> InequalityReport:
     """Check P(||X1 + X2|| <= r) <= P(||X1|| <= r) for independent X1, X2.
 
     Replicate k draws X1 on stream 2k and X2 on stream 2k+1; both sides share
@@ -242,7 +237,7 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
                                 norm(x1, cfg.spatial_grid)])
 
     rows = np.concatenate(_collect_blocks(work, cfg.n_replicas,
-                                          (synth_one, synth_two), threads))
+                                          (synth_one, synth_two)))
     return _report_from_norms("anderson-sum", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X1 + X2|| (X1 ~ {density_one.label}, "
                                         f"X2 ~ {density_two.label})",
@@ -312,8 +307,7 @@ class CouplingLawReport:
 
 def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
                         constant: float, cfg: MCConfig,
-                        certificate: DominationCertificate,
-                        threads: int = 1) -> CouplingLawReport:
+                        certificate: DominationCertificate) -> CouplingLawReport:
     """Empirically confirm the decomposition's law identity and independence.
 
     (a) the empirical covariance of y_rep = C^{-1/2} x1 + x2 must match the
@@ -327,17 +321,21 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     reference = covariance_matrix(density_y, cfg.spatial_grid.points,
                                   cfg.frequency_grid).entries
 
-    def work(ids: range) -> tuple:
+    # sums over replicas of y_i y_j, (y_i y_j)^2, x1_i x2_j and (x1_i x2_j)^2
+    sums = np.zeros((4, cfg.spatial_grid.size, cfg.spatial_grid.size))
+
+    def work(ids: range):
         x1, x2, y = coupler.sample_block(cfg.master_seed, ids)
-        products, cross = y.T @ y, x1.T @ x2
+        sums[0] += y.T @ y
+        sums[2] += x1.T @ x2
         # the squares overwrite the block, so one block is held, not two
         for values in (x1, x2, y):
             np.square(values, out=values)
-        return products, y.T @ y, cross, x1.T @ x2
+        sums[1] += y.T @ y
+        sums[3] += x1.T @ x2
 
     n = cfg.n_replicas
-    sums = [sum(parts) for parts in
-            zip(*_collect_blocks(work, n, (coupler,), threads))]
+    _collect_blocks(work, n, (coupler,))
     empirical, se_y = _mean_and_se(sums[0], sums[1], n)
     match_stat = _standardized_max(empirical - reference, se_y, 3.0)
     cross, se_cross = _mean_and_se(sums[2], sums[3], n)
@@ -350,8 +348,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
 
 def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
                       constant: float, norm, cfg: MCConfig,
-                      certificate: DominationCertificate,
-                      threads: int = 1) -> InequalityReport:
+                      certificate: DominationCertificate) -> InequalityReport:
     """Check P(||Y|| <= r) <= P(||C^{-1/2} X|| <= r) at every config radius.
 
     Y is represented by the coupling (y_rep) and X by its x1 component, so the
@@ -366,7 +363,7 @@ def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
         return np.column_stack([norm(y, cfg.spatial_grid),
                                 norm(inv_root * x1, cfg.spatial_grid)])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (coupler,), threads))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (coupler,)))
     return _report_from_norms("comparison", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||Y|| (Y ~ {density_y.label})",
                               rhs_label=f"||C^-1/2 X|| (X ~ {density_x.label}, "
@@ -377,7 +374,7 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
                             constant: float, norm, cfg: MCConfig,
                             certificate: DominationCertificate,
                             count: int = 5, span: float = 0.9,
-                            n_pilot: int = 2000, threads: int = 1) -> tuple:
+                            n_pilot: int = 2000) -> tuple:
     """Radii at evenly spaced quantiles of ||Y||, spanning the central `span`.
 
     Pilot replicas use a disjoint stream range, so a later verification run
@@ -396,7 +393,7 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
         pilot = [PILOT_REPLICATE_BASE + k for k in ids]
         return norm(coupler.sample_block(cfg.master_seed, pilot)[2], cfg.spatial_grid)
 
-    norms = np.concatenate(_collect_blocks(work, n_pilot, (coupler,), threads))
+    norms = np.concatenate(_collect_blocks(work, n_pilot, (coupler,)))
     tail = (1.0 - span) / 2.0
     probs = np.linspace(tail, 1.0 - tail, count)
     return tuple(float(q) for q in np.quantile(norms, probs))
@@ -451,8 +448,7 @@ class HurstEstimate:
     density_label: str
 
 
-def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig,
-                             threads: int = 1) -> HurstEstimate:
+def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig) -> HurstEstimate:
     """Average per-path regularity exponent over replicas, with a CI from
     the replica spread."""
     if density.dimension != 1:
@@ -466,7 +462,7 @@ def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig,
         profile = quadratic_variation_profile(synth.sample_block(cfg.master_seed, ids))
         return np.column_stack([_profile_hurst(profile), profile])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,), threads))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,)))
     estimates = rows[:, 0]
     estimate = float(np.mean(estimates))
     stderr = float(np.std(estimates, ddof=1) / np.sqrt(cfg.n_replicas))

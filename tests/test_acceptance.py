@@ -109,7 +109,7 @@ def test_04_coupling_law(default_grid, space_8, fbm_pair):
     for constant in (1.0, 3.0):
         certificate = check_domination(density_x, density_y, constant, default_grid)
         rep = verify_coupling_law(density_x, density_y, constant, cfg,
-                                  certificate, threads=4)
+                                  certificate)
         ok = ok and rep.covariance_match_passed and rep.cross_orthogonality_passed
         results.append(f"C={constant:g}: match {rep.covariance_match:.2f}, "
                        f"cross {rep.cross_orthogonality:.2f}")
@@ -122,7 +122,7 @@ def test_05_sum_inequality(default_grid, space_8, fbm_pair):
     for seed in range(100, 120):
         cfg = MCConfig(10000, seed, default_grid, space_8,
                        radii=(0.25, 0.5, 1.0))
-        rep = verify_anderson_sum(density_x, density_y, SupNorm(), cfg, threads=4)
+        rep = verify_anderson_sum(density_x, density_y, SupNorm(), cfg)
         verdicts.extend(row.verdict for row in rep.rows)
     n_violated = verdicts.count("violated")
     n_consistent = verdicts.count("consistent")
@@ -141,7 +141,7 @@ def test_06_shift_inequality(default_grid, space_8, brownian):
     for seed in range(200, 220):
         cfg = MCConfig(100000, seed, default_grid, space_8,
                        radii=(0.25, 0.5, 1.0))
-        rep = verify_anderson_shift(brownian, shift, SupNorm(), cfg, threads=4)
+        rep = verify_anderson_shift(brownian, shift, SupNorm(), cfg)
         verdicts.extend(row.verdict for row in rep.rows)
     n_consistent = verdicts.count("consistent")
     ok = n_consistent == len(verdicts)
@@ -154,10 +154,10 @@ def test_07_comparison_inequality(default_grid, space_8, fbm_pair):
     certificate = check_domination(density_x, density_y, 1.0, default_grid)
     cfg = MCConfig(10000, 7, default_grid, space_8)
     radii = coupling_norm_quantiles(density_x, density_y, 1.0, SupNorm(), cfg,
-                                    certificate, count=5, span=0.9, threads=4)
+                                    certificate, count=5, span=0.9)
     cfg = MCConfig(10000, 7, default_grid, space_8, radii=radii)
     rep = verify_comparison(density_x, density_y, 1.0, SupNorm(), cfg,
-                            certificate, threads=4)
+                            certificate)
     verdicts = [row.verdict for row in rep.rows]
     ok = all(v == "consistent" for v in verdicts)
     report(7, "domination transfers ball probabilities", ok,
@@ -175,7 +175,7 @@ def test_08_regularity_recovery(default_grid):
     detail = []
     for density, target in cases:
         cfg = MCConfig(100, 4096, default_grid, grid)
-        est = estimate_holder_exponent(density, cfg, threads=4)
+        est = estimate_holder_exponent(density, cfg)
         good = abs(est.estimate - target) <= 0.05
         ok = ok and good
         detail.append(f"{target:g}->{est.estimate:.3f}")
@@ -285,14 +285,14 @@ def test_11_cli_determinism(tmp_path):
         config = tmp_path / f"{name}.cfg"
         config.write_text(text)
         outs = []
-        for label, threads in (("a", "1"), ("b", "3")):
+        for label in ("a", "b"):
             outdir = tmp_path / f"{name}-{label}"
             code = console_main(["--config", str(config), "--output",
-                                 str(outdir), "--threads", threads])
+                                 str(outdir)])
             ok = ok and code == 0
             outs.append(tree(outdir))
         same = outs[0] == outs[1]
         ok = ok and same
         details.append(f"{name} {'identical' if same else 'DIFFERS'}")
-    report(11, "byte-identical CLI reruns across threads", ok,
+    report(11, "byte-identical CLI reruns", ok,
            "; ".join(details))

@@ -5,8 +5,10 @@ cli.estimate_min_C, cli.check_domination, cli.covariance_matrix,
 cli.AUTO_CONSTANT_HEADROOM, the 6-argument CouplingSynthesizer constructor,
 SpectralSynthesizer.sample, CouplingSynthesizer.sample (the tracer wraps
 both), and an ExactFieldSampler sample that HolderNorm accepts without a
-grid.  Each check runs in its own interpreter on a tiny config, so nothing
-the tracer patches can leak into other tests.
+grid.  Its trace mode also reruns each workload with `--threads 2` and
+records that probe as absent when the CLI answers exit 2 with "unrecognized
+arguments".  Each check runs in its own interpreter on a tiny config, so
+nothing the tracer patches can leak into other tests.
 """
 
 import os
@@ -87,3 +89,13 @@ def test_plane_radii_increase(tmp_path):
     radii = [float(r) for r in child.stdout.split()]
     assert len(radii) == 3
     assert 0.0 < radii[0] < radii[1] < radii[2]
+
+
+def test_threads_flag_is_unrecognized(tmp_path):
+    config = tmp_path / "coupled.cfg"
+    config.write_text(COUPLED)
+    child = run_child(["-m", "specfield", "--config", str(config), "--output",
+                       str(tmp_path / "out"), "--threads", "2"], tmp_path)
+    assert child.returncode == 2
+    assert "unrecognized arguments" in child.stderr
+    assert not (tmp_path / "out").exists()

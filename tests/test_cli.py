@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from specfield import cli, parse_config
+from specfield import cli, parse_config, synthesis
 from specfield.cli import console_main
 
 SMALL_FREQUENCY_GRID = """\
@@ -262,25 +262,40 @@ class TestVerifyCommands:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_any_byte(self, tmp_path):
-        _, one = run_cli(tmp_path, COUPLING_SELF, name="t1",
-                         extra=["--threads", "1"])
-        _, three = run_cli(tmp_path, COUPLING_SELF, name="t3",
-                           extra=["--threads", "3"])
-        assert tree_bytes(one) == tree_bytes(three)
+    """With more replicas than points, a row never depends on the block it is
+    drawn in, so a campaign split into many blocks writes the bytes of the
+    same campaign in one block."""
 
-    def test_threads_do_not_change_any_byte_in_the_plane(self, tmp_path):
-        # the default 2-d grid holds 6 replicas per block, so 120 replicas
-        # make 20 blocks for the pool to share
+    def split_and_whole(self, tmp_path, monkeypatch, text):
+        whole = run_cli(tmp_path, text, name="whole")[1]
+        blocks = []
+        sample_block = synthesis.SpectralSynthesizer.sample_block
+        monkeypatch.setattr(synthesis, "block_rows", lambda width: 16)
+        monkeypatch.setattr(synthesis.SpectralSynthesizer, "sample_block",
+                            lambda self, seed, ids: blocks.append(len(ids))
+                            or sample_block(self, seed, ids))
+        split = run_cli(tmp_path, text, name="split")[1]
+        return whole, split, blocks
+
+    def test_block_split_does_not_change_any_byte(self, tmp_path, monkeypatch):
+        whole, split, blocks = self.split_and_whole(tmp_path, monkeypatch,
+                                                    COMPARISON_SELF)
+        # 120 replicas, 16 per block, each block drawn for both components
+        assert blocks == [16, 16] * 7 + [8, 8]
+        assert (whole / "report.csv").exists()
+        assert tree_bytes(whole) == tree_bytes(split)
+
+    def test_block_split_does_not_change_any_byte_in_the_plane(self, tmp_path,
+                                                               monkeypatch):
         text = ("command = verify-anderson\nseed = 21\nanderson.kind = shift\n"
                 "density.family = power-law\ndensity.dimension = 2\n"
                 "density.hurst = 0.5\nnorm.kind = holder\nnorm.alpha = 0.25\n"
                 "mc.radii = 0.5, 1.0, 2.0\nmc.replicas = 120\n"
                 "spatial_grid.resolution = 4\n")
-        _, one = run_cli(tmp_path, text, name="t1", extra=["--threads", "1"])
-        _, two = run_cli(tmp_path, text, name="t2", extra=["--threads", "2"])
-        assert (one / "report.csv").exists()
-        assert tree_bytes(one) == tree_bytes(two)
+        whole, split, blocks = self.split_and_whole(tmp_path, monkeypatch, text)
+        assert blocks == [16] * 7 + [8]
+        assert (whole / "report.csv").exists()
+        assert tree_bytes(whole) == tree_bytes(split)
 
 
 class TestErrorPaths:
@@ -311,13 +326,6 @@ class TestErrorPaths:
         assert code == 3 and not outdir.exists()
         assert f"error: line {line}: " in capsys.readouterr().err
 
-    def test_zero_threads(self, tmp_path, capsys):
-        config = tmp_path / "ok.cfg"
-        config.write_text(CHECK_MAIN)
-        code = console_main(["--config", str(config), "--threads", "0"])
-        assert code == 3
-        assert "--threads must be at least 1" in capsys.readouterr().err
-
     def test_failed_domination_is_a_runtime_error(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path,
                           COUPLING_SELF.replace("constant = 1.0",
@@ -339,7 +347,7 @@ class TestExitPlumbing:
                                            cli.EXIT_UNDERPOWERED])
     def test_runner_code_lands_in_summary_and_return(self, tmp_path,
                                                      monkeypatch, stub_code):
-        def stub(cfg, outdir, threads, verbose):
+        def stub(cfg, outdir, verbose):
             return stub_code, ["stub = yes"]
         monkeypatch.setitem(cli._RUNNERS, "density-check", stub)
         code = cli.run(parse_config(CHECK_MAIN), tmp_path / "out")
@@ -350,7 +358,7 @@ class TestExitPlumbing:
 
     def test_runner_exception_becomes_exit_3(self, tmp_path, monkeypatch,
                                              capsys):
-        def stub(cfg, outdir, threads, verbose):
+        def stub(cfg, outdir, verbose):
             raise RuntimeError("synthetic failure")
         monkeypatch.setitem(cli._RUNNERS, "density-check", stub)
         code = cli.run(parse_config(CHECK_MAIN), tmp_path / "out")
