@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .grids import FrequencyGrid
 
@@ -226,14 +225,15 @@ def _unit_variance_scale(hurst: float, dimension: int) -> float:
     equals Gamma(2-2H) * (pi/2) * sinc(H - 1/2) / (2H) (the sinc rewrite removes
     the removable singularity of -Gamma(-2H) cos(pi H) at H = 1/2).
     d=2: Var = scale * 4*pi * int_0^inf (1 - J0(r)) r^(-2H-1) dr, with the
-    integral equal to 2^(-2H-1) Gamma(2-H) / (H (1-H) Gamma(1+H)).
+    integral equal to 2^(-2H-1) Gamma(2-H) / (H (1-H) Gamma(1+H)).  Gamma is
+    math.gamma.
     """
     H = hurst
     if dimension == 1:
-        integral = 4.0 * special.gamma(2 - 2 * H) * (np.pi / 2) * np.sinc(H - 0.5) / (2 * H)
+        integral = 4.0 * math.gamma(2 - 2 * H) * (np.pi / 2) * np.sinc(H - 0.5) / (2 * H)
     elif dimension == 2:
-        integral = (4.0 * np.pi * 2.0 ** (-2 * H - 1) * special.gamma(2 - H)
-                    / (H * (1 - H) * special.gamma(1 + H)))
+        integral = (4.0 * np.pi * 2.0 ** (-2 * H - 1) * math.gamma(2 - H)
+                    / (H * (1 - H) * math.gamma(1 + H)))
     else:
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
     return 1.0 / integral

@@ -78,6 +78,30 @@ mc.replicas = 120
 """ + SMALL_GRID
 
 
+ESTIMATE_HURST = """\
+command = estimate-hurst
+seed = 37
+density.family = power-law
+density.hurst = 0.7
+spatial_grid.resolution = 256
+mc.replicas = 100
+""" + SMALL_FREQUENCY_GRID
+
+# Blocks scipy, runs each (config, output) pair of argv through the CLI, and
+# fails if a campaign exits nonzero or any scipy module got loaded.
+WITHOUT_SCIPY = """\
+import sys
+sys.modules["scipy"] = None
+from specfield.cli import console_main
+for config, outdir in zip(sys.argv[1::2], sys.argv[2::2]):
+    code = console_main(["--config", config, "--output", outdir])
+    assert code == 0, (config, code)
+loaded = [name for name, module in sys.modules.items()
+          if name.partition(".")[0] == "scipy" and module is not None]
+assert not loaded, loaded
+"""
+
+
 def run_cli(tmp_path, text, name="run", extra=()):
     config = tmp_path / f"{name}.cfg"
     config.write_text(text)
@@ -375,3 +399,19 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_campaigns_run_without_scipy(tmp_path):
+    # scipy is a test oracle, not a runtime dependency: no campaign may
+    # import it, lazily or otherwise
+    args = []
+    for name, text in (("comparison", COMPARISON_SELF), ("coupling", COUPLING_SELF),
+                       ("hurst", ESTIMATE_HURST), ("check", CHECK_PAIR)):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        args += [str(config), str(tmp_path / f"{name}-out")]
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert all((tmp_path / f"{name}-out" / "summary.txt").exists()
+               for name in ("comparison", "coupling", "hurst", "check"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import specfield as sf
@@ -44,27 +46,71 @@ class TestClopperPearson:
         assert (clopper_pearson_lower(30, 100, 0.999)
                 < clopper_pearson_lower(30, 100, 0.95))
 
-    def test_bounds_equal_beta_quantiles(self):
-        # the bounds invert the regularized incomplete beta directly; they
-        # must be the very floats of the beta quantiles they replace
-        for n in (1, 2, 7, 100, 999, 20000):
+    def test_bounds_match_beta_quantiles(self):
+        # the bounds are beta quantiles; against scipy's they agree to 1e-12
+        # relative up to n = 20,000 and to 1e-11 at the 100,000 replicas of
+        # acceptance 06
+        for n in (1, 2, 7, 100, 999, 20000, 100000):
+            rtol = 1e-12 if n <= 20000 else 1e-11
             counts = np.unique(np.concatenate([np.arange(min(n, 60) + 1),
                                                np.linspace(0, n, 120).astype(int),
                                                np.arange(max(0, n - 60), n + 1)]))
             for level in (0.975, 0.995, 0.9995):
                 for k in counts:
                     if k > 0:
-                        assert clopper_pearson_lower(k, n, level) == float(
-                            stats.beta.ppf(1.0 - level, k, n - k + 1))
+                        assert np.isclose(clopper_pearson_lower(k, n, level),
+                                          stats.beta.ppf(1.0 - level, k, n - k + 1),
+                                          rtol=rtol, atol=0.0)
                     if k < n:
-                        assert clopper_pearson_upper(k, n, level) == float(
-                            stats.beta.ppf(level, k + 1, n - k))
+                        assert np.isclose(clopper_pearson_upper(k, n, level),
+                                          stats.beta.ppf(level, k + 1, n - k),
+                                          rtol=rtol, atol=0.0)
 
     def test_exact_binomial_inversion(self):
-        # the lower bound p solves P(Bin(n, p) >= k) = 1 - level
-        k, n, level = 30, 100, 0.995
-        p = clopper_pearson_lower(k, n, level)
-        assert np.isclose(stats.binom.sf(k - 1, n, p), 1.0 - level, rtol=1e-9)
+        # the lower bound p solves P(Bin(n, p) >= k) = 1 - level and the upper
+        # bound P(Bin(n, p) <= k) = 1 - level, to 1e-12 relative.  Each tail is
+        # evaluated in the smaller of p and 1 - p, which is exact.  Where p is
+        # so close to 1 that one ulp of p moves the tail by more (the upper
+        # bound at k = n - 1: 2e-9 per ulp at n = 100,000), that step is the
+        # tolerance, since no float does better
+        level = 0.995
+
+        def at_least(k, n, p):
+            return (stats.binom.sf(k - 1, n, p) if p <= 0.5
+                    else stats.binom.cdf(n - k, n, 1.0 - p))
+
+        def at_most(k, n, p):
+            return (stats.binom.cdf(k, n, p) if p <= 0.5
+                    else stats.binom.sf(n - k - 1, n, 1.0 - p))
+
+        def assert_solves(tail, p):
+            ulp_step = abs(tail(np.nextafter(p, 1.0)) - tail(p))
+            assert abs(tail(p) - (1.0 - level)) <= 1e-12 * (1.0 - level) + ulp_step
+
+        for n in (100, 100000):
+            for k in (1, n // 2, n - 1):
+                assert_solves(lambda p: at_least(k, n, p), clopper_pearson_lower(k, n, level))
+                assert_solves(lambda p: at_most(k, n, p), clopper_pearson_upper(k, n, level))
+
+    @given(n=st.integers(1, 100000), data=st.data(),
+           level=st.floats(0.5, 0.999), gap=st.floats(1e-6, 0.0009))
+    @settings(max_examples=60, deadline=None)
+    def test_monotone_in_count_and_level(self, n, data, level, gap):
+        k = data.draw(st.integers(0, n - 1))
+        for bound in (clopper_pearson_lower, clopper_pearson_upper):
+            assert bound(k, n, level) <= bound(k + 1, n, level)
+        assert (clopper_pearson_lower(k, n, level + gap)
+                <= clopper_pearson_lower(k, n, level))
+        assert (clopper_pearson_upper(k, n, level + gap)
+                >= clopper_pearson_upper(k, n, level))
+
+    @pytest.mark.parametrize("successes, n, level, named", [
+        (120, 100, 0.99, "120"), (-5, 100, 0.99, "-5"), (0, 0, 0.99, "got 0"),
+        (3, 100, 0.0, "got 0.0"), (3, 100, 1.0, "got 1.0"), (3, 100, np.nan, "nan")])
+    def test_impossible_inputs_are_refused(self, successes, n, level, named):
+        for bound in (clopper_pearson_lower, clopper_pearson_upper):
+            with pytest.raises(ValueError, match=named):
+                bound(successes, n, level)
 
 
 class TestVerdictEngine:
@@ -97,6 +143,14 @@ class TestVerdictEngine:
         multi = compare_counts(5200, 5000, 10000, 0.99, n_radii=5)
         assert multi.lower_lhs < single.lower_lhs
         assert multi.upper_rhs > single.upper_rhs
+
+    @pytest.mark.parametrize("lhs, rhs, n, confidence, named", [
+        (120, 50, 100, 0.99, "120"), (-5, 50, 100, 0.99, "-5"),
+        (50, 120, 100, 0.99, "120"), (0, 0, 0, 0.99, "got 0"),
+        (50, 50, 100, 1.0, "got 1.0"), (50, 50, 100, 0.0, "got 0.0")])
+    def test_impossible_counts_are_refused(self, lhs, rhs, n, confidence, named):
+        with pytest.raises(ValueError, match=named):
+            compare_counts(lhs, rhs, n, confidence)
 
     def test_worst_verdict_ordering(self):
         def row(verdict):
