@@ -221,7 +221,7 @@ def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
     if cfg.method == "spectral":
         sampler = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
     else:
-        matrix = covariance_matrix(density, cfg.spatial_grid.points, cfg.frequency_grid)
+        matrix = covariance_matrix(density, cfg.spatial_grid, cfg.frequency_grid)
         sampler = ExactFieldSampler(matrix, cfg.spatial_grid)
     for k in range(cfg.replicas):
         sample = sampler.sample(cfg.master_seed, k)
@@ -245,7 +245,7 @@ def _run_covariance(cfg: RunConfig, outdir: Path, verbose: bool):
     if cfg.points:
         points = np.asarray(cfg.points, dtype=float)[:, None]
     else:
-        points = cfg.spatial_grid.points
+        points = cfg.spatial_grid
     matrix = covariance_matrix(density, points, cfg.frequency_grid)
     _write_points_csv(outdir / "points.csv", matrix.points)
     _write_matrix_csv(outdir / "covariance.csv", matrix)

@@ -9,6 +9,20 @@ over the grid's stored node per pair as K = R R^T with the real factor R of
 forms K chunk by chunk of node pairs, so no more than BLOCK_BYTES of R exists
 at once.
 
+R is built from half-angle phase tables (`PhaseTables`).  Every spatial grid
+is a sum set u + v of two point sets of about sqrt(N) points (in d = 2 the
+two axes, in d = 1 the multiples of s = ceil(sqrt(N)) and the first s
+points), so e^{-i x.xi/2} is the product of one u-table and one v-table
+entry: about 2 sqrt(N) complex exponentials per node instead of 2N trig
+calls.  With s = sin(x.xi/2) and c = cos(x.xi/2), each node's column pair is
+-2 sqrt(w f) (s^2, s c), the values of sqrt(w f) (cos(x.xi) - 1, -sin(x.xi))
+without the cancellation of cos - 1.  Against a long-double reference, every
+entry is within 4 eps sqrt(w f) (1 + sum_i |x_i xi_i|) (about 0.3 of that
+bound in the tests, in d = 1 and d = 2), and in d = 1 every entry with
+|x.xi| <= 1 is within 1e-14 relative (8.8e-16 measured at N = 4,096 and
+H = 0.7, where cos - 1 had relative error up to 1).  An arbitrary point
+list is the degenerate sum set (points, {0}).
+
 Closed forms for the power-law (fractional-Brownian) family live here too,
 both as test oracles and as the input to the exact-factorization sampler.
 """
@@ -19,14 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FrequencyGrid
+from .grids import FrequencyGrid, SpatialGrid
 from .spectral import SpectralDensity, require_admissible
 
 # Eigenvalue floor scale: quadrature matrices may dip this far below zero.
 PSD_NOISE_FACTOR = 1e-8
 
-# Bytes of one chunk of the spectral factor, and of one replica block of
-# noise.
+# Bytes of one chunk of the spectral factor or of its phase tables, and of
+# one replica block of noise.
 BLOCK_BYTES = 8 << 20
 
 
@@ -47,40 +61,116 @@ def _as_points(points, dimension: int | None = None) -> np.ndarray:
     return pts
 
 
-def spectral_factor(density: SpectralDensity, points: np.ndarray,
-                    grid: FrequencyGrid, pairs: slice = slice(None)) -> np.ndarray:
+def sum_set(points) -> tuple:
+    """(u, v, n): n points, point i being u[i // len(v)] + v[i % len(v)].
+
+    A SpatialGrid gives its own split; a point list is the degenerate sum
+    set (points, {0}).
+    """
+    if isinstance(points, SpatialGrid):
+        return (*points.split(), points.size)
+    pts = _as_points(points)
+    return pts, np.zeros((1, pts.shape[1])), pts.shape[0]
+
+
+def _half_angle(points: np.ndarray, nodes: np.ndarray, times_i: bool) -> np.ndarray:
+    """e^{-i x.xi/2} = cos - i sin of x.xi/2 for every point x and node xi,
+    (n, k) complex, or i e^{-i x.xi/2} = sin + i cos if times_i."""
+    half = np.multiply.outer(0.5 * points[:, 0], nodes[:, 0])
+    for axis in range(1, points.shape[1]):
+        half += np.multiply.outer(0.5 * points[:, axis], nodes[:, axis])
+    table = np.empty(half.shape, dtype=complex)
+    if times_i:
+        np.sin(half, out=table.real)
+        np.cos(half, out=table.imag)
+    else:
+        np.cos(half, out=table.real)
+        np.negative(np.sin(half, out=table.imag), out=table.imag)
+    return table
+
+
+class PhaseTables:
+    """Half-angle phase tables of a point set over a chunk of stored nodes,
+    from which any rows of the spectral factor R over that chunk follow.
+
+    For a point x = u + v of the sum set and theta = x.xi, the product of the
+    u-table entry i e^{-i u.xi/2} and the v-table entry e^{-i v.xi/2} is
+    i e^{-i theta/2} = s + i c.  Read as a complex number, column pair
+    (2k, 2k+1) of R is sqrt(w f)(xi_k) (e^{-i theta} - 1) = -2 sqrt(w f) s
+    (s + i c).  Each entry depends on its point and node only, so a row of R
+    is bitwise the same whatever chunk builds it.
+    """
+
+    def __init__(self, density: SpectralDensity, points, grid: FrequencyGrid,
+                 pairs: slice = slice(None)):
+        u, v, self.size = sum_set(points)
+        nodes = grid.nodes[pairs]
+        self.scale = -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
+        self.u = _half_angle(u, nodes, times_i=True)
+        self.v = _half_angle(v, nodes, times_i=False)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start..stop of R over this chunk of nodes, (stop - start, 2k).
+
+        Built over at most three rectangles of the (u, v) product: a tail of
+        one u-row, whole u-rows, and a head of one u-row.
+        """
+        width = len(self.v)
+        factor = np.empty((stop - start, 2 * len(self.scale)))
+        first = start
+        while first < stop:
+            a, b = divmod(first, width)
+            if b == 0 and stop - first >= width:
+                us, vs = slice(a, a + (stop - first) // width), slice(None)
+                count = (us.stop - a) * width
+            else:
+                count = min(width - b, stop - first)
+                us, vs = slice(a, a + 1), slice(b, b + count)
+            block = factor[first - start:first - start + count]
+            self._fill(block.reshape(us.stop - us.start, -1, block.shape[1]), us, vs)
+            first += count
+        return factor
+
+    def _fill(self, out: np.ndarray, us: slice, vs: slice):
+        """R over the rectangle u[us] x v[vs] into out, (len(us), len(vs), 2k)."""
+        turned = out.view(complex)
+        np.multiply(self.u[us, None], self.v[vs], out=turned)   # s + i c
+        scaled = turned.real * self.scale
+        scaled += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
+        out[..., 0::2] *= scaled
+        out[..., 1::2] *= scaled
+
+
+def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
+                    pairs: slice = slice(None)) -> np.ndarray:
     """Real (n, grid.size) quadrature factor R over n points, or its columns
     for the stored nodes `pairs` selects.
 
     Column pair (2k, 2k+1) belongs to the k-th stored node xi, which stands
     for the pair (xi, -xi) and carries its weight w, and holds
-    sqrt(w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)).  This folds the Hermitian
-    sum over the pair into one real term, which relies on f being even.
-    Then R R^T is the quadrature kernel, and R times grid.size standard
-    normals, read in order as one pair (a, b) per stored node, is the
-    harmonizable sum against zeta = (a + ib)/sqrt(2) on xi (so
-    E|zeta|^2 = 1) and conj(zeta) on -xi.
+    sqrt(w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)), in the half-angle form of
+    PhaseTables.  This folds the Hermitian sum over the pair into one real
+    term, which relies on f being even.  Then R R^T is the quadrature
+    kernel, and R times grid.size standard normals, read in order as one
+    pair (a, b) per stored node, is the harmonizable sum against
+    zeta = (a + ib)/sqrt(2) on xi (so E|zeta|^2 = 1) and conj(zeta) on -xi.
+    `points` is a SpatialGrid or a point list.
     """
-    nodes = grid.nodes[pairs]
-    amplitude = np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
-    phase = points @ nodes.T
-    factor = np.empty((phase.shape[0], 2 * phase.shape[1]))
-    factor[:, 0::2] = (np.cos(phase) - 1.0) * amplitude
-    factor[:, 1::2] = -np.sin(phase) * amplitude
-    return factor
+    tables = PhaseTables(density, points, grid, pairs)
+    return tables.rows(0, tables.size)
 
 
-def quadrature_gram(density: SpectralDensity, points: np.ndarray,
+def quadrature_gram(density: SpectralDensity, points,
                     grid: FrequencyGrid) -> np.ndarray:
     """The quadrature kernel R R^T on n points, exactly symmetric.
 
     Summed as R_c R_c^T over chunks R_c of node pairs within BLOCK_BYTES, so
-    memory is O(n^2) plus one chunk whatever the grid size.  Each chunk adds
-    only the row blocks of the upper triangle, and the lower triangle is
-    mirrored from the upper one, so symmetry is exact rather than a float
-    coincidence.
+    memory is O(n^2) plus one chunk and its phase tables whatever the grid
+    size.  Each chunk adds only the row blocks of the upper triangle, and the
+    lower triangle is mirrored from the upper one, so symmetry is exact
+    rather than a float coincidence.
     """
-    n = points.shape[0]
+    n = sum_set(points)[2]
     pairs = block_rows(2 * n)
     rows = block_rows(n)
     gram = np.zeros((n, n))
@@ -150,10 +240,12 @@ class CovarianceMatrix:
 
 def covariance_matrix(density: SpectralDensity, points,
                       grid: FrequencyGrid) -> CovarianceMatrix:
-    """Assemble the quadrature covariance matrix on a point list."""
+    """Assemble the quadrature covariance matrix on a SpatialGrid, through its
+    split, or on a point list."""
     require_admissible(density, grid)
-    pts = _as_points(points, grid.dimension)
-    return CovarianceMatrix(pts, quadrature_gram(density, pts, grid), density.label,
+    pts = _as_points(points.points if isinstance(points, SpatialGrid) else points,
+                     grid.dimension)
+    return CovarianceMatrix(pts, quadrature_gram(density, points, grid), density.label,
                             grid.grid_id)
 
 

@@ -10,6 +10,7 @@ that is not symmetric under xi -> -xi cannot be written down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,6 +122,18 @@ class SpatialGrid:
     def axis(self) -> np.ndarray:
         """The per-axis coordinate values."""
         return np.linspace(0.0, 1.0, self.resolution)
+
+    def split(self) -> tuple:
+        """The grid as a sum set: point sets (u, v) of about sqrt(N) points
+        each with point i equal to u[i // len(v)] + v[i % len(v)].
+
+        In d = 2, u = {(a_p, 0)} and v = {(0, a_q)} over the axis values, so
+        the sum is exact.  In d = 1, with s = ceil(sqrt(N)), u = {a_{qs}} and
+        v = {a_r} for r < s, and a_{qs} + a_r equals a_{qs+r} to within an
+        ulp or so of the larger term.
+        """
+        step = self.resolution if self.dimension == 2 else math.isqrt(self.size - 1) + 1
+        return self.points[::step], self.points[:step]
 
 
 def uniform_spatial_grid(dimension: int = 1, resolution: int = 64) -> SpatialGrid:

@@ -16,6 +16,7 @@ reports are reproducible bit-for-bit from (config, master seed).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -269,6 +270,8 @@ def compare_counts(successes_lhs: int, successes_rhs: int, n_replicas: int,
     anything between is "underpowered".
     """
     n = n_replicas
+    if not isinstance(n_radii, numbers.Integral) or n_radii < 1:
+        raise ValueError(f"n_radii must be an integer >= 1, got {n_radii!r}")
     for successes in (successes_lhs, successes_rhs):
         _check_binomial(successes, n, confidence)
     alpha = (1.0 - confidence) / n_radii
@@ -461,7 +464,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     """
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
                                   cfg.frequency_grid, cfg.spatial_grid)
-    reference = covariance_matrix(density_y, cfg.spatial_grid.points,
+    reference = covariance_matrix(density_y, cfg.spatial_grid,
                                   cfg.frequency_grid).entries
 
     # sums over replicas of y_i y_j, (y_i y_j)^2, x1_i x2_j and (x1_i x2_j)^2

@@ -159,6 +159,93 @@ class TestCovarianceMatrix:
             CovarianceMatrix(np.array([[0.0], [1.0]]), np.eye(3), "d", "g")
 
 
+EPS = np.finfo(float).eps
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double")
+
+
+def long_double_factor(density, points, grid):
+    """R from long-double points and nodes, in the half-angle form, with the
+    float amplitude sqrt(w f); also |x.xi| and sum_i |x_i xi_i| per entry."""
+    amplitude = np.sqrt(grid.weights * density.evaluate(grid.nodes))
+    x = np.asarray(points, dtype=np.longdouble)
+    xi = grid.nodes.astype(np.longdouble)
+    theta = x @ xi.T
+    reference = np.empty((theta.shape[0], 2 * theta.shape[1]), dtype=np.longdouble)
+    reference[:, 0::2] = -2.0 * np.sin(theta / 2) ** 2 * amplitude
+    reference[:, 1::2] = -np.sin(theta) * amplitude
+    pair = lambda a: np.repeat(a, 2, axis=-1).astype(float)
+    return (reference, pair(amplitude), pair(np.abs(theta)),
+            pair(np.abs(x) @ np.abs(xi).T))
+
+
+class TestHalfAngleFactor:
+    """R from the per-axis half-angle phase tables of a sum set of points."""
+
+    @needs_long_double
+    def test_small_phases_are_exact_to_relative_roundoff(self, default_grid):
+        # cos(x.xi) - 1 lost up to all of its digits at |x.xi| << 1
+        density = sf.fractional_brownian_density(0.7)
+        space = uniform_spatial_grid(1, 4096)
+        tables = sf.covariance.PhaseTables(density, space, default_grid)
+        spans = [(0, 70), (2000, 2100), (4000, 4096)]
+        factor = np.concatenate([tables.rows(a, b) for a, b in spans])
+        rows = np.concatenate([np.arange(a, b) for a, b in spans])
+        reference, amplitude, theta, _ = long_double_factor(
+            density, space.points[rows], default_grid)
+        error = np.abs(factor - reference).astype(float)
+        small = (theta <= 1.0) & (reference != 0)
+        assert np.count_nonzero(small) > 100_000
+        assert np.all(error[small] <= 1e-14 * np.abs(reference[small]).astype(float))
+        assert np.all(error <= 4 * EPS * amplitude * (1.0 + theta))
+
+    @needs_long_double
+    @pytest.mark.parametrize("listed", [False, True])
+    @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
+    def test_every_entry_within_the_phase_condition(self, default_grid, dimension,
+                                                    resolution, listed):
+        # sum_i |x_i xi_i| is |x.xi| in d = 1; in d = 2 it bounds the roundoff
+        # of x.xi itself, which no float phase escapes when the terms cancel.
+        # A grid goes through its split, a point list through (points, {0}).
+        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
+        density = sf.fractional_brownian_density(0.7, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        points = space.points if listed else space
+        factor = sf.covariance.spectral_factor(density, points, grid)
+        reference, amplitude, _, condition = long_double_factor(density, space.points,
+                                                                 grid)
+        error = np.abs(factor - reference).astype(float)
+        assert np.all(error <= 4 * EPS * amplitude * (1.0 + condition))
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
+    def test_rows_do_not_depend_on_the_chunk(self, default_grid, dimension, resolution):
+        # 300 = 17 x 18 - 6 points: a short last u-row; spans cut u-rows
+        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
+        density = sf.fractional_brownian_density(0.3, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        whole = sf.covariance.spectral_factor(density, space, grid)
+        tables = sf.covariance.PhaseTables(density, space, grid)
+        for cuts in ([0, 1, 7, 200, space.size], [0, 37, 38, 41, 250, space.size]):
+            rows = np.concatenate([tables.rows(a, b) for a, b in zip(cuts, cuts[1:])])
+            assert rows.tobytes() == whole.tobytes()
+        half = len(grid.nodes) // 2 + 1
+        columns = np.concatenate(
+            [sf.covariance.spectral_factor(density, space, grid, part)
+             for part in (slice(0, half), slice(half, None))], axis=1)
+        assert columns.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_origin_row_is_positive_zero(self, default_grid, grid_2d, dimension):
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(0.5, dimension)
+        space = uniform_spatial_grid(dimension, 8)
+        origin = sf.covariance.spectral_factor(density, space, grid)[0]
+        assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+        listed = sf.covariance.spectral_factor(density, [[0.5] * dimension,
+                                                         [0.0] * dimension], grid)[1]
+        assert np.all(listed == 0.0) and not np.any(np.signbit(listed))
+
+
 class TestCouplingKernel:
     """The kernel identity behind the coupling: K_Y = K_X / C + K_residual,
     with x1 and the residual drawn by their own synthesizers on disjoint

@@ -126,6 +126,18 @@ class TestSpatialGrid:
         s = uniform_spatial_grid(1, 9)
         assert np.array_equal(s.axis(), s.points[:, 0])
 
+    @pytest.mark.parametrize("dimension,resolution,width", [
+        (1, 2, 2), (1, 17, 5), (1, 300, 18), (1, 4096, 64), (2, 3, 3), (2, 8, 8)])
+    def test_split_is_a_sum_set_of_the_points(self, dimension, resolution, width):
+        s = uniform_spatial_grid(dimension, resolution)
+        u, v = s.split()
+        assert len(v) == width and len(u) == -(-s.size // width)
+        summed = (u[:, None] + v[None]).reshape(-1, dimension)[:s.size]
+        if dimension == 2:
+            assert np.array_equal(summed, s.points)
+        else:
+            assert np.all(np.abs(summed - s.points) <= np.spacing(s.points))
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError, match="resolution"):
             uniform_spatial_grid(1, 1)

@@ -159,14 +159,41 @@ class TestSampleBlock:
         space = uniform_spatial_grid(1, 256)
         built = []
 
-        def recording(density, points, grid):
-            built.append(points.shape[0])
-            return sf.covariance.spectral_factor(density, points, grid)
-        monkeypatch.setattr(synthesis, "spectral_factor", recording)
+        class Recording(sf.covariance.PhaseTables):
+            def rows(self, start, stop):
+                built.append(stop - start)
+                return super().rows(start, stop)
+        monkeypatch.setattr(synthesis, "PhaseTables", Recording)
         cfg = sf.MCConfig(100, 41, default_grid, space)
         sf.estimate_holder_exponent(brownian, cfg)
         assert sum(built) == space.size
         assert max(built) == synthesis.block_rows(default_grid.size) < space.size
+
+    def test_phase_tables_are_built_once_per_block_and_per_gram_chunk(
+            self, default_grid, brownian, monkeypatch):
+        from specfield import covariance, synthesis
+        builds = []
+
+        class Counting(covariance.PhaseTables):
+            def __init__(self, *args):
+                builds.append(args[3])
+                super().__init__(*args)
+        monkeypatch.setattr(synthesis, "PhaseTables", Counting)
+        monkeypatch.setattr(covariance, "PhaseTables", Counting)
+        # direct: 300 points take two row chunks of R, and one table build
+        space = uniform_spatial_grid(1, 300)
+        synth = SpectralSynthesizer(brownian, default_grid, space)
+        assert synth.prepare(3) == 3
+        for seed in range(3):
+            synth.sample_block(seed, range(3))
+        assert builds == [slice(0, len(default_grid.nodes))] * 3
+        # low rank: the Gram over the same points takes two chunks of nodes,
+        # and one table build each
+        builds.clear()
+        synth.prepare(301)
+        pairs = covariance.block_rows(2 * 300)
+        assert pairs < len(default_grid.nodes) <= 2 * pairs
+        assert builds == [slice(0, pairs), slice(pairs, 2 * pairs)]
 
 
 class TestLowRankFactor:

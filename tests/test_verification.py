@@ -152,6 +152,13 @@ class TestVerdictEngine:
         with pytest.raises(ValueError, match=named):
             compare_counts(lhs, rhs, n, confidence)
 
+    @pytest.mark.parametrize("n_radii", [0, -1, 1.5, 2.0])
+    def test_radius_count_must_be_a_positive_integer(self, n_radii):
+        # 0 divided by zero and -1 was blamed on the side level 1.005
+        with pytest.raises(ValueError, match=f"n_radii must be an integer >= 1, "
+                                             f"got {n_radii!r}"):
+            compare_counts(5, 5, 100, 0.99, n_radii=n_radii)
+
     def test_worst_verdict_ordering(self):
         def row(verdict):
             return RadiusComparison(1.0, 100, 50, 50, 0.5, 0.5, 0.4, 0.6, 0.4,
