@@ -37,11 +37,9 @@ EXIT_ERROR = 3
 # Relative headroom on an auto-estimated domination constant.
 AUTO_CONSTANT_HEADROOM = 1e-12
 
-_VERDICT_EXIT = {"consistent": EXIT_OK, "pass": EXIT_OK,
-                 "admissible": EXIT_OK, "holds": EXIT_OK,
+_VERDICT_EXIT = {"consistent": EXIT_OK, "admissible": EXIT_OK, "holds": EXIT_OK,
                  "underpowered": EXIT_UNDERPOWERED, "inconclusive": EXIT_UNDERPOWERED,
-                 "violated": EXIT_VIOLATED, "inadmissible": EXIT_VIOLATED,
-                 "fail": EXIT_VIOLATED}
+                 "violated": EXIT_VIOLATED, "inadmissible": EXIT_VIOLATED}
 
 
 def _fmt(value) -> str:

@@ -5,16 +5,16 @@ K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi,
 approximated here as a weighted sum over a symmetric dyadic grid.  With f
 even, each (xi, -xi) pair of nodes contributes a real term, so the sum runs
 over the grid's stored node per pair as K = R R^T with the real factor R of
-`spectral_factor`, which the spectral synthesizer shares.  `quadrature_gram`
-forms K chunk by chunk of node pairs, so no more than BLOCK_BYTES of R exists
-at once.
+`spectral_factor`.  `factor_chunks` is the one walk over R, by chunks of
+node pairs whose columns fit in BLOCK_BYTES: `quadrature_gram` sums K over
+it, and the spectral synthesizer draws through it, so no more than one chunk
+of R exists at once unless a synthesizer keeps them all.
 
-R is built from half-angle phase tables (`PhaseTables`).  Every spatial grid
-is a sum set u + v of two point sets of about sqrt(N) points (in d = 2 the
-two axes, in d = 1 the multiples of s = ceil(sqrt(N)) and the first s
-points), so e^{-i x.xi/2} is the product of one u-table and one v-table
-entry: about 2 sqrt(N) complex exponentials per node instead of 2N trig
-calls.  With s = sin(x.xi/2) and c = cos(x.xi/2), each node's column pair is
+R is built from half-angle phase tables.  Every spatial grid is a sum set
+u + v of two point sets of about sqrt(N) points (in d = 2 the two axes, in
+d = 1 the multiples of s = ceil(sqrt(N)) and the first s points), so
+e^{-i x.xi/2} is the product of one u-table and one v-table entry: about
+2 sqrt(N) complex exponentials per node instead of 2N trig calls.  With s = sin(x.xi/2) and c = cos(x.xi/2), each node's column pair is
 -2 sqrt(w f) (s^2, s c), the values of sqrt(w f) (cos(x.xi) - 1, -sin(x.xi))
 without the cancellation of cos - 1.  Against a long-double reference, every
 entry is within 4 eps sqrt(w f) (1 + sum_i |x_i xi_i|) (about 0.3 of that
@@ -39,8 +39,8 @@ from .spectral import SpectralDensity, require_admissible
 # Eigenvalue floor scale: quadrature matrices may dip this far below zero.
 PSD_NOISE_FACTOR = 1e-8
 
-# Bytes of one chunk of the spectral factor or of its phase tables, and of
-# one replica block of noise.
+# Bytes of one chunk of the spectral factor, and of one replica block of
+# noise.
 BLOCK_BYTES = 8 << 20
 
 
@@ -89,58 +89,6 @@ def _half_angle(points: np.ndarray, nodes: np.ndarray, times_i: bool) -> np.ndar
     return table
 
 
-class PhaseTables:
-    """Half-angle phase tables of a point set over a chunk of stored nodes,
-    from which any rows of the spectral factor R over that chunk follow.
-
-    For a point x = u + v of the sum set and theta = x.xi, the product of the
-    u-table entry i e^{-i u.xi/2} and the v-table entry e^{-i v.xi/2} is
-    i e^{-i theta/2} = s + i c.  Read as a complex number, column pair
-    (2k, 2k+1) of R is sqrt(w f)(xi_k) (e^{-i theta} - 1) = -2 sqrt(w f) s
-    (s + i c).  Each entry depends on its point and node only, so a row of R
-    is bitwise the same whatever chunk builds it.
-    """
-
-    def __init__(self, density: SpectralDensity, points, grid: FrequencyGrid,
-                 pairs: slice = slice(None)):
-        u, v, self.size = sum_set(points)
-        nodes = grid.nodes[pairs]
-        self.scale = -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
-        self.u = _half_angle(u, nodes, times_i=True)
-        self.v = _half_angle(v, nodes, times_i=False)
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start..stop of R over this chunk of nodes, (stop - start, 2k).
-
-        Built over at most three rectangles of the (u, v) product: a tail of
-        one u-row, whole u-rows, and a head of one u-row.
-        """
-        width = len(self.v)
-        factor = np.empty((stop - start, 2 * len(self.scale)))
-        first = start
-        while first < stop:
-            a, b = divmod(first, width)
-            if b == 0 and stop - first >= width:
-                us, vs = slice(a, a + (stop - first) // width), slice(None)
-                count = (us.stop - a) * width
-            else:
-                count = min(width - b, stop - first)
-                us, vs = slice(a, a + 1), slice(b, b + count)
-            block = factor[first - start:first - start + count]
-            self._fill(block.reshape(us.stop - us.start, -1, block.shape[1]), us, vs)
-            first += count
-        return factor
-
-    def _fill(self, out: np.ndarray, us: slice, vs: slice):
-        """R over the rectangle u[us] x v[vs] into out, (len(us), len(vs), 2k)."""
-        turned = out.view(complex)
-        np.multiply(self.u[us, None], self.v[vs], out=turned)   # s + i c
-        scaled = turned.real * self.scale
-        scaled += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
-        out[..., 0::2] *= scaled
-        out[..., 1::2] *= scaled
-
-
 def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
                     pairs: slice = slice(None)) -> np.ndarray:
     """Real (n, grid.size) quadrature factor R over n points, or its columns
@@ -148,34 +96,60 @@ def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
 
     Column pair (2k, 2k+1) belongs to the k-th stored node xi, which stands
     for the pair (xi, -xi) and carries its weight w, and holds
-    sqrt(w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)), in the half-angle form of
-    PhaseTables.  This folds the Hermitian sum over the pair into one real
-    term, which relies on f being even.  Then R R^T is the quadrature
-    kernel, and R times grid.size standard normals, read in order as one
-    pair (a, b) per stored node, is the harmonizable sum against
-    zeta = (a + ib)/sqrt(2) on xi (so E|zeta|^2 = 1) and conj(zeta) on -xi.
-    `points` is a SpatialGrid or a point list.
+    sqrt(w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)).  This folds the Hermitian
+    sum over the pair into one real term, which relies on f being even.
+    Then R R^T is the quadrature kernel, and R times grid.size standard
+    normals, read in order as one pair (a, b) per stored node, is the
+    harmonizable sum against zeta = (a + ib)/sqrt(2) on xi (so
+    E|zeta|^2 = 1) and conj(zeta) on -xi.  `points` is a SpatialGrid or a
+    point list.
+
+    Built over the whole (u, v) product of the sum set, then cut to n rows:
+    for x = u + v and theta = x.xi, i e^{-i u.xi/2} times e^{-i v.xi/2} is
+    i e^{-i theta/2} = s + i c, and read as a complex number the column pair
+    is sqrt(w f) (e^{-i theta} - 1) = -2 sqrt(w f) s (s + i c).  Each entry
+    depends on its point and node only, so a column of R is bitwise the
+    same whatever slice of nodes builds it.
     """
-    tables = PhaseTables(density, points, grid, pairs)
-    return tables.rows(0, tables.size)
+    u, v, size = sum_set(points)
+    nodes = grid.nodes[pairs]
+    scale = -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
+    factor = np.empty((len(u), len(v), 2 * len(scale)))
+    turned = factor.view(complex)
+    np.multiply(_half_angle(u, nodes, times_i=True)[:, None],
+                _half_angle(v, nodes, times_i=False), out=turned)   # s + i c
+    scaled = turned.real * scale
+    scaled += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
+    factor[..., 0::2] *= scaled
+    factor[..., 1::2] *= scaled
+    return factor.reshape(len(u) * len(v), -1)[:size]
+
+
+def factor_chunks(density: SpectralDensity, points, grid: FrequencyGrid):
+    """(columns, R[:, columns]) over chunks of stored nodes whose columns of
+    R fit in BLOCK_BYTES, in node order."""
+    n = sum_set(points)[2]
+    pairs = block_rows(2 * n)
+    for start in range(0, len(grid.nodes), pairs):
+        stop = min(start + pairs, len(grid.nodes))
+        yield (slice(2 * start, 2 * stop),
+               spectral_factor(density, points, grid, slice(start, stop)))
 
 
 def quadrature_gram(density: SpectralDensity, points,
                     grid: FrequencyGrid) -> np.ndarray:
     """The quadrature kernel R R^T on n points, exactly symmetric.
 
-    Summed as R_c R_c^T over chunks R_c of node pairs within BLOCK_BYTES, so
-    memory is O(n^2) plus one chunk and its phase tables whatever the grid
-    size.  Each chunk adds only the row blocks of the upper triangle, and the
-    lower triangle is mirrored from the upper one, so symmetry is exact
-    rather than a float coincidence.
+    Summed as R_c R_c^T over the chunks R_c of `factor_chunks`, so memory is
+    O(n^2) plus one chunk whatever the grid size.  Each chunk adds only the
+    row blocks of the upper triangle, and the lower triangle is mirrored
+    from the upper one, so symmetry is exact rather than a float
+    coincidence.
     """
     n = sum_set(points)[2]
-    pairs = block_rows(2 * n)
     rows = block_rows(n)
     gram = np.zeros((n, n))
-    for start in range(0, len(grid.nodes), pairs):
-        chunk = spectral_factor(density, points, grid, slice(start, start + pairs))
+    for _, chunk in factor_chunks(density, points, grid):
         for top in range(0, n, rows):
             gram[top:top + rows, top:] += chunk[top:top + rows] @ chunk[top:].T
     gram = np.triu(gram)
@@ -233,9 +207,6 @@ class CovarianceMatrix:
     def psd_floor(self) -> float:
         diag_max = float(np.max(np.diag(self.entries), initial=0.0))
         return PSD_NOISE_FACTOR * diag_max
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 def covariance_matrix(density: SpectralDensity, points,

@@ -119,10 +119,6 @@ class SpatialGrid:
     def grid_id(self) -> str:
         return f"uniform(d={self.dimension},n={self.resolution})"
 
-    def axis(self) -> np.ndarray:
-        """The per-axis coordinate values."""
-        return np.linspace(0.0, 1.0, self.resolution)
-
     def split(self) -> tuple:
         """The grid as a sum set: point sets (u, v) of about sqrt(N) points
         each with point i equal to u[i // len(v)] + v[i % len(v)].

@@ -269,10 +269,6 @@ class AdmissibilityResult:
     contributions: tuple
     detail: str = ""
 
-    @property
-    def is_admissible(self) -> bool:
-        return self.status == "admissible"
-
 
 def _end_decay(contribs: np.ndarray) -> str:
     """Classify the decay of the last _END_WINDOW+1 contributions toward an extreme.

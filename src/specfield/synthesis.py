@@ -6,18 +6,14 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
   representation, sum over frequency nodes of (e^{i x.xi} - 1) sqrt(f w) zeta
   with Hermitian noise, each (xi, -xi) pair folded into one real term.  It
   is computed for a block of replicas at once as one product of a
-  standard-normal block with the real factor R of the quadrature kernel.
-  R comes from half-angle phase tables (covariance.PhaseTables): the
-  spatial grid is a sum set u + v of about sqrt(N) points each, so
-  e^{-i x.xi/2} is a product of two table entries, about 2 sqrt(N) complex
-  exponentials per frequency node instead of 2N trig calls, with no
-  cancellation in cos(x.xi) - 1 (the covariance module docstring gives the
-  measured accuracy).  Its distribution matches the quadrature covariance
-  matrix K = R R^T exactly, which is what makes the next sampler an oracle
-  for it.  A
-  campaign with more replicas than points draws the same law through a
-  factor F with F F^T = K instead, from N - 1 normals per replica rather
-  than one per frequency node.
+  standard-normal block with the real factor R of the quadrature kernel,
+  walked by the node chunks of covariance.factor_chunks (the covariance
+  module docstring gives how R is built and its measured accuracy).  Its
+  distribution matches the quadrature covariance matrix K = R R^T exactly,
+  which is what makes the next sampler an oracle for it.  A campaign with
+  more replicas than points draws the same law through a factor F with
+  F F^T = K instead, from N - 1 normals per replica rather than one per
+  frequency node.
 - ExactFieldSampler: factorizes a covariance matrix (jittered Cholesky) and
   maps standard normals through the factor.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
@@ -31,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (CovarianceMatrix, PhaseTables, block_rows, quadrature_gram,
-                         sum_set)
+from .covariance import CovarianceMatrix, block_rows, factor_chunks, quadrature_gram
 from .grids import PointSet, SpatialGrid
 from .rng import hermitian_noise, substream
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
@@ -82,14 +77,11 @@ class SpectralSynthesizer:
     n and the grids alone:
 
     - Direct (n <= N): a block of B replicas is the (B, N) product
-      noise @ R^T of a (B, M) block of Hermitian noise, summed over chunks
-      of frequency nodes whose phase tables fit in BLOCK_BYTES (one chunk
-      for a 1-d grid of up to 9,900 points at the default frequency grid)
-      and, within each, over chunks of points whose rows of R fit in
-      BLOCK_BYTES.  The tables are built once per node chunk and block, R
-      chunk by chunk from them, and R is dropped after its product unless
-      keep_factor() stored it whole, which pays only when more than one
-      block reuses it; the two give bit-identical rows.
+      noise @ R^T of a (B, M) block of Hermitian noise, summed over the node
+      chunks of covariance.factor_chunks.  Each chunk of R is dropped after
+      its product unless keep_factor() stored them all, which pays only
+      when more than one block reuses them; the two give bit-identical
+      blocks.
     - Low rank (n > N, where the one-time N^2 M of a factor costs less than
       the n N M of direct blocks): K's Gram is summed over chunks of
       frequency nodes, its origin row and column dropped, and
@@ -135,39 +127,18 @@ class SpectralSynthesizer:
         return rows
 
     def keep_factor(self):
-        """Build R once and keep it for every later direct block."""
+        """Build R's chunks once and keep them for every later direct block."""
         if self._factor is None:
-            factor = np.empty((self.spatial_grid.size, self.frequency_grid.size))
-            for rows, columns, chunk in self._factor_chunks():
-                factor[rows, columns] = chunk
-            self._factor = factor
-
-    def _factor_chunks(self):
-        """(rows, columns, R[rows, columns]) over one pass through R: columns
-        by chunks of nodes whose phase tables fit in BLOCK_BYTES, each table
-        built once per pass, and rows by chunks of R within BLOCK_BYTES."""
-        space, grid = self.spatial_grid, self.frequency_grid
-        nodes = len(grid.nodes)
-        u, v, _ = sum_set(space)
-        pairs = block_rows(2 * (len(u) + len(v)))
-        for first in range(0, nodes, pairs):
-            last = min(first + pairs, nodes)
-            columns = slice(2 * first, 2 * last)
-            tables = None
-            if self._factor is None:
-                tables = PhaseTables(self.density, space, grid, slice(first, last))
-            rows = block_rows(2 * (last - first))
-            for start in range(0, space.size, rows):
-                stop = min(start + rows, space.size)
-                chunk = (self._factor[start:stop, columns] if tables is None
-                         else tables.rows(start, stop))
-                yield slice(start, stop), columns, chunk
+            self._factor = list(factor_chunks(self.density, self.spatial_grid,
+                                              self.frequency_grid))
 
     def _direct_block(self, master_seed: int, stream_ids) -> np.ndarray:
         noise = hermitian_noise(self.frequency_grid.size, master_seed, stream_ids)
         block = np.zeros((noise.shape[0], self.spatial_grid.size))
-        for rows, columns, chunk in self._factor_chunks():
-            block[:, rows] += noise[:, columns] @ chunk.T
+        chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
+                                               self.frequency_grid)
+        for columns, chunk in chunks:
+            block += noise[:, columns] @ chunk.T
         return block
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:

@@ -124,7 +124,7 @@ class TestCovarianceMatrix:
                                 (sf.fractional_brownian_density(0.7),
                                  np.linspace(0, 1, 16))]:
             matrix = covariance_matrix(density, points, default_grid)
-            assert matrix.min_eigenvalue() >= -matrix.psd_floor
+            assert np.linalg.eigvalsh(matrix.entries)[0] >= -matrix.psd_floor
 
     def test_matches_pointwise_increments(self, default_grid, brownian):
         points = [0.25, 0.5, 1.0]
@@ -164,12 +164,13 @@ needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double")
 
 
-def long_double_factor(density, points, grid):
-    """R from long-double points and nodes, in the half-angle form, with the
-    float amplitude sqrt(w f); also |x.xi| and sum_i |x_i xi_i| per entry."""
-    amplitude = np.sqrt(grid.weights * density.evaluate(grid.nodes))
+def long_double_factor(density, points, grid, pairs=slice(None)):
+    """R over the stored nodes `pairs` selects, from long-double points and
+    nodes, in the half-angle form, with the float amplitude sqrt(w f); also
+    |x.xi| and sum_i |x_i xi_i| per entry."""
+    amplitude = np.sqrt(grid.weights[pairs] * density.evaluate(grid.nodes[pairs]))
     x = np.asarray(points, dtype=np.longdouble)
-    xi = grid.nodes.astype(np.longdouble)
+    xi = grid.nodes[pairs].astype(np.longdouble)
     theta = x @ xi.T
     reference = np.empty((theta.shape[0], 2 * theta.shape[1]), dtype=np.longdouble)
     reference[:, 0::2] = -2.0 * np.sin(theta / 2) ** 2 * amplitude
@@ -184,15 +185,14 @@ class TestHalfAngleFactor:
 
     @needs_long_double
     def test_small_phases_are_exact_to_relative_roundoff(self, default_grid):
-        # cos(x.xi) - 1 lost up to all of its digits at |x.xi| << 1
+        # cos(x.xi) - 1 lost up to all of its digits at |x.xi| << 1; the
+        # annuli [1/2, 1) and [1, 2) hold phases from 1e-4 to past 1
         density = sf.fractional_brownian_density(0.7)
         space = uniform_spatial_grid(1, 4096)
-        tables = sf.covariance.PhaseTables(density, space, default_grid)
-        spans = [(0, 70), (2000, 2100), (4000, 4096)]
-        factor = np.concatenate([tables.rows(a, b) for a, b in spans])
-        rows = np.concatenate([np.arange(a, b) for a, b in spans])
+        pairs = slice(19 * 64, 21 * 64)
+        factor = sf.covariance.spectral_factor(density, space, default_grid, pairs)
         reference, amplitude, theta, _ = long_double_factor(
-            density, space.points[rows], default_grid)
+            density, space.points, default_grid, pairs)
         error = np.abs(factor - reference).astype(float)
         small = (theta <= 1.0) & (reference != 0)
         assert np.count_nonzero(small) > 100_000
@@ -218,20 +218,18 @@ class TestHalfAngleFactor:
         assert np.all(error <= 4 * EPS * amplitude * (1.0 + condition))
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
-    def test_rows_do_not_depend_on_the_chunk(self, default_grid, dimension, resolution):
-        # 300 = 17 x 18 - 6 points: a short last u-row; spans cut u-rows
+    def test_columns_do_not_depend_on_the_chunk(self, default_grid, dimension,
+                                                resolution):
+        # 300 = 17 x 18 - 6 points: the (u, v) product has a short last u-row
         grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
         density = sf.fractional_brownian_density(0.3, dimension)
         space = uniform_spatial_grid(dimension, resolution)
         whole = sf.covariance.spectral_factor(density, space, grid)
-        tables = sf.covariance.PhaseTables(density, space, grid)
-        for cuts in ([0, 1, 7, 200, space.size], [0, 37, 38, 41, 250, space.size]):
-            rows = np.concatenate([tables.rows(a, b) for a, b in zip(cuts, cuts[1:])])
-            assert rows.tobytes() == whole.tobytes()
-        half = len(grid.nodes) // 2 + 1
+        half = len(grid.nodes) // 2
         columns = np.concatenate(
             [sf.covariance.spectral_factor(density, space, grid, part)
-             for part in (slice(0, half), slice(half, None))], axis=1)
+             for part in (slice(0, half), slice(half, half + 1), slice(half + 1, None))],
+            axis=1)
         assert columns.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("dimension", [1, 2])
@@ -310,7 +308,7 @@ class TestCouplingKernel:
             cert = check_domination(perturbed, base, constant, default_grid)
             residual = difference_density(base, perturbed, constant, cert)
             matrix = covariance_matrix(residual, points, default_grid)
-            assert matrix.min_eigenvalue() >= -matrix.psd_floor
+            assert np.linalg.eigvalsh(matrix.entries)[0] >= -matrix.psd_floor
 
 
 class TestPlaneKernel:
@@ -327,4 +325,4 @@ class TestPlaneKernel:
         matrix = covariance_matrix(f, pts, grid_2d)
         assert matrix.size == 9
         assert np.array_equal(matrix.entries, matrix.entries.T)
-        assert matrix.min_eigenvalue() >= -matrix.psd_floor
+        assert np.linalg.eigvalsh(matrix.entries)[0] >= -matrix.psd_floor

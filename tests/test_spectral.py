@@ -220,7 +220,6 @@ class TestAdmissibility:
     def test_power_law_is_admissible(self, default_grid):
         result = check_admissible(brownian_density(), default_grid)
         assert result.status == "admissible"
-        assert result.is_admissible
         assert result.value > 0
         assert len(result.contributions) == default_grid.n_annuli
 

@@ -153,47 +153,74 @@ class TestSampleBlock:
             for got, row in zip(coupler.sample(12, k), (x1[k], x2[k], y[k])):
                 assert np.max(np.abs(got.values - row)) <= 1e-12 * np.max(np.abs(y))
 
+    def test_direct_blocks_sum_over_node_chunks(self, default_grid, space_8, brownian,
+                                                monkeypatch):
+        # a budget of 256 node pairs cuts the 8-point factor into 11 chunks
+        monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", 8 * 16 * 256)
+        assert len(list(sf.covariance.factor_chunks(brownian, space_8,
+                                                    default_grid))) >= 10
+        streamed = SpectralSynthesizer(brownian, default_grid, space_8)
+        kept = SpectralSynthesizer(brownian, default_grid, space_8)
+        kept.keep_factor()
+        ids = range(6)
+        block = streamed.sample_block(4, ids)
+        factor = sf.covariance.spectral_factor(brownian, space_8, default_grid)
+        whole = hermitian_noise(default_grid.size, 4, ids) @ factor.T
+        assert np.max(np.abs(block - whole)) <= 1e-13 * np.max(np.abs(whole))
+        origin = block[:, space_8.origin_index]
+        assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+        assert block.tobytes() == kept.sample_block(4, ids).tobytes()
+
     def test_single_block_campaign_never_holds_the_whole_factor(
             self, default_grid, brownian, monkeypatch):
-        from specfield import synthesis
-        space = uniform_spatial_grid(1, 256)
-        built = []
+        from specfield import covariance, verification
+        # 300 = 17 x 18 - 6 points: each chunk is built over 17 u-rows of 18
+        space = uniform_spatial_grid(1, 300)
+        u_row = len(space.split()[1])
+        synths, widths = [], []
+        build = covariance.spectral_factor
 
-        class Recording(sf.covariance.PhaseTables):
-            def rows(self, start, stop):
-                built.append(stop - start)
-                return super().rows(start, stop)
-        monkeypatch.setattr(synthesis, "PhaseTables", Recording)
+        def recording(*args):
+            chunk = build(*args)
+            assert chunk.base.nbytes <= (covariance.BLOCK_BYTES
+                                         + u_row * chunk.shape[1] * 8)
+            widths.append(chunk.shape[1])
+            return chunk
+
+        class Kept(SpectralSynthesizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                synths.append(self)
+        monkeypatch.setattr(covariance, "spectral_factor", recording)
+        monkeypatch.setattr(verification, "SpectralSynthesizer", Kept)
         cfg = sf.MCConfig(100, 41, default_grid, space)
         sf.estimate_holder_exponent(brownian, cfg)
-        assert sum(built) == space.size
-        assert max(built) == synthesis.block_rows(default_grid.size) < space.size
+        assert len(widths) > 1 and sum(widths) == default_grid.size
+        assert [synth._factor for synth in synths] == [None]
 
-    def test_phase_tables_are_built_once_per_block_and_per_gram_chunk(
+    def test_factor_chunks_are_built_once_per_block_and_per_gram_chunk(
             self, default_grid, brownian, monkeypatch):
-        from specfield import covariance, synthesis
+        from specfield import covariance
         builds = []
+        build = covariance.spectral_factor
 
-        class Counting(covariance.PhaseTables):
-            def __init__(self, *args):
-                builds.append(args[3])
-                super().__init__(*args)
-        monkeypatch.setattr(synthesis, "PhaseTables", Counting)
-        monkeypatch.setattr(covariance, "PhaseTables", Counting)
-        # direct: 300 points take two row chunks of R, and one table build
+        def counting(*args):
+            builds.append(args[3])
+            return build(*args)
+        monkeypatch.setattr(covariance, "spectral_factor", counting)
+        # direct and low rank walk the same two chunks of nodes over 300 points
+        pairs = covariance.block_rows(2 * 300)
+        assert pairs < len(default_grid.nodes) <= 2 * pairs
+        chunks = [slice(0, pairs), slice(pairs, len(default_grid.nodes))]
         space = uniform_spatial_grid(1, 300)
         synth = SpectralSynthesizer(brownian, default_grid, space)
         assert synth.prepare(3) == 3
         for seed in range(3):
             synth.sample_block(seed, range(3))
-        assert builds == [slice(0, len(default_grid.nodes))] * 3
-        # low rank: the Gram over the same points takes two chunks of nodes,
-        # and one table build each
+        assert builds == chunks * 3
         builds.clear()
         synth.prepare(301)
-        pairs = covariance.block_rows(2 * 300)
-        assert pairs < len(default_grid.nodes) <= 2 * pairs
-        assert builds == [slice(0, pairs), slice(pairs, 2 * pairs)]
+        assert builds == chunks
 
 
 class TestLowRankFactor:

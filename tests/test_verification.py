@@ -245,7 +245,8 @@ class TestCollectBlocks:
         assert single._factor is None and single._low_rank is None
         several = sf.SpectralSynthesizer(brownian, default_grid, space)
         _collect_blocks(lambda ids: None, rows + 1, (several,))
-        assert several._factor.shape == (512, default_grid.size)
+        kept = np.concatenate([chunk for _, chunk in several._factor], axis=1)
+        assert kept.shape == (512, default_grid.size)
         assert several._low_rank is None
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
         _collect_blocks(lambda ids: None, 9, (low_rank,))
