@@ -178,7 +178,10 @@ class CovarianceMatrix:
         n = pts.shape[0]
         if entries.shape != (n, n):
             raise ValueError(f"entries shape {entries.shape} does not match {n} points")
-        if np.unique(pts, axis=0).shape[0] != n:
+        # lexsort, not np.unique(axis=0), which imports numpy.ma; rows equal
+        # under == (so -0.0 == 0.0) are adjacent once sorted
+        ordered = pts[np.lexsort(pts.T)] if pts.shape[1] else pts
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValueError("spatial points must be distinct")
         if not np.all(np.isfinite(entries)):
             raise ValueError("covariance entries must be finite")

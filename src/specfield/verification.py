@@ -524,7 +524,10 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
     """Radii at evenly spaced quantiles of ||Y||, spanning the central `span`.
 
     Pilot replicas use a disjoint stream range, so a later verification run
-    with the same master seed stays independent of the pilot.
+    with the same master seed stays independent of the pilot.  The radii
+    are numpy's "linear" quantiles of the pilot norms, bit for bit, but
+    computed from one sort without np.quantile, whose np.unique call
+    imports numpy.ma (about 15 ms) under numpy 2.4.
     """
     if not 1 <= count:
         raise ValueError("count must be at least 1")
@@ -542,7 +545,25 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
     norms = np.concatenate(_collect_blocks(work, n_pilot, (coupler,)))
     tail = (1.0 - span) / 2.0
     probs = np.linspace(tail, 1.0 - tail, count)
-    return tuple(float(q) for q in np.quantile(norms, probs))
+    return tuple(float(q) for q in _linear_quantiles(norms, probs))
+
+
+def _linear_quantiles(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """np.quantile(values, probs) for finite values and probs in [0, 1].
+
+    numpy's "linear" rule, step for step: the order statistics a, b either
+    side of (n - 1) q, and the lerp a + (b - a) g below g = 1/2, else
+    b - (b - a) (1 - g).  The bits match, except that a tie between -0.0
+    and 0.0 may sort either way; norms are never -0.0.
+    """
+    ordered = np.sort(values)
+    where = (ordered.size - 1) * probs
+    below = np.floor(where)
+    gamma = where - below
+    lower = below.astype(np.intp)
+    a = ordered[lower]
+    b = ordered[np.minimum(lower + 1, ordered.size - 1)]
+    return np.where(gamma < 0.5, a + (b - a) * gamma, b - (b - a) * (1 - gamma))
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specfield import cli, parse_config, synthesis
 from specfield.cli import console_main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_FREQUENCY_GRID = """\
 frequency_grid.j_lo = -12
@@ -99,6 +102,16 @@ for config, outdir in zip(sys.argv[1::2], sys.argv[2::2]):
 loaded = [name for name, module in sys.modules.items()
           if name.partition(".")[0] == "scipy" and module is not None]
 assert not loaded, loaded
+"""
+
+WITHOUT_NUMPY_MA = """\
+import sys
+from pathlib import Path
+from specfield import cli, parse_config
+for config, outdir in zip(sys.argv[1::2], sys.argv[2::2]):
+    code = cli.run(parse_config(Path(config).read_text(encoding="utf-8")), outdir)
+    assert code == 0, (config, code)
+assert "numpy.ma" not in sys.modules
 """
 
 
@@ -415,3 +428,18 @@ def test_campaigns_run_without_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     assert all((tmp_path / f"{name}-out" / "summary.txt").exists()
                for name in ("comparison", "coupling", "hurst", "check"))
+
+
+def test_shipped_configs_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique, np.quantile and np.median import numpy.ma lazily (about
+    # 15 ms under numpy 2.4); no command may reach them
+    configs = sorted(CONFIG_DIR.glob("*.cfg"))
+    assert {"verify-comparison", "verify-coupling", "covariance"} <= {
+        config.stem for config in configs}
+    args = []
+    for config in configs:
+        args += [str(config), str(tmp_path / config.stem)]
+    result = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY_MA, *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert all((tmp_path / config.stem / "summary.txt").exists() for config in configs)

@@ -138,6 +138,15 @@ class TestCovarianceMatrix:
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError, match="distinct"):
             CovarianceMatrix(np.array([[0.5], [0.5]]), np.eye(2), "d", "g")
+        # a 2-d duplicate that is not next to its twin in input order
+        plane = np.array([[0.5, 0.25], [0.25, 0.5], [0.5, 0.5], [0.5, 0.25]])
+        with pytest.raises(ValueError, match="distinct"):
+            CovarianceMatrix(plane, np.eye(4), "d", "g")
+        # points compare as floats: -0.0 is 0.0
+        with pytest.raises(ValueError, match="distinct"):
+            CovarianceMatrix(np.array([[-0.0], [0.0]]), np.eye(2), "d", "g")
+        distinct = CovarianceMatrix(plane[:3], np.eye(3), "d", "g")
+        assert distinct.size == 3
 
     def test_rejects_asymmetric_entries(self):
         entries = np.array([[1.0, 0.2], [0.200001, 1.0]])

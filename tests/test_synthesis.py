@@ -58,6 +58,12 @@ class TestHermitianNoise:
             hermitian_noise(8, 0, [1, 2 ** 64])
         with pytest.raises(ValueError, match="master seed"):
             hermitian_noise(8, -1, [1])
+        # the block's keys are checked before any row is drawn, and the
+        # error names the first bad id
+        with pytest.raises(ValueError, match="stream id .* 18446744073709551616"):
+            hermitian_noise(8, 0, [0, 5, 2 ** 64, 7])
+        with pytest.raises(ValueError, match="stream id .* got -3$"):
+            hermitian_noise(8, 0, [4, -3, 2 ** 64])
 
 
 class TestSpectralSynthesizer:

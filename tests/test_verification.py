@@ -15,7 +15,7 @@ from specfield import (MCConfig, SupNorm, ZeroDensity,
                        verify_comparison, verify_coupling_law)
 from specfield.synthesis import block_rows
 from specfield.verification import (InequalityReport, RadiusComparison,
-                                    _collect_blocks, _profile_hurst,
+                                    _collect_blocks, _linear_quantiles, _profile_hurst,
                                     _resolve_shift, _standardized_max)
 
 
@@ -470,6 +470,46 @@ class TestQuantileRadii:
         b = coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
                                     **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize("n_pilot", [100, 101, 150, 2000])
+    def test_radii_are_numpy_linear_quantiles(self, default_grid, fbm_pair, n_pilot):
+        # the radii come from one sort, not np.quantile, and must keep its
+        # bits; rounding the norms to 0.1 makes ties
+        perturbed, base = fbm_pair
+        cfg = small_mc(default_grid, radii=())
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        for decimals in (None, 1):
+            norms = []
+
+            def norm(values, grid):
+                out = SupNorm()(values, grid)
+                norms.append(out if decimals is None else np.round(out, decimals))
+                return norms[-1]
+
+            for count in (1, 3, 5):
+                for span in (0.5, 0.8, 0.9):
+                    norms.clear()
+                    radii = coupling_norm_quantiles(perturbed, base, 1.0, norm, cfg,
+                                                    cert, count=count, span=span,
+                                                    n_pilot=n_pilot)
+                    pilot = np.concatenate(norms)
+                    assert pilot.size == n_pilot
+                    if decimals is not None:
+                        assert np.unique(pilot).size < n_pilot
+                    tail = (1.0 - span) / 2.0
+                    expected = np.quantile(pilot, np.linspace(tail, 1.0 - tail, count))
+                    assert np.array(radii).tobytes() == expected.tobytes()
+
+    def test_linear_rule_matches_numpy_on_a_fine_probability_grid(self):
+        # the two-sided lerp matters in the last bit: a + (b - a) g alone
+        # misses np.quantile on a few of these 1,001 levels per size
+        rng = np.random.default_rng(2)
+        probs = np.linspace(0.0, 1.0, 1001)
+        for n in (1, 2, 100, 101, 150, 2000):
+            for values in (np.abs(rng.standard_normal(n)),
+                           np.round(np.abs(rng.standard_normal(n)), 1)):
+                assert (_linear_quantiles(values, probs).tobytes()
+                        == np.quantile(values, probs).tobytes())
 
     def test_span_validation(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
