@@ -120,9 +120,8 @@ def _write_sample_csv(path: Path, sample: FieldSample):
 
 def _write_matrix_csv(path: Path, matrix: CovarianceMatrix):
     rows = ["i,j,value"]
-    for i in range(matrix.size):
-        for j in range(matrix.size):
-            rows.append(f"{i},{j},{_fmt(matrix.entries[i, j])}")
+    for i, entries in enumerate(matrix.entries.tolist()):
+        rows.extend(f"{i},{j},{value!r}" for j, value in enumerate(entries))
     _write_text(path, "\n".join(rows) + "\n")
 
 
@@ -276,12 +275,11 @@ def _run_verify_coupling(cfg: RunConfig, outdir: Path, verbose: bool):
     mc = _mc_config(cfg)
     report = verify_coupling_law(cfg.densities["x"], cfg.densities["y"],
                                  constant, mc, certificate)
-    size = report.empirical.shape[0]
     csv_rows = ["i,j,empirical,reference,cross"]
-    for i in range(size):
-        for j in range(size):
-            csv_rows.append(f"{i},{j},{_fmt(report.empirical[i, j])},"
-                            f"{_fmt(report.reference[i, j])},{_fmt(report.cross[i, j])}")
+    for i, row in enumerate(zip(report.empirical.tolist(), report.reference.tolist(),
+                                report.cross.tolist())):
+        csv_rows.extend(f"{i},{j},{empirical!r},{reference!r},{cross!r}"
+                        for j, (empirical, reference, cross) in enumerate(zip(*row)))
     _write_text(outdir / "coupling.csv", "\n".join(csv_rows) + "\n")
     lines = [f"constant = {_fmt(constant)}",
              f"covariance_match = {_fmt(report.covariance_match)}",

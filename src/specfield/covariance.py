@@ -13,15 +13,22 @@ of R exists at once unless a synthesizer keeps them all.
 R is built from half-angle phase tables.  Every spatial grid is a sum set
 u + v of two point sets of about sqrt(N) points (in d = 2 the two axes, in
 d = 1 the multiples of s = ceil(sqrt(N)) and the first s points), so
-e^{-i x.xi/2} is the product of one u-table and one v-table entry: about
-2 sqrt(N) complex exponentials per node instead of 2N trig calls.  With s = sin(x.xi/2) and c = cos(x.xi/2), each node's column pair is
+e^{-i x.xi/2} is the product of one u-table and one v-table entry.  Each
+set is an arithmetic progression from the origin, so its table takes trig
+on at most ceil(2 sqrt(n)) of its n rows (rows 1..b-1 and the multiples of
+b, b = ceil(sqrt(n))); row qb + r is the complex product of rows qb and r,
+and row 0 is the exact 1 - 0i.  A chunk of R is filled one u-row at a time,
+the len(v) points u + v: the table product, then one complex-by-real
+product with a (len(v), k) scratch row, so no temporary spans the chunk.
+With s = sin(x.xi/2) and c = cos(x.xi/2), each node's column pair is
 -2 sqrt(w f) (s^2, s c), the values of sqrt(w f) (cos(x.xi) - 1, -sin(x.xi))
 without the cancellation of cos - 1.  Against a long-double reference, every
-entry is within 4 eps sqrt(w f) (1 + sum_i |x_i xi_i|) (about 0.3 of that
-bound in the tests, in d = 1 and d = 2), and in d = 1 every entry with
-|x.xi| <= 1 is within 1e-14 relative (8.8e-16 measured at N = 4,096 and
-H = 0.7, where cos - 1 had relative error up to 1).  An arbitrary point
-list is the degenerate sum set (points, {0}).
+entry is within 4 eps sqrt(w f) (1 + sum_i |x_i xi_i|) (0.40 to 0.45 of that
+bound in the tests, in d = 1 and d = 2; 0.28 to 0.33 with trig on every
+row), and in d = 1 every entry with |x.xi| <= 1 is within 1e-14 relative
+(1.2e-15 measured at N = 4,096 and H = 0.7, where cos - 1 had relative
+error up to 1).  An arbitrary point list is the degenerate sum set
+({0}, points), with trig on every point.
 
 Closed forms for the power-law (fractional-Brownian) family live here too,
 both as test oracles and as the input to the exact-factorization sampler.
@@ -29,6 +36,7 @@ both as test oracles and as the input to the exact-factorization sampler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,27 +73,40 @@ def sum_set(points) -> tuple:
     """(u, v, n): n points, point i being u[i // len(v)] + v[i % len(v)].
 
     A SpatialGrid gives its own split; a point list is the degenerate sum
-    set (points, {0}).
+    set ({0}, points).
     """
     if isinstance(points, SpatialGrid):
         return (*points.split(), points.size)
     pts = _as_points(points)
-    return pts, np.zeros((1, pts.shape[1])), pts.shape[0]
+    return np.zeros((1, pts.shape[1])), pts, pts.shape[0]
 
 
-def _half_angle(points: np.ndarray, nodes: np.ndarray, times_i: bool) -> np.ndarray:
+def _half_angle(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """e^{-i x.xi/2} = cos - i sin of x.xi/2 for every point x and node xi,
-    (n, k) complex, or i e^{-i x.xi/2} = sin + i cos if times_i."""
+    (n, k) complex."""
     half = np.multiply.outer(0.5 * points[:, 0], nodes[:, 0])
     for axis in range(1, points.shape[1]):
         half += np.multiply.outer(0.5 * points[:, axis], nodes[:, axis])
     table = np.empty(half.shape, dtype=complex)
-    if times_i:
-        np.sin(half, out=table.real)
-        np.cos(half, out=table.imag)
-    else:
-        np.cos(half, out=table.real)
-        np.negative(np.sin(half, out=table.imag), out=table.imag)
+    np.cos(half, out=table.real)
+    np.negative(np.sin(half, out=table.imag), out=table.imag)
+    return table
+
+
+def _progression_table(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """_half_angle of points p = 0, ..., n - 1 of an arithmetic progression
+    from the origin, from trig on rows 1..b-1 and the multiples of b only,
+    b = ceil(sqrt(n)): row qb + r is row qb times row r, and row 0 is the
+    exact 1 - 0i."""
+    n = len(points)
+    step = math.isqrt(n - 1) + 1
+    table = np.empty((n, len(nodes)), dtype=complex)
+    table[0] = complex(1.0, -0.0)
+    trig = np.concatenate((np.arange(1, step), np.arange(step, n, step)))
+    table[trig] = _half_angle(points[trig], nodes)
+    for base in range(step, n, step):
+        stop = min(base + step, n)
+        np.multiply(table[base], table[1:stop - base], out=table[base + 1:stop])
     return table
 
 
@@ -104,25 +125,32 @@ def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
     E|zeta|^2 = 1) and conj(zeta) on -xi.  `points` is a SpatialGrid or a
     point list.
 
-    Built over the whole (u, v) product of the sum set, then cut to n rows:
+    Filled one u-row of the sum set at a time, the len(v) points u + v:
     for x = u + v and theta = x.xi, i e^{-i u.xi/2} times e^{-i v.xi/2} is
     i e^{-i theta/2} = s + i c, and read as a complex number the column pair
-    is sqrt(w f) (e^{-i theta} - 1) = -2 sqrt(w f) s (s + i c).  Each entry
-    depends on its point and node only, so a column of R is bitwise the
-    same whatever slice of nodes builds it.
+    is sqrt(w f) (e^{-i theta} - 1) = -2 sqrt(w f) s (s + i c), one
+    complex-by-real product with a (len(v), k) scratch row of the scaled s.
+    Each entry depends on its point and node only, so a column of R is
+    bitwise the same whatever slice of nodes builds it.
     """
     u, v, size = sum_set(points)
     nodes = grid.nodes[pairs]
     scale = -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
-    factor = np.empty((len(u), len(v), 2 * len(scale)))
+    table = _progression_table if isinstance(points, SpatialGrid) else _half_angle
+    across, along = table(u, nodes), table(v, nodes)
+    turned_u = np.empty_like(across)       # i e^{-i u.xi/2} = sin + i cos
+    turned_u.real, turned_u.imag = -across.imag, across.real
+    factor = np.empty((size, 2 * len(scale)))
     turned = factor.view(complex)
-    np.multiply(_half_angle(u, nodes, times_i=True)[:, None],
-                _half_angle(v, nodes, times_i=False), out=turned)   # s + i c
-    scaled = turned.real * scale
-    scaled += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
-    factor[..., 0::2] *= scaled
-    factor[..., 1::2] *= scaled
-    return factor.reshape(len(u) * len(v), -1)[:size]
+    scaled = np.empty(along.shape)
+    for top, phase in zip(range(0, size, len(v)), turned_u):
+        row = turned[top:top + len(v)]
+        part = scaled[:len(row)]
+        np.multiply(phase, along[:len(row)], out=row)             # s + i c
+        np.multiply(row.real, scale, out=part)
+        part += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
+        row *= part
+    return factor
 
 
 def factor_chunks(density: SpectralDensity, points, grid: FrequencyGrid):
@@ -152,6 +180,7 @@ def quadrature_gram(density: SpectralDensity, points,
     for _, chunk in factor_chunks(density, points, grid):
         for top in range(0, n, rows):
             gram[top:top + rows, top:] += chunk[top:top + rows] @ chunk[top:].T
+        del chunk  # freed before the next chunk is built
     gram = np.triu(gram)
     gram += np.triu(gram, 1).T
     return gram

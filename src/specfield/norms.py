@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import block_rows
 from .grids import SpatialGrid
 
 # Above this many point pairs the Holder norm switches from all pairs to the
@@ -98,15 +97,16 @@ class HolderNorm:
         return _per_path(values, sup + ratio)
 
     def _full_pair_ratio(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-        first, second = np.triu_indices(rows.shape[1], k=1)
-        seps = np.sqrt(np.sum((points[first] - points[second]) ** 2, axis=1))
-        scale = seps ** self.alpha
-        ratio = np.empty(rows.shape[0])
-        step = block_rows(first.size)
-        for start in range(0, rows.shape[0], step):
-            chunk = rows[start:start + step]
-            diffs = np.abs(chunk[:, first] - chunk[:, second])
-            ratio[start:start + step] = np.max(diffs / scale, axis=1, initial=0.0)
+        """The maximum over pairs (i, i + k) for each lag k, one contiguous
+        slice of the transposed block per lag."""
+        columns = np.ascontiguousarray(rows.T)
+        ratio = np.zeros(rows.shape[0])
+        for lag in range(1, len(columns)):
+            seps = np.sqrt(np.sum((points[:-lag] - points[lag:]) ** 2, axis=1))
+            diffs = np.subtract(columns[:-lag], columns[lag:])
+            np.abs(diffs, out=diffs)
+            diffs /= (seps ** self.alpha)[:, None]
+            np.maximum(ratio, np.max(diffs, axis=0), out=ratio)
         return ratio
 
     def _dyadic_pair_ratio(self, rows: np.ndarray, grid) -> np.ndarray:

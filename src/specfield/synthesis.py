@@ -84,10 +84,10 @@ class SpectralSynthesizer:
       blocks.
     - Low rank (n > N, where the one-time N^2 M of a factor costs less than
       the n N M of direct blocks): K's Gram is summed over chunks of
-      frequency nodes, its origin row and column dropped, and
-      F = V sqrt(max(lambda, 0)) taken from its eigendecomposition.  A block
-      is the product (B, N - 1) noise @ F^T on the points other than the
-      origin, and the origin column is written as +0.0.
+      frequency nodes, its origin row and column (index 0 of the grid)
+      dropped, and F = V sqrt(max(lambda, 0)) taken from its
+      eigendecomposition.  A block is the product (B, N - 1) noise @ F^T,
+      written into columns 1 onward, and the origin column is set to +0.0.
 
     Each row is the draw of its own stream, so which replicas share a block
     changes a row at roundoff at most, through the product's blocking.
@@ -105,7 +105,6 @@ class SpectralSynthesizer:
         self.spatial_grid = spatial_grid
         self._factor = None
         self._low_rank = None
-        self._off_origin = np.arange(spatial_grid.size) != spatial_grid.origin_index
 
     def prepare(self, n_replicas: int) -> int:
         """Choose the way to draw a campaign of n_replicas, build what it
@@ -116,8 +115,7 @@ class SpectralSynthesizer:
             if self._low_rank is None:
                 gram = quadrature_gram(self.density, self.spatial_grid,
                                        self.frequency_grid)
-                eigenvalues, vectors = np.linalg.eigh(
-                    gram[np.ix_(self._off_origin, self._off_origin)])
+                eigenvalues, vectors = np.linalg.eigh(gram[1:, 1:])
                 self._low_rank = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
             return min(n_replicas, block_rows(points - 1))
         self._low_rank = None
@@ -139,6 +137,7 @@ class SpectralSynthesizer:
                                                self.frequency_grid)
         for columns, chunk in chunks:
             block += noise[:, columns] @ chunk.T
+            del chunk  # a streamed chunk is freed before the next is built
         return block
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
@@ -151,8 +150,9 @@ class SpectralSynthesizer:
         if self._low_rank is None:
             return self._checked(self._direct_block(master_seed, stream_ids))
         noise = hermitian_noise(self._low_rank.shape[1], master_seed, stream_ids)
-        block = np.zeros((noise.shape[0], self.spatial_grid.size))
-        block[:, self._off_origin] = noise @ self._low_rank.T
+        block = np.empty((noise.shape[0], self.spatial_grid.size))
+        block[:, 0] = 0.0
+        np.matmul(noise, self._low_rank.T, out=block[:, 1:])
         return self._checked(block)
 
     def _checked(self, block: np.ndarray) -> np.ndarray:

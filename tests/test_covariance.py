@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +254,48 @@ class TestHalfAngleFactor:
         listed = sf.covariance.spectral_factor(density, [[0.5] * dimension,
                                                          [0.0] * dimension], grid)[1]
         assert np.all(listed == 0.0) and not np.any(np.signbit(listed))
+
+
+class TestRowWiseFill:
+    """A chunk of R is filled one u-row at a time from progression tables."""
+
+    def test_one_chunk_holds_no_chunk_wide_temporary(self, default_grid):
+        # 4,096 points take 128 node pairs per 8 MiB chunk; a (4096, 128)
+        # float temporary of the scaled s alone would add 4 MiB
+        density = sf.fractional_brownian_density(0.7)
+        space = uniform_spatial_grid(1, 4096)
+        pairs = sf.covariance.block_rows(2 * space.size)
+        assert pairs == 128
+        sf.covariance.spectral_factor(density, space, default_grid, slice(0, pairs))
+        tracemalloc.start()
+        try:
+            chunk = sf.covariance.spectral_factor(density, space, default_grid,
+                                                  slice(0, pairs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk.nbytes + (1 << 20)
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 4096), (2, 8)])
+    def test_trig_rows_per_set(self, default_grid, grid_2d, dimension, resolution,
+                               monkeypatch):
+        # each progression of n points takes trig on rows 1..b-1 and the
+        # multiples of b, b = ceil(sqrt(n)); the other rows are products
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(0.5, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        sets = space.split()
+        seen = []
+        trig = sf.covariance._half_angle
+
+        def counting(points, nodes):
+            seen.append(len(points))
+            return trig(points, nodes)
+        monkeypatch.setattr(sf.covariance, "_half_angle", counting)
+        sf.covariance.spectral_factor(density, space, grid, slice(0, 64))
+        assert len(seen) == len(sets)
+        for rows, points in zip(seen, sets):
+            assert rows <= math.ceil(2 * math.sqrt(len(points))) < len(points)
 
 
 class TestCouplingKernel:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,43 @@ class TestAxioms:
         for kind in ("sup", "holder"):
             norm = SupNorm() if kind == "sup" else HolderNorm(0.5)
             assert norm(values[::2], coarse) <= norm(values, fine) + 0.0
+
+
+def brute_force_holder(values, points, alpha):
+    """sup plus the largest |g(x_i) - g(x_j)| / |x_i - x_j|^alpha, pair by pair."""
+    rows = np.atleast_2d(values)
+    pairs = list(itertools.combinations(range(len(points)), 2))
+    scale = np.array([np.sqrt(np.sum((points[i] - points[j]) ** 2))
+                      for i, j in pairs]) ** alpha
+    ratio = [max(abs(row[i] - row[j]) / s for (i, j), s in zip(pairs, scale))
+             for row in rows]
+    return np.max(np.abs(rows), axis=1) + np.array(ratio)
+
+
+class TestFullPairs:
+    """The all-pairs ratio, taken one lag at a time, is the maximum over
+    every pair, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("grid", [
+        uniform_spatial_grid(1, 17), uniform_spatial_grid(2, 8),
+        PointSet(2, "scatter", np.random.default_rng(5).random((12, 2)))],
+        ids=["line", "plane", "points"])
+    def test_matches_every_pair(self, grid, alpha):
+        rng = np.random.default_rng(6)
+        points = np.asarray(grid.points, dtype=float)
+        block = rng.normal(size=(5, grid.size))
+        block[1] = np.round(block[1])          # ties among values and ratios
+        block[2] = 0.75                        # a constant row: ratio 0
+        block[3] = np.tile([1.0, -1.0], grid.size)[:grid.size]
+        block[4] = points.sum(axis=1)          # a ramp: the widest pair wins
+        norm = HolderNorm(alpha)
+        assert grid.size ** 2 <= norm.pair_budget
+        expected = brute_force_holder(block, points, alpha)
+        assert norm(block, grid).tobytes() == expected.tobytes()
+        single = norm(block[0], grid)
+        assert isinstance(single, float)
+        assert np.float64(single).tobytes() == expected[0].tobytes()
 
 
 class TestPairSubsampling:

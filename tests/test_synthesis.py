@@ -180,16 +180,16 @@ class TestSampleBlock:
     def test_single_block_campaign_never_holds_the_whole_factor(
             self, default_grid, brownian, monkeypatch):
         from specfield import covariance, verification
-        # 300 = 17 x 18 - 6 points: each chunk is built over 17 u-rows of 18
+        # 300 = 17 x 18 - 6 points: the short last u-row is filled, not
+        # padded, so each chunk owns exactly its 300 rows
         space = uniform_spatial_grid(1, 300)
-        u_row = len(space.split()[1])
         synths, widths = [], []
         build = covariance.spectral_factor
 
         def recording(*args):
             chunk = build(*args)
-            assert chunk.base.nbytes <= (covariance.BLOCK_BYTES
-                                         + u_row * chunk.shape[1] * 8)
+            assert chunk.base is None and chunk.shape[0] == 300
+            assert chunk.nbytes <= covariance.BLOCK_BYTES
             widths.append(chunk.shape[1])
             return chunk
 
