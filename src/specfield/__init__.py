@@ -9,11 +9,11 @@ comparison they imply.  See the README for the CLI and the config format.
 __version__ = "0.1.0"
 
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
-from .covariance import CovarianceMatrix, covariance_matrix, power_law_covariance_matrix
+from .covariance import covariance_matrix, power_law_covariance_matrix
 from .grids import (FrequencyGrid, PointSet, SpatialGrid, dyadic_frequency_grid,
                     uniform_spatial_grid)
 from .norms import HolderNorm, SupNorm
-from .rng import hermitian_noise, substream
+from .rng import hermitian_noise
 from .spectral import (AdmissibilityResult, BandLimitedDensity, DifferenceDensity,
                        DominationCertificate, DominationViolation,
                        InadmissibleDensityError,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
-from .covariance import CovarianceMatrix, covariance_matrix
+from .covariance import covariance_matrix
 from .spectral import check_admissible, check_domination, estimate_min_C
 from .synthesis import ExactFieldSampler, FieldSample, SpectralSynthesizer
 from .verification import (MCConfig, coupling_norm_quantiles, estimate_holder_exponent,
@@ -118,9 +118,9 @@ def _write_sample_csv(path: Path, sample: FieldSample):
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def _write_matrix_csv(path: Path, matrix: CovarianceMatrix):
+def _write_matrix_csv(path: Path, matrix: np.ndarray):
     rows = ["i,j,value"]
-    for i, entries in enumerate(matrix.entries.tolist()):
+    for i, entries in enumerate(matrix.tolist()):
         rows.extend(f"{i},{j},{value!r}" for j, value in enumerate(entries))
     _write_text(path, "\n".join(rows) + "\n")
 
@@ -241,14 +241,15 @@ def _run_covariance(cfg: RunConfig, outdir: Path, verbose: bool):
     density = cfg.densities["main"]
     if cfg.points:
         points = np.asarray(cfg.points, dtype=float)[:, None]
+        matrix = covariance_matrix(density, points, cfg.frequency_grid)
     else:
-        points = cfg.spatial_grid
-    matrix = covariance_matrix(density, points, cfg.frequency_grid)
-    _write_points_csv(outdir / "points.csv", matrix.points)
+        points = cfg.spatial_grid.points
+        matrix = covariance_matrix(density, cfg.spatial_grid, cfg.frequency_grid)
+    _write_points_csv(outdir / "points.csv", points)
     _write_matrix_csv(outdir / "covariance.csv", matrix)
     lines = [f"density = {density.label}",
-             f"size = {matrix.size}",
-             f"max_diagonal = {_fmt(np.max(np.diag(matrix.entries)))}"]
+             f"size = {len(matrix)}",
+             f"max_diagonal = {_fmt(np.max(np.diag(matrix)))}"]
     return EXIT_OK, lines
 
 

@@ -236,9 +236,13 @@ def _parse_density(reader: _Reader, prefix: str) -> SpectralDensity | None:
         inner = reader.floating(f"{prefix}.inner", default=0.0)
         outer = reader.floating(f"{prefix}.outer", required=" for the band-limited family")
         amplitude = reader.floating(f"{prefix}.amplitude", default=1.0)
+        for key, value in (("inner", inner), ("amplitude", amplitude)):
+            if value is not None and value < 0:
+                reader.error(f"{prefix}.{key}", f"{key} must be nonnegative, got {value}")
+                return None
         if None in (dim, inner, outer, amplitude):
             return None
-        try:
+        try:  # the rule inner < outer
             return BandLimitedDensity(dim, inner, outer, amplitude)
         except ValueError as exc:
             reader.error(f"{prefix}.outer", str(exc))
@@ -248,11 +252,13 @@ def _parse_density(reader: _Reader, prefix: str) -> SpectralDensity | None:
         base = _parse_density(reader, f"{prefix}.base")
         offset = reader.floating(f"{prefix}.modulation.offset", required="")
         amplitude = reader.floating(f"{prefix}.modulation.amplitude", required="")
-        frequency = reader.floating(f"{prefix}.modulation.frequency", default=1.0)
-        mod_scale = reader.floating(f"{prefix}.modulation.scale", default=1.0)
+        frequency = reader.floating(f"{prefix}.modulation.frequency", default=1.0,
+                                    positive=True)
+        mod_scale = reader.floating(f"{prefix}.modulation.scale", default=1.0,
+                                    positive=True)
         if None in (base, offset, amplitude, frequency, mod_scale):
             return None
-        try:
+        try:  # the rule offset >= |amplitude|
             modulation = SineModulation(offset, amplitude, frequency, mod_scale)
         except ValueError as exc:
             reader.error(f"{prefix}.modulation.offset", str(exc))

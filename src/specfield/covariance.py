@@ -30,6 +30,8 @@ row), and in d = 1 every entry with |x.xi| <= 1 is within 1e-14 relative
 error up to 1).  An arbitrary point list is the degenerate sum set
 ({0}, points), with trig on every point.
 
+Every covariance here is a plain (n, n) float array, exactly symmetric, in
+the order of its points; the points themselves stay with the caller.
 Closed forms for the power-law (fractional-Brownian) family live here too,
 both as test oracles and as the input to the exact-factorization sampler.
 """
@@ -37,14 +39,14 @@ both as test oracles and as the input to the exact-factorization sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import FrequencyGrid, SpatialGrid
 from .spectral import SpectralDensity, require_admissible
 
-# Eigenvalue floor scale: quadrature matrices may dip this far below zero.
+# Eigenvalue floor scale: quadrature matrices may dip this far below zero,
+# relative to their largest diagonal entry.
 PSD_NOISE_FACTOR = 1e-8
 
 # Bytes of one chunk of the spectral factor, and of one replica block of
@@ -186,83 +188,39 @@ def quadrature_gram(density: SpectralDensity, points,
     return gram
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
-    """Dense increment-covariance matrix over a list of spatial points.
-
-    Symmetry is exact by construction (each pair computed once).  The
-    eigenvalue floor (>= -PSD_NOISE_FACTOR * max diagonal) is enforced where
-    matrices are factorized, not eagerly here: an eigendecomposition per
-    construction would dominate the runtime of large closed-form matrices.
-    """
-
-    points: np.ndarray          # (n, d)
-    entries: np.ndarray         # (n, n) real
-    density_label: str
-    grid_label: str
-
-    def __post_init__(self):
-        pts = _as_points(self.points)
-        entries = np.asarray(self.entries, dtype=float)
-        n = pts.shape[0]
-        if entries.shape != (n, n):
-            raise ValueError(f"entries shape {entries.shape} does not match {n} points")
-        # lexsort, not np.unique(axis=0), which imports numpy.ma; rows equal
-        # under == (so -0.0 == 0.0) are adjacent once sorted
-        ordered = pts[np.lexsort(pts.T)] if pts.shape[1] else pts
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
-            raise ValueError("spatial points must be distinct")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("covariance entries must be finite")
-        if not np.array_equal(entries, entries.T):
-            raise ValueError("covariance entries are not exactly symmetric")
-        if np.any(np.diag(entries) < 0):
-            raise ValueError("covariance diagonal must be nonnegative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def origin_index(self) -> int | None:
-        """Index of the origin among the points, or None."""
-        hits = np.flatnonzero(np.all(self.points == 0.0, axis=1))
-        return int(hits[0]) if hits.size else None
-
-    @property
-    def psd_floor(self) -> float:
-        diag_max = float(np.max(np.diag(self.entries), initial=0.0))
-        return PSD_NOISE_FACTOR * diag_max
+def _distinct_points(points) -> np.ndarray:
+    """_as_points of a point list, refused unless its points are distinct."""
+    pts = _as_points(points)
+    # lexsort, not np.unique(axis=0), which imports numpy.ma; rows equal
+    # under == (so -0.0 == 0.0) are adjacent once sorted
+    ordered = pts[np.lexsort(pts.T)] if pts.shape[1] else pts
+    if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+        raise ValueError("spatial points must be distinct")
+    return pts
 
 
 def covariance_matrix(density: SpectralDensity, points,
-                      grid: FrequencyGrid) -> CovarianceMatrix:
-    """Assemble the quadrature covariance matrix on a SpatialGrid, through its
-    split, or on a point list."""
+                      grid: FrequencyGrid) -> np.ndarray:
+    """The (n, n) quadrature covariance on a SpatialGrid, through its split,
+    or on a list of distinct points."""
     require_admissible(density, grid)
-    pts = _as_points(points.points if isinstance(points, SpatialGrid) else points,
-                     grid.dimension)
-    return CovarianceMatrix(pts, quadrature_gram(density, points, grid), density.label,
-                            grid.grid_id)
+    if isinstance(points, SpatialGrid):  # distinct by construction: check d only
+        _as_points(points.points, grid.dimension)
+    else:
+        points = _distinct_points(_as_points(points, grid.dimension))
+    return quadrature_gram(density, points, grid)
 
 
 # --------------------------------------------------------------------------
 # closed forms for the power-law family
 
 
-def power_law_covariance_matrix(points, hurst: float) -> CovarianceMatrix:
-    """Closed-form covariance matrix of the unit-variance power-law field."""
-    pts = _as_points(points)
+def power_law_covariance_matrix(points, hurst: float) -> np.ndarray:
+    """Closed-form (n, n) covariance of the unit-variance power-law field on
+    a list of distinct points."""
+    pts = _distinct_points(points)
     r = np.sqrt(np.sum(pts ** 2, axis=1))
     diff = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
     h2 = 2.0 * hurst
     raw = 0.5 * (r[:, None] ** h2 + r[None, :] ** h2 - diff ** h2)
-    sym = np.triu(raw) + np.triu(raw, 1).T
-    return CovarianceMatrix(pts, sym, f"power-law-closed-form(H={hurst!r})",
-                            "closed-form")
+    return np.triu(raw) + np.triu(raw, 1).T

@@ -1,8 +1,8 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Every draw is addressed by (master_seed, stream_id): the pair keys a Philox
-generator, so substreams are independent and can be created in any order, on
-any worker, with identical results.  Replicate k of a coupled pair uses the
+generator, so streams are independent and can be drawn in any order, on any
+worker, with identical results.  Replicate k of a coupled pair uses the
 stream pair (2k, 2k+1).  Noise comes in blocks of replicas, but each row is
 still the draw of its own stream, so a block is the same whatever replicas
 share it.
@@ -16,44 +16,30 @@ from numpy.random import Generator, Philox
 _SEED_BOUND = 2 ** 64
 
 
-def _check_keys(master_seed: int, stream_ids) -> None:
-    """Raise on a master seed, or on the first stream id, outside [0, 2^64).
+def hermitian_noise(width: int, master_seed: int, stream_ids) -> np.ndarray:
+    """A (len(stream_ids), width) block of standard normals.
 
-    The ids are scanned only when their min or max is out of range.
+    Row j is the first `width` draws of
+    Generator(Philox(key=(master_seed, stream_ids[j]))), bit for bit, written
+    in place.  One Philox serves the block: for each row its state is reset
+    to key (master_seed, stream_id) at counter 0 with an empty buffer, which
+    is the state a new Philox(key=...) starts in.  The state dict holds
+    Python ints only, and a row changes it by one store of the key tuple, so
+    a reset costs the state setter's own work and no numpy indexing.  The
+    keys are checked once per block, before any row is drawn: the ids are
+    scanned for the first bad one only when the smallest or largest is
+    outside [0, 2^64).  A row costs about 1.7 us at width 7 and 3.4 us at
+    width 63, of which the reset is 0.7 us (numpy 2.4.6, one thread of a
+    shared 2-core x86-64 host).
+    The samplers say how a row is read: as Hermitian noise on the frequency
+    nodes (covariance.spectral_factor), or as the N - 1 or N normals that a
+    low-rank or Cholesky factor maps to the points.
     """
     if not 0 <= master_seed < _SEED_BOUND:
         raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")
     if len(stream_ids) and not (0 <= min(stream_ids) and max(stream_ids) < _SEED_BOUND):
         bad = next(i for i in stream_ids if not 0 <= i < _SEED_BOUND)
         raise ValueError(f"stream id must be a 64-bit unsigned integer, got {bad}")
-
-
-def substream(master_seed: int, stream_id: int) -> Generator:
-    """Independent generator keyed by (master_seed, stream_id)."""
-    _check_keys(master_seed, (stream_id,))
-    key = np.array([master_seed, stream_id], dtype=np.uint64)
-    return Generator(Philox(key=key))
-
-
-def hermitian_noise(width: int, master_seed: int, stream_ids) -> np.ndarray:
-    """A (len(stream_ids), width) block of standard normals.
-
-    Row j is the first `width` draws of substream(master_seed,
-    stream_ids[j]), bit for bit, written in place.  One Philox serves the
-    block: for each row its state is reset to key (master_seed, stream_id)
-    at counter 0 with an empty buffer, which is the state a new
-    Philox(key=...) starts in.  The state dict holds Python ints only, and
-    a row changes it by one store of the key tuple, so a reset costs the
-    state setter's own work and no numpy indexing.  The keys are checked
-    once per block, through the smallest and largest stream id, before any
-    row is drawn.  A row costs about 1.7 us at width 7 and 3.4 us at width
-    63, of which the reset is 0.7 us (numpy 2.4.6, one thread of a shared
-    2-core x86-64 host).
-    The synthesizers say how a row is read: as Hermitian noise on the
-    frequency nodes (covariance.spectral_factor), or as the N - 1 normals a
-    low-rank factor maps to the points.
-    """
-    _check_keys(master_seed, stream_ids)
     bit_generator = Philox(0)
     generator = Generator(bit_generator)
     key_state = {"counter": (0, 0, 0, 0), "key": (master_seed, 0)}

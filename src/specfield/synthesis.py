@@ -14,11 +14,14 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
   more replicas than points draws the same law through a factor F with
   F F^T = K instead, from N - 1 normals per replica rather than one per
   frequency node.
-- ExactFieldSampler: factorizes a covariance matrix (jittered Cholesky) and
-  maps standard normals through the factor.
+- ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
+  grid's points (jittered Cholesky), and maps standard normals through it.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
   the dominated field and the residual field from disjoint streams and
   assembles the representative of the dominating law as C^{-1/2} x1 + x2.
+
+Each draws blocks with sample_block(seed, ids), row j from stream ids[j];
+sample(seed, k) is the FieldSample of the one-row direct block [k].
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, block_rows, factor_chunks, quadrature_gram
+from .covariance import PSD_NOISE_FACTOR, block_rows, factor_chunks, quadrature_gram
 from .grids import PointSet, SpatialGrid
-from .rng import hermitian_noise, substream
+from .rng import hermitian_noise
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
                        require_admissible)
 
@@ -41,27 +44,33 @@ class IndefiniteMatrixError(RuntimeError):
     """Covariance factorization failed even after jitter escalation."""
 
 
+def _check_block(block: np.ndarray, grid) -> np.ndarray:
+    """The block, refused unless it is (B, grid.size), every value is finite
+    and the origin column, if the grid has the origin, is exactly +0.0."""
+    if block.shape[1:] != (grid.size,):
+        raise ValueError(f"values shape {block.shape[1:]} does not match grid size "
+                         f"{grid.size}")
+    if not np.all(np.isfinite(block)):
+        raise ValueError("sample values must be finite")
+    if grid.origin_index is not None:
+        origin = block[:, grid.origin_index]
+        if np.any(origin != 0.0) or np.any(np.signbit(origin)):
+            raise ValueError("value at the origin must be exactly +0.0")
+    return block
+
+
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """One realization of a field on a set of spatial points, with provenance."""
+    """One realization of a field on a set of spatial points, with its stream."""
 
     grid: SpatialGrid | PointSet
     values: np.ndarray
     master_seed: int
     stream_id: int
-    method: str                 # "spectral" | "exact"
-    density_label: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.size,):
-            raise ValueError(f"values shape {values.shape} does not match grid size "
-                             f"{self.grid.size}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample values must be finite")
-        oi = self.grid.origin_index
-        if oi is not None and values[oi] != 0.0:
-            raise ValueError(f"value at the origin must be exactly zero, got {values[oi]!r}")
+        _check_block(values[None], self.grid)
         object.__setattr__(self, "values", values)
 
     @property
@@ -142,82 +151,83 @@ class SpectralSynthesizer:
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j],
-        the way the last prepare() chose (direct without one).
-
-        Checks once per block what FieldSample checks per replica: every
-        value is finite and the origin column is exactly +0.0.
-        """
+        the way the last prepare() chose (direct without one)."""
         if self._low_rank is None:
-            return self._checked(self._direct_block(master_seed, stream_ids))
+            return _check_block(self._direct_block(master_seed, stream_ids),
+                                self.spatial_grid)
         noise = hermitian_noise(self._low_rank.shape[1], master_seed, stream_ids)
         block = np.empty((noise.shape[0], self.spatial_grid.size))
         block[:, 0] = 0.0
         np.matmul(noise, self._low_rank.T, out=block[:, 1:])
-        return self._checked(block)
-
-    def _checked(self, block: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(block)):
-            raise ValueError("sample values must be finite")
-        origin = block[:, self.spatial_grid.origin_index]
-        if np.any(origin != 0.0) or np.any(np.signbit(origin)):
-            raise ValueError("value at the origin must be exactly +0.0")
-        return block
+        return _check_block(block, self.spatial_grid)
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
-        """One replica: the one-row direct block.  Callers that draw replicas
-        one at a time reuse R, so it is kept."""
+        """One replica: the one-row direct block, whatever prepare() chose,
+        so it is bitwise the same on every synthesizer.  Callers that draw
+        replicas one at a time reuse R, so it is kept."""
         self.keep_factor()
-        values = self._checked(self._direct_block(master_seed, [stream_id]))[0]
-        return FieldSample(self.spatial_grid, values, master_seed, stream_id,
-                           "spectral", self.density.label)
+        return FieldSample(self.spatial_grid,
+                           self._direct_block(master_seed, [stream_id])[0],
+                           master_seed, stream_id)
 
 
-def _jittered_factor(matrix: CovarianceMatrix) -> np.ndarray:
+def _jittered_factor(entries: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of entries + jitter*I with escalation.
 
-    Starts at the matrix's PSD noise floor and doubles up to
-    len(JITTER_LADDER)-1 times; a matrix that resists all of them is reported
-    indefinite rather than silently smoothed further.
+    Starts at the PSD noise floor, PSD_NOISE_FACTOR times the largest
+    diagonal entry, and doubles up to len(JITTER_LADDER)-1 times; a matrix
+    that resists all of them is reported indefinite rather than silently
+    smoothed further.
     """
-    entries = matrix.entries
     if not np.any(entries):
         return np.zeros_like(entries)
-    base = matrix.psd_floor
+    base = PSD_NOISE_FACTOR * float(np.max(np.diag(entries)))
     for mult in JITTER_LADDER:
-        jittered = entries + (base * mult) * np.eye(matrix.size)
+        jittered = entries + (base * mult) * np.eye(len(entries))
         try:
             return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             continue
     raise IndefiniteMatrixError(
-        f"covariance matrix is not positive semidefinite within jitter "
-        f"{base * JITTER_LADDER[-1]:.3e} (source {matrix.density_label})")
+        f"the {len(entries)} x {len(entries)} covariance matrix is not positive "
+        f"semidefinite within jitter {base * JITTER_LADDER[-1]:.3e}")
 
 
 class ExactFieldSampler:
-    """Samples from a covariance matrix through a cached jittered factorization.
+    """Samples from an (N, N) covariance array over the points of `grid`
+    through a cached jittered factorization L.
 
     The independent oracle for the spectral synthesizer: the two target the
-    same matrix through unrelated mechanisms.
+    same matrix through unrelated mechanisms.  This is where a caller's own
+    array enters, so its shape, finiteness, symmetry and diagonal are checked.
     """
 
-    def __init__(self, matrix: CovarianceMatrix, grid=None):
-        if grid is None:
-            grid = PointSet(matrix.dimension, "matrix-points", matrix.points)
-        elif not np.array_equal(np.asarray(grid.points, dtype=float), matrix.points):
-            raise ValueError("grid points do not match the covariance matrix points")
-        self.matrix = matrix
+    def __init__(self, entries, grid: SpatialGrid | PointSet):
+        entries = np.asarray(entries, dtype=float)
+        if entries.shape != (grid.size, grid.size):
+            raise ValueError(f"covariance shape {entries.shape} does not match "
+                             f"{grid.size} grid points")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("covariance entries must be finite")
+        if not np.array_equal(entries, entries.T):
+            raise ValueError("covariance entries are not exactly symmetric")
+        if np.any(np.diag(entries) < 0):
+            raise ValueError("covariance diagonal must be nonnegative")
         self.grid = grid
-        self._factor = _jittered_factor(matrix)
+        self._factor = _jittered_factor(entries)
+
+    def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
+        """(len(stream_ids), N) samples: row j is L times the first N normals
+        of stream stream_ids[j], with the origin column set to +0.0."""
+        block = hermitian_noise(self.grid.size, master_seed, stream_ids) @ self._factor.T
+        if self.grid.origin_index is not None:
+            block[:, self.grid.origin_index] = 0.0
+        return _check_block(block, self.grid)
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
-        draws = substream(master_seed, stream_id).standard_normal(self.matrix.size)
-        values = self._factor @ draws
-        oi = self.grid.origin_index
-        if oi is not None:
-            values[oi] = 0.0
-        return FieldSample(self.grid, values, master_seed, stream_id, "exact",
-                           self.matrix.density_label)
+        """One replica: the one-row block."""
+        return FieldSample(self.grid, self.sample_block(master_seed, [stream_id])[0],
+                           master_seed, stream_id)
 
 
 class CouplingSynthesizer:
@@ -244,8 +254,6 @@ class CouplingSynthesizer:
         self._synth_x = SpectralSynthesizer(density_x, frequency_grid, spatial_grid)
         self._synth_residual = SpectralSynthesizer(residual, frequency_grid, spatial_grid)
         self._inv_root = self.constant ** -0.5
-        self._label = (f"coupled(x={density_x.label}, y={density_y.label}, "
-                       f"C={self.constant!r})")
 
     @property
     def spatial_grid(self) -> SpatialGrid:
@@ -270,5 +278,5 @@ class CouplingSynthesizer:
         x1 = self._synth_x.sample(master_seed, 2 * replicate_id)
         x2 = self._synth_residual.sample(master_seed, 2 * replicate_id + 1)
         y = FieldSample(self.spatial_grid, self._inv_root * x1.values + x2.values,
-                        master_seed, 2 * replicate_id, "spectral", self._label)
+                        master_seed, 2 * replicate_id)
         return x1, x2, y

@@ -464,8 +464,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     """
     coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
                                   cfg.frequency_grid, cfg.spatial_grid)
-    reference = covariance_matrix(density_y, cfg.spatial_grid,
-                                  cfg.frequency_grid).entries
+    reference = covariance_matrix(density_y, cfg.spatial_grid, cfg.frequency_grid)
 
     # sums over replicas of y_i y_j, (y_i y_j)^2, x1_i x2_j and (x1_i x2_j)^2
     sums = np.zeros((4, cfg.spatial_grid.size, cfg.spatial_grid.size))

@@ -26,6 +26,14 @@ density.y.family = power-law
 density.y.hurst = 0.5
 """
 
+BAND_LIMITED = """\
+command = density-check
+seed = 7
+density.family = band-limited
+density.inner = 1.0
+density.outer = 2.0
+"""
+
 SIMULATE = """\
 command = simulate
 seed = 11
@@ -360,6 +368,34 @@ class TestValidationErrors:
         msgs = errors_of(text + line + "\n")
         assert msgs == [f"line {len(text.splitlines()) + 1}: "
                         f"{key} must be a finite number, got {value!r}"]
+
+    # PAIR_CHECK gives the modulation's offset on line 6 and its amplitude on
+    # line 7; BAND_LIMITED gives inner on line 4 and outer on line 5
+    @pytest.mark.parametrize("text, line, message", [
+        (PAIR_CHECK, "density.x.modulation.frequency = -1",
+         "density.x.modulation.frequency must be positive, got -1.0"),
+        (PAIR_CHECK, "density.x.modulation.scale = 0",
+         "density.x.modulation.scale must be positive, got 0.0"),
+        (BAND_LIMITED, "density.amplitude = -1",
+         "amplitude must be nonnegative, got -1.0"),
+        (BAND_LIMITED.replace("density.inner = 1.0", "density.inner = -1.0"), None,
+         "inner must be nonnegative, got -1.0")],
+        ids=["frequency", "scale", "amplitude", "inner"])
+    def test_one_key_rules_name_their_own_line(self, text, line, message):
+        if line is None:
+            lineno = 4
+        else:
+            text += line + "\n"
+            lineno = len(text.splitlines())
+        assert errors_of(text) == [f"line {lineno}: {message}"]
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        (PAIR_CHECK.replace("amplitude = 1.0", "amplitude = -3.0"), 6,
+         "offset must be >= |amplitude| for a nonnegative modulation"),
+        (BAND_LIMITED.replace("density.inner = 1.0", "density.inner = 4.0"), 5,
+         "require 0 <= inner < outer")], ids=["offset", "outer"])
+    def test_two_key_rules_name_the_line_of_their_bound(self, text, lineno, message):
+        assert errors_of(text) == [f"line {lineno}: {message}"]
 
     def test_error_class_is_a_value_error(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specfield as sf
-from specfield import (CouplingSynthesizer, CovarianceMatrix, InadmissibleDensityError,
-                       PowerLawDensity, SpectralSynthesizer, check_domination,
+from specfield import (CouplingSynthesizer, ExactFieldSampler, InadmissibleDensityError,
+                       PointSet, PowerLawDensity, SpectralSynthesizer, check_domination,
                        covariance_matrix, difference_density, dyadic_frequency_grid,
                        power_law_covariance_matrix, uniform_spatial_grid)
+from specfield.covariance import PSD_NOISE_FACTOR
 
 BROWNIAN_POINTS = (0.25, 0.5, 0.75, 1.0)
 
@@ -18,7 +19,16 @@ BROWNIAN_POINTS = (0.25, 0.5, 0.75, 1.0)
 def kernel(density, x, y, grid):
     """K(x, y) as an entry of covariance_matrix (one point when x == y)."""
     points = [x] if np.array_equal(x, y) else [x, y]
-    return covariance_matrix(density, points, grid).entries[0, -1]
+    return covariance_matrix(density, points, grid)[0, -1]
+
+
+def psd_floor(matrix):
+    """How far below zero a quadrature covariance's eigenvalues may dip."""
+    return PSD_NOISE_FACTOR * np.max(np.diag(matrix))
+
+
+# the points of the 2 x 2 arrays the exact sampler is handed below
+PAIR = PointSet(1, "pair", np.array([[0.0], [1.0]]))
 
 
 class TestBrownianOracle:
@@ -26,7 +36,7 @@ class TestBrownianOracle:
         # closed form: K(x, x') = min(x, x') for x, x' >= 0
         matrix = covariance_matrix(brownian, BROWNIAN_POINTS, default_grid)
         expected = np.minimum.outer(BROWNIAN_POINTS, BROWNIAN_POINTS)
-        assert np.allclose(matrix.entries, expected, rtol=0.01, atol=0.0)
+        assert np.allclose(matrix, expected, rtol=0.01, atol=0.0)
 
     def test_refinement_shrinks_the_error(self, brownian):
         # richer quadrature must track the closed form markedly better
@@ -34,7 +44,7 @@ class TestBrownianOracle:
         fine = dyadic_frequency_grid(1, -10, 10, 16)
         expected = np.minimum.outer(BROWNIAN_POINTS, BROWNIAN_POINTS)
         err = {id(g): np.max(np.abs(covariance_matrix(brownian, BROWNIAN_POINTS,
-                                                      g).entries - expected))
+                                                      g) - expected))
                for g in (coarse, fine)}
         assert err[id(fine)] <= 0.5 * err[id(coarse)]
 
@@ -46,19 +56,19 @@ class TestPowerLawOracle:
         points = [0.5, 1.0]
         matrix = covariance_matrix(f, points, default_grid)
         closed = power_law_covariance_matrix(points, hurst)
-        assert np.allclose(matrix.entries, closed.entries, rtol=0.02)
+        assert np.allclose(matrix, closed, rtol=0.02)
 
     def test_closed_form_diagonal_is_the_variogram(self):
         points = np.array([0.3, 0.6, 1.0])
         matrix = power_law_covariance_matrix(points, 0.4)
-        assert np.allclose(np.diag(matrix.entries), points ** 0.8, rtol=1e-12)
+        assert np.allclose(np.diag(matrix), points ** 0.8, rtol=1e-12)
 
     def test_increment_closed_form_scalar_and_batch(self):
         # at H = 1/2 every entry is the Brownian min(x, x'), one pair or many
         pair = power_law_covariance_matrix([0.5, 1.0], 0.5)
-        assert np.isclose(pair.entries[0, 1], 0.5, rtol=1e-12)
+        assert np.isclose(pair[0, 1], 0.5, rtol=1e-12)
         batch = power_law_covariance_matrix(BROWNIAN_POINTS, 0.5)
-        assert np.allclose(batch.entries,
+        assert np.allclose(batch,
                            np.minimum.outer(BROWNIAN_POINTS, BROWNIAN_POINTS),
                            rtol=1e-12)
 
@@ -71,7 +81,7 @@ class TestKernelStructure:
         # quadrature inherits the identity node by node, so it holds to roundoff
         f = sf.fractional_brownian_density(0.35)
         points = np.unique([x, y, x - y])
-        matrix = covariance_matrix(f, points, default_grid).entries
+        matrix = covariance_matrix(f, points, default_grid)
         at = {u: int(np.flatnonzero(points == u)[0]) for u in (x, y, x - y)}
         k = matrix[at[x], at[y]]
         combined = 0.5 * (matrix[at[x], at[x]] + matrix[at[y], at[y]]
@@ -95,14 +105,13 @@ class TestKernelStructure:
 class TestCovarianceMatrix:
     def test_matrix_is_exactly_symmetric(self, default_grid, brownian):
         matrix = covariance_matrix(brownian, np.linspace(0, 1, 9), default_grid)
-        assert np.array_equal(matrix.entries, matrix.entries.T)
+        assert np.array_equal(matrix, matrix.T)
 
     def test_origin_row_exactly_zero(self, default_grid, brownian):
+        # rows follow the points, so the origin's are row and column 0
         matrix = covariance_matrix(brownian, np.linspace(0, 1, 9), default_grid)
-        oi = matrix.origin_index
-        assert oi == 0
-        assert np.all(matrix.entries[oi] == 0.0)
-        assert np.all(matrix.entries[:, oi] == 0.0)
+        assert np.all(matrix[0] == 0.0)
+        assert np.all(matrix[:, 0] == 0.0)
 
     @pytest.mark.parametrize("block_bytes", [sf.covariance.BLOCK_BYTES, 8 * 300 * 64])
     def test_chunked_gram_matches_the_whole_factor(self, default_grid, brownian,
@@ -114,20 +123,24 @@ class TestCovarianceMatrix:
         assert sf.covariance.block_rows(2 * 300) < len(default_grid.nodes)
         factor = sf.covariance.spectral_factor(brownian, points, default_grid)
         whole = factor @ factor.T
-        entries = covariance_matrix(brownian, points, default_grid).entries
+        entries = covariance_matrix(brownian, points, default_grid)
         assert np.array_equal(entries, entries.T)
         assert np.max(np.abs(entries - whole)) <= 1e-13 * np.max(whole)
 
     def test_origin_absent(self, default_grid, brownian):
-        matrix = covariance_matrix(brownian, [0.25, 0.5], default_grid)
-        assert matrix.origin_index is None
+        # without the origin no row vanishes, and the exact sampler pins none
+        points = PointSet(1, "no-origin", np.array([[0.25], [0.5]]))
+        matrix = covariance_matrix(brownian, points.points, default_grid)
+        assert points.origin_index is None
+        assert np.all(np.diag(matrix) > 0.0)
+        assert np.all(ExactFieldSampler(matrix, points).sample_block(3, range(4)) != 0.0)
 
     def test_eigenvalue_floor(self, default_grid, brownian):
         for density, points in [(brownian, np.linspace(0, 1, 8)),
                                 (sf.fractional_brownian_density(0.7),
                                  np.linspace(0, 1, 16))]:
             matrix = covariance_matrix(density, points, default_grid)
-            assert np.linalg.eigvalsh(matrix.entries)[0] >= -matrix.psd_floor
+            assert np.linalg.eigvalsh(matrix)[0] >= -psd_floor(matrix)
 
     def test_matches_pointwise_increments(self, default_grid, brownian):
         points = [0.25, 0.5, 1.0]
@@ -135,40 +148,51 @@ class TestCovarianceMatrix:
         for i, x in enumerate(points):
             for j, y in enumerate(points):
                 expected = kernel(brownian, x, y, default_grid)
-                assert np.isclose(matrix.entries[i, j], expected, rtol=1e-12,
+                assert np.isclose(matrix[i, j], expected, rtol=1e-12,
                                   atol=1e-15)
 
-    def test_rejects_duplicate_points(self):
-        with pytest.raises(ValueError, match="distinct"):
-            CovarianceMatrix(np.array([[0.5], [0.5]]), np.eye(2), "d", "g")
+    def test_rejects_duplicate_points(self, default_grid, grid_2d):
+        def quadrature(points):
+            dimension = points.shape[1]
+            return covariance_matrix(sf.fractional_brownian_density(0.5, dimension),
+                                     points, default_grid if dimension == 1 else grid_2d)
+
+        def closed_form(points):
+            return power_law_covariance_matrix(points, 0.5)
         # a 2-d duplicate that is not next to its twin in input order
         plane = np.array([[0.5, 0.25], [0.25, 0.5], [0.5, 0.5], [0.5, 0.25]])
-        with pytest.raises(ValueError, match="distinct"):
-            CovarianceMatrix(plane, np.eye(4), "d", "g")
-        # points compare as floats: -0.0 is 0.0
-        with pytest.raises(ValueError, match="distinct"):
-            CovarianceMatrix(np.array([[-0.0], [0.0]]), np.eye(2), "d", "g")
-        distinct = CovarianceMatrix(plane[:3], np.eye(3), "d", "g")
-        assert distinct.size == 3
+        for matrix in (quadrature, closed_form):
+            with pytest.raises(ValueError, match="distinct"):
+                matrix(np.array([[0.5], [0.5]]))
+            # points compare as floats: -0.0 is 0.0
+            with pytest.raises(ValueError, match="distinct"):
+                matrix(np.array([[-0.0], [0.0]]))
+            with pytest.raises(ValueError, match="distinct"):
+                matrix(plane)
+            assert matrix(plane[:3]).shape == (3, 3)
+
+    # the exact sampler is where a caller's own array enters, so it checks
+    # what the covariance functions guarantee by construction
 
     def test_rejects_asymmetric_entries(self):
         entries = np.array([[1.0, 0.2], [0.200001, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            CovarianceMatrix(np.array([[0.0], [1.0]]), entries, "d", "g")
+            ExactFieldSampler(entries, PAIR)
 
     def test_rejects_nonfinite_entries(self):
         entries = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="finite"):
-            CovarianceMatrix(np.array([[0.0], [1.0]]), entries, "d", "g")
+            ExactFieldSampler(entries, PAIR)
 
     def test_rejects_negative_diagonal(self):
         entries = np.array([[-1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
-            CovarianceMatrix(np.array([[0.0], [1.0]]), entries, "d", "g")
+            ExactFieldSampler(entries, PAIR)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            CovarianceMatrix(np.array([[0.0], [1.0]]), np.eye(3), "d", "g")
+        for entries in (np.eye(3), np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(ValueError, match="shape"):
+                ExactFieldSampler(entries, PAIR)
 
 
 EPS = np.finfo(float).eps
@@ -317,12 +341,12 @@ class TestCouplingKernel:
     def test_full_components_sum_the_two_kernels(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         points = uniform_spatial_grid(1, 8).points
-        k_y = covariance_matrix(base, points, default_grid).entries
-        k_x = covariance_matrix(perturbed, points, default_grid).entries
+        k_y = covariance_matrix(base, points, default_grid)
+        k_x = covariance_matrix(perturbed, points, default_grid)
         for constant in (1.0, 3.0):
             cert = check_domination(perturbed, base, constant, default_grid)
             residual = difference_density(base, perturbed, constant, cert)
-            k_res = covariance_matrix(residual, points, default_grid).entries
+            k_res = covariance_matrix(residual, points, default_grid)
             assert (np.max(np.abs(k_y - (k_x / constant + k_res)))
                     <= 1e-12 * np.max(np.abs(k_y)))
 
@@ -331,7 +355,7 @@ class TestCouplingKernel:
         cert = check_domination(brownian, brownian, 1.0, default_grid)
         residual = difference_density(brownian, brownian, 1.0, cert)
         points = uniform_spatial_grid(1, 8).points
-        assert not np.any(covariance_matrix(residual, points, default_grid).entries)
+        assert not np.any(covariance_matrix(residual, points, default_grid))
 
     def test_first_component_reduces_to_dominated_kernel(self, default_grid,
                                                          fbm_pair):
@@ -362,14 +386,14 @@ class TestCouplingKernel:
             cert = check_domination(perturbed, base, constant, default_grid)
             residual = difference_density(base, perturbed, constant, cert)
             matrix = covariance_matrix(residual, points, default_grid)
-            assert np.linalg.eigvalsh(matrix.entries)[0] >= -matrix.psd_floor
+            assert np.linalg.eigvalsh(matrix)[0] >= -psd_floor(matrix)
 
 
 class TestPlaneKernel:
     def test_variance_at_unit_vectors_matches(self, grid_2d):
         f = sf.fractional_brownian_density(0.5, dimension=2)
         v1, v2 = np.diag(covariance_matrix(f, [(1.0, 0.0), (0.0, 1.0)],
-                                           grid_2d).entries)
+                                           grid_2d))
         # isotropy: the two variances agree far inside quadrature error
         assert np.isclose(v1, v2, rtol=1e-6)
 
@@ -377,6 +401,6 @@ class TestPlaneKernel:
         f = sf.fractional_brownian_density(0.5, dimension=2)
         pts = sf.uniform_spatial_grid(2, 3).points
         matrix = covariance_matrix(f, pts, grid_2d)
-        assert matrix.size == 9
-        assert np.array_equal(matrix.entries, matrix.entries.T)
-        assert np.linalg.eigvalsh(matrix.entries)[0] >= -matrix.psd_floor
+        assert matrix.shape == (9, 9)
+        assert np.array_equal(matrix, matrix.T)
+        assert np.linalg.eigvalsh(matrix)[0] >= -psd_floor(matrix)

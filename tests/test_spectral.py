@@ -96,12 +96,12 @@ class TestNormalization:
         # the whole pipeline reproduces Var X(1) = 1 for a couple of exponents
         for hurst in (0.3, 0.7):
             f = fractional_brownian_density(hurst)
-            var = sf.covariance_matrix(f, [1.0], default_grid).entries[0, 0]
+            var = sf.covariance_matrix(f, [1.0], default_grid)[0, 0]
             assert np.isclose(var, 1.0, rtol=0.01)
 
     def test_unit_variance_in_the_plane(self, grid_2d):
         f = fractional_brownian_density(0.5, dimension=2)
-        var = sf.covariance_matrix(f, [(1.0, 0.0)], grid_2d).entries[0, 0]
+        var = sf.covariance_matrix(f, [(1.0, 0.0)], grid_2d)[0, 0]
         assert np.isclose(var, 1.0, rtol=0.01)
 
 

@@ -1,33 +1,39 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 import specfield as sf
-from specfield import (BandLimitedDensity, CouplingSynthesizer, CovarianceMatrix,
-                       ExactFieldSampler, FieldSample, IndefiniteMatrixError,
-                       PointSet, SpectralSynthesizer, ZeroDensity, check_domination,
-                       covariance_matrix, hermitian_noise, substream,
+from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSampler,
+                       FieldSample, IndefiniteMatrixError, PointSet, SpectralSynthesizer,
+                       ZeroDensity, check_domination, covariance_matrix, hermitian_noise,
                        uniform_spatial_grid)
+
+
+def stream_normals(master_seed, stream_id, width):
+    """The first `width` normals of stream (master_seed, stream_id), from a
+    fresh generator keyed by the pair."""
+    key = np.array([master_seed, stream_id], dtype=np.uint64)
+    return Generator(Philox(key=key)).standard_normal(width)
 
 
 class TestSubstreams:
     def test_streams_are_reproducible(self):
-        a = substream(42, 7).standard_normal(5)
-        b = substream(42, 7).standard_normal(5)
-        assert np.array_equal(a, b)
+        a = hermitian_noise(5, 42, [7, 7])
+        assert np.array_equal(a[0], a[1])
+        assert np.array_equal(a, hermitian_noise(5, 42, [7, 7]))
 
     def test_streams_are_distinct(self):
-        a = substream(42, 7).standard_normal(5)
-        b = substream(42, 8).standard_normal(5)
-        c = substream(43, 7).standard_normal(5)
+        a, b = hermitian_noise(5, 42, [7, 8])
+        c = hermitian_noise(5, 43, [7])[0]
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError, match="master seed"):
-            substream(-1, 0)
+            hermitian_noise(5, -1, [0])
         with pytest.raises(ValueError, match="stream id"):
-            substream(0, 2 ** 64)
+            hermitian_noise(5, 0, [2 ** 64])
 
 
 class TestHermitianNoise:
@@ -50,7 +56,7 @@ class TestHermitianNoise:
         for width in (8, 5248):
             block = hermitian_noise(width, 2 ** 64 - 1, ids)
             for row, stream_id in zip(block, ids):
-                expected = substream(2 ** 64 - 1, stream_id).standard_normal(width)
+                expected = stream_normals(2 ** 64 - 1, stream_id, width)
                 assert row.tobytes() == expected.tobytes()
 
     def test_stream_id_range_is_checked(self):
@@ -89,10 +95,8 @@ class TestSpectralSynthesizer:
 
     def test_sample_metadata(self, default_grid, space_8, brownian):
         sample = SpectralSynthesizer(brownian, default_grid, space_8).sample(99, 5)
-        assert sample.method == "spectral"
         assert sample.master_seed == 99
         assert sample.stream_id == 5
-        assert sample.density_label == brownian.label
         assert sample.size == 8
 
     def test_zero_density_gives_zero_field(self, default_grid, space_8):
@@ -104,7 +108,7 @@ class TestSpectralSynthesizer:
         synth = SpectralSynthesizer(brownian, default_grid, grid)
         n = 4000
         values = np.array([synth.sample(7, k).values[1] for k in range(n)])
-        target = covariance_matrix(brownian, [1.0], default_grid).entries[0, 0]
+        target = covariance_matrix(brownian, [1.0], default_grid)[0, 0]
         # variance estimate has relative standard error sqrt(2/n)
         assert np.isclose(np.mean(values ** 2), target,
                           rtol=4.0 * np.sqrt(2.0 / n))
@@ -121,6 +125,14 @@ class TestSpectralSynthesizer:
 
 
 class TestSampleBlock:
+    def test_sample_is_the_one_row_block(self, default_grid, space_8, brownian):
+        synth = SpectralSynthesizer(brownian, default_grid, space_8)
+        for k in (0, 5):
+            sample = synth.sample(19, k)
+            row = SpectralSynthesizer(brownian, default_grid, space_8).sample_block(19, [k])
+            assert sample.values.tobytes() == row[0].tobytes()
+            assert (sample.master_seed, sample.stream_id) == (19, k)
+
     @pytest.mark.parametrize("resolution", [8, 300])
     def test_streamed_and_kept_factor_agree_bitwise_1d(self, default_grid, brownian,
                                                        resolution):
@@ -263,7 +275,7 @@ class TestLowRankFactor:
         off_origin = rows > 0
         rows, cols = rows[off_origin], cols[off_origin]
         products = block[:, rows] * block[:, cols]
-        kernel = covariance_matrix(density, space.points, grid).entries[rows, cols]
+        kernel = covariance_matrix(density, space.points, grid)[rows, cols]
         z = (products.mean(axis=0) - kernel) / (products.std(axis=0, ddof=1)
                                                 / np.sqrt(n))
         threshold = stats.norm.isf(1e-3 / (2 * len(kernel)))
@@ -315,13 +327,13 @@ class TestComplexReference:
         weighted = np.tile(grid.weights / 2, 2) * density.evaluate(full_nodes)
 
         values = SpectralSynthesizer(density, grid, space).sample(8, 3).values
-        draws = substream(8, 3).standard_normal((len(grid.nodes), 2))
+        draws = stream_normals(8, 3, grid.size).reshape(-1, 2)
         zeta = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         zeta = np.concatenate([zeta, np.conj(zeta)])
         reference = phases @ (np.sqrt(weighted) * zeta)
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(values))
 
-        entries = covariance_matrix(density, space.points, grid).entries
+        entries = covariance_matrix(density, space.points, grid)
         kernel = ((phases * weighted) @ np.conj(phases.T)).real
         assert np.max(np.abs(entries - kernel)) <= 1e-12 * np.max(np.abs(kernel))
 
@@ -329,39 +341,45 @@ class TestComplexReference:
 class TestFieldSampleValidation:
     def test_rejects_wrong_shape(self, space_8):
         with pytest.raises(ValueError, match="shape"):
-            FieldSample(space_8, np.zeros(5), 0, 0, "spectral", "d")
+            FieldSample(space_8, np.zeros(5), 0, 0)
+        with pytest.raises(ValueError, match="shape"):
+            FieldSample(space_8, np.zeros((1, 8)), 0, 0)
 
     def test_rejects_nonzero_origin(self, space_8):
         values = np.ones(8)
         with pytest.raises(ValueError, match="origin"):
-            FieldSample(space_8, values, 0, 0, "spectral", "d")
+            FieldSample(space_8, values, 0, 0)
+        # a -0.0 would print as "-0.0" in the CSV outputs
+        values[0] = -0.0
+        with pytest.raises(ValueError, match="origin"):
+            FieldSample(space_8, values, 0, 0)
 
     def test_rejects_nonfinite(self, space_8):
         values = np.zeros(8)
         values[3] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            FieldSample(space_8, values, 0, 0, "spectral", "d")
+            FieldSample(space_8, values, 0, 0)
 
     def test_origin_free_point_set(self):
         ps = PointSet(1, "probe", np.array([[0.5], [1.0]]))
-        sample = FieldSample(ps, np.array([1.0, 2.0]), 0, 0, "exact", "d")
+        sample = FieldSample(ps, np.array([1.0, 2.0]), 0, 0)
         assert sample.size == 2
+
+
+def point_set(*points):
+    return PointSet(1, "probe", np.array(points, dtype=float)[:, None])
 
 
 class TestExactSampler:
     def test_zero_matrix_gives_zero_sample(self):
-        pts = np.array([[0.5], [1.0]])
-        matrix = CovarianceMatrix(pts, np.zeros((2, 2)), "zero", "test")
-        sample = ExactFieldSampler(matrix).sample(3, 0)
+        sample = ExactFieldSampler(np.zeros((2, 2)), point_set(0.5, 1.0)).sample(3, 0)
         assert np.all(sample.values == 0.0)
 
     def test_single_point_distribution(self):
         variance = 2.5
-        matrix = CovarianceMatrix(np.array([[1.0]]), np.array([[variance]]),
-                                  "d", "test")
-        sampler = ExactFieldSampler(matrix)
+        sampler = ExactFieldSampler(np.array([[variance]]), point_set(1.0))
         n = 2000
-        draws = np.array([sampler.sample(5, k).values[0] for k in range(n)])
+        draws = sampler.sample_block(5, range(n))[:, 0]
         assert abs(np.mean(draws)) <= 4.0 * np.sqrt(variance / n)
         assert np.isclose(np.var(draws), variance, rtol=4.0 * np.sqrt(2.0 / n))
 
@@ -370,7 +388,23 @@ class TestExactSampler:
         a = ExactFieldSampler(matrix, space_8).sample(17, 2)
         b = ExactFieldSampler(matrix, space_8).sample(17, 2)
         assert np.array_equal(a.values, b.values)
-        assert a.method == "exact"
+        assert (a.master_seed, a.stream_id) == (17, 2)
+
+    def test_block_rows_are_the_factor_times_their_streams(self, default_grid, space_8,
+                                                           brownian):
+        sampler = ExactFieldSampler(covariance_matrix(brownian, space_8, default_grid),
+                                    space_8)
+        ids = [5, 0, 17, 2 ** 64 - 1]
+        block = sampler.sample_block(11, ids)
+        for row, stream_id in zip(block, ids):
+            expected = sampler._factor @ stream_normals(11, stream_id, 8)
+            expected[0] = 0.0
+            assert np.max(np.abs(row - expected)) <= 1e-14 * np.max(np.abs(expected))
+            # one row is one matrix-vector product, bit for bit
+            one = sampler.sample_block(11, [stream_id])[0]
+            assert one.tobytes() == expected.tobytes()
+            assert sampler.sample(11, stream_id).values.tobytes() == one.tobytes()
+        assert not np.any(np.signbit(block[:, 0]))
 
     def test_origin_forced_to_zero(self, default_grid, space_8, brownian):
         # the jittered factor gives the origin a ~1e-4 amplitude; the sampler
@@ -380,43 +414,43 @@ class TestExactSampler:
         assert sample.values[0] == 0.0
 
     def test_grid_point_mismatch(self, default_grid, space_8, brownian):
+        # an array carries no points, so only a grid of another size is caught
         matrix = covariance_matrix(brownian, space_8.points, default_grid)
         other = uniform_spatial_grid(1, 9)
-        with pytest.raises(ValueError, match="points"):
+        with pytest.raises(ValueError, match="9 grid points"):
             ExactFieldSampler(matrix, other)
 
     def test_empirical_covariance_matches_matrix(self, default_grid, brownian):
-        points = np.array([0.4, 1.0])
-        matrix = covariance_matrix(brownian, points, default_grid)
-        sampler = ExactFieldSampler(matrix)
+        points = point_set(0.4, 1.0)
+        matrix = covariance_matrix(brownian, points.points, default_grid)
+        sampler = ExactFieldSampler(matrix, points)
         n = 3000
-        rows = np.array([sampler.sample(23, k).values for k in range(n)])
+        rows = sampler.sample_block(23, range(n))
         empirical = rows.T @ rows / n
-        se = np.sqrt(2.0 / n) * np.max(matrix.entries)
-        assert np.allclose(empirical, matrix.entries, atol=4.0 * se)
+        se = np.sqrt(2.0 / n) * np.max(matrix)
+        assert np.allclose(empirical, matrix, atol=4.0 * se)
 
 
 class TestJitterLadder:
-    def pts(self):
-        return np.array([[0.5], [1.0]])
-
-    def near_psd(self, defect):
+    def sampler(self, defect):
         # eigenvalues 2 + defect and -defect: indefinite by exactly `defect`
         entries = np.array([[1.0, 1.0 + defect], [1.0 + defect, 1.0]])
-        return CovarianceMatrix(self.pts(), entries, "d", "test")
+        return ExactFieldSampler(entries, point_set(0.5, 1.0))
 
     def test_first_rung_absorbs_tiny_defect(self):
-        sample = ExactFieldSampler(self.near_psd(5e-9)).sample(1, 0)
+        sample = self.sampler(5e-9).sample(1, 0)
         assert np.all(np.isfinite(sample.values))
 
     def test_escalation_absorbs_moderate_defect(self):
         # needs the 8x rung: base jitter is 1e-8 * max diagonal = 1e-8
-        sample = ExactFieldSampler(self.near_psd(5e-8)).sample(1, 0)
+        sample = self.sampler(5e-8).sample(1, 0)
         assert np.all(np.isfinite(sample.values))
 
     def test_genuinely_indefinite_matrix_is_rejected(self):
-        with pytest.raises(IndefiniteMatrixError, match="positive semidefinite"):
-            ExactFieldSampler(self.near_psd(1e-5)).sample(1, 0)
+        # the error names the size and the largest jitter tried, 8e-8
+        with pytest.raises(IndefiniteMatrixError,
+                           match="2 x 2 .* positive semidefinite within jitter 8.000e-08"):
+            self.sampler(1e-5)
 
 
 class TestCoupling:
@@ -464,7 +498,7 @@ class TestCoupling:
                                       space_8)
         n = 1500
         tail = np.array([coupler.sample(13, k)[2].values[-1] for k in range(n)])
-        target = covariance_matrix(base, [1.0], default_grid).entries[0, 0]
+        target = covariance_matrix(base, [1.0], default_grid)[0, 0]
         assert np.isclose(np.mean(tail ** 2), target, rtol=4.0 * np.sqrt(2.0 / n))
 
     def test_sample_is_the_one_row_block(self, default_grid, space_8, fbm_pair):
@@ -475,8 +509,9 @@ class TestCoupling:
         for k in (0, 4):
             samples = coupler.sample(17, k)
             rows = coupler.sample_block(17, [k])
-            for sample, row in zip(samples, rows):
+            for sample, row, stream_id in zip(samples, rows, (2 * k, 2 * k + 1, 2 * k)):
                 assert sample.values.tobytes() == row[0].tobytes()
+                assert (sample.master_seed, sample.stream_id) == (17, stream_id)
             x1, x2, y_rep = (sample.values for sample in samples)
             assert np.array_equal(y_rep, 3.0 ** -0.5 * x1 + x2)
 
