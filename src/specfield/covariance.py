@@ -6,9 +6,14 @@ approximated here as a weighted sum over a symmetric dyadic grid.  With f
 even, each (xi, -xi) pair of nodes contributes a real term, so the sum runs
 over the grid's stored node per pair as K = R R^T with the real factor R of
 `spectral_factor`.  `factor_chunks` is the one walk over R, by chunks of
-node pairs whose columns fit in BLOCK_BYTES: `quadrature_gram` sums K over
-it, and the spectral synthesizer draws through it, so no more than one chunk
-of R exists at once unless a synthesizer keeps them all.
+node pairs whose columns fit in BLOCK_BYTES: the spectral synthesizer draws
+through it, and `quadrature_gram` sums K over it for a point list, so no
+more than one chunk of R exists at once unless a synthesizer keeps them all.
+On a spatial grid `quadrature_gram` builds no R: K(x, x') is
+g(x) + g(x') - g(x - x') with the quadrature variogram
+g(h) = 2 sum w f sin^2(h.xi/2), and every lag of the grid is one of about
+2N values u_a +- v_b of its split (below), so K costs about 3 N M
+multiply-adds for the lag table, against N^2 M / 2 for R R^T.
 
 R is built from half-angle phase tables.  Every spatial grid is a sum set
 u + v of two point sets of about sqrt(N) points (in d = 2 the two axes, in
@@ -52,6 +57,9 @@ PSD_NOISE_FACTOR = 1e-8
 # Bytes of one chunk of the spectral factor, and of one replica block of
 # noise.
 BLOCK_BYTES = 8 << 20
+
+# Frequency nodes per partial product of the variogram's lag tables.
+SUM_NODES = 256
 
 
 def block_rows(width: int) -> int:
@@ -166,16 +174,86 @@ def factor_chunks(density: SpectralDensity, points, grid: FrequencyGrid):
                spectral_factor(density, points, grid, slice(start, stop)))
 
 
-def quadrature_gram(density: SpectralDensity, points,
-                    grid: FrequencyGrid) -> np.ndarray:
-    """The quadrature kernel R R^T on n points, exactly symmetric.
+def _chunk_variogram(density: SpectralDensity, u: np.ndarray, v: np.ndarray,
+                     grid: FrequencyGrid, pairs: slice) -> tuple:
+    """(plus, minus), the terms of g(u_a + v_b) and g(u_a - v_b) of the
+    stored nodes `pairs` selects, each (len(u), len(v)), for the progressions
+    u and v of a grid's split.
 
-    Summed as R_c R_c^T over the chunks R_c of `factor_chunks`, so memory is
-    O(n^2) plus one chunk whatever the grid size.  Each chunk adds only the
-    row blocks of the upper triangle, and the lower triangle is mirrored
-    from the upper one, so symmetry is exact rather than a float
-    coincidence.
+    With s = sin(theta/2) and c = cos(theta/2) of theta = u_a.xi and of
+    v_b.xi, sin^2 of the half sum is s_u^2 c_v^2 + c_u^2 s_v^2
+    +- 2 s_u c_u s_v c_v, so each table is a product of the rows
+    (c^2, s^2, s c) per node of u, scaled by 2 w f, with (s^2, c^2, +-2 s c)
+    of v.  The product is taken over SUM_NODES nodes at a time and the
+    partial tables are summed pairwise: one product over every node of a
+    chunk let the cross terms' roundoff grow to 3 times that of R R^T.
     """
+    nodes = grid.nodes[pairs]
+    mass = 2.0 * grid.weights[pairs] * density.evaluate(nodes)
+    parts = -(-len(nodes) // SUM_NODES)
+    sides = []
+    for points, order in ((u, (1, 0)), (v, (0, 1))):
+        table = _progression_table(points, nodes)           # c - i s
+        rows = np.zeros((len(points), parts * SUM_NODES, 3))  # zero past the nodes
+        used = rows[:, :len(nodes)]
+        np.square(table.imag, out=used[..., order[0]])      # s^2
+        np.square(table.real, out=used[..., order[1]])      # c^2
+        np.multiply(table.real, table.imag, out=used[..., 2])  # -s c
+        sides.append(rows)
+    left, right = sides
+    left[:, :len(nodes)] *= mass[:, None]
+    right[..., 2] *= 2.0
+    left = left.reshape(len(u), parts, -1).transpose(1, 0, 2)
+    tables = []
+    for _ in range(2):
+        partial = left @ right.reshape(len(v), parts, -1).transpose(1, 2, 0)
+        tables.append(np.ascontiguousarray(np.moveaxis(partial, 0, -1)).sum(axis=-1))
+        np.negative(right[..., 2], out=right[..., 2])
+    return tuple(tables)
+
+
+def _lag_gram(density: SpectralDensity, space: SpatialGrid,
+              grid: FrequencyGrid) -> np.ndarray:
+    """K = g(x) + g(x') - g(x - x') on a SpatialGrid, from its variogram g
+    over the lags of the split (u, v); see quadrature_gram."""
+    u, v = space.split()
+    n = space.size
+    pairs = block_rows(5 * (len(u) + len(v)))
+    plus = np.zeros((len(u), len(v)))
+    minus = np.zeros((len(u), len(v)))
+    for start in range(0, len(grid.nodes), pairs):
+        stop = min(start + pairs, len(grid.nodes))
+        terms = _chunk_variogram(density, u, v, grid, slice(start, stop))
+        plus += terms[0]
+        minus += terms[1]
+    # lags[len(u) - 1 + p, len(v) - 1 + t] = g(p u_1 + t v_1): the sign of
+    # the pair decides between plus and minus, and the half p < 0 is the
+    # mirror of p > 0, so x - x' and x' - x read the same value
+    first, second = len(u) - 1, len(v) - 1
+    lags = np.empty((2 * first + 1, 2 * second + 1))
+    lags[first:, second:] = plus
+    lags[first + 1:, :second] = minus[1:, :0:-1]
+    lags[first, :second] = plus[0, :0:-1]
+    lags[:first] = lags[:first:-1, ::-1]
+    # windows[p, t, b] = lags[p, t + b]; point q len(v) + r against point
+    # q' len(v) + r' reads lags[first - q + q', second - r + r']
+    windows = np.lib.stride_tricks.sliding_window_view(lags, len(v), axis=1)
+    variogram = plus.ravel()
+    gram = np.empty((n, n))
+    scratch = np.empty((len(v), len(u), len(v)))
+    for q, top in enumerate(range(0, n, len(v))):
+        rows = scratch[:min(len(v), n - top)]
+        np.add(variogram[top:top + len(rows), None, None], plus, out=rows)
+        lag = windows[first - q:2 * first + 1 - q, second::-1][:, :len(rows)]
+        np.subtract(rows, lag.transpose(1, 0, 2), out=rows)
+        gram[top:top + len(rows)] = rows.reshape(len(rows), -1)[:, :n]
+    return gram
+
+
+def _factor_gram(density: SpectralDensity, points, grid: FrequencyGrid) -> np.ndarray:
+    """R R^T summed as R_c R_c^T over the chunks of `factor_chunks`: each
+    chunk adds only the row blocks of the upper triangle, and the lower
+    triangle is mirrored from the upper one."""
     n = sum_set(points)[2]
     rows = block_rows(n)
     gram = np.zeros((n, n))
@@ -186,6 +264,36 @@ def quadrature_gram(density: SpectralDensity, points,
     gram = np.triu(gram)
     gram += np.triu(gram, 1).T
     return gram
+
+
+def quadrature_gram(density: SpectralDensity, points,
+                    grid: FrequencyGrid) -> np.ndarray:
+    """The quadrature kernel R R^T on n points, exactly symmetric.
+
+    On a SpatialGrid it is K(x, x') = g(x) + g(x') - g(x - x') with the
+    quadrature variogram g(h) = 2 sum w f sin^2(h.xi/2), and no R is built.
+    Every lag of the grid is +-(u_a +- v_b) over its split (u, v), so g is
+    needed at the 2 len(u) len(v) (about 2N) lags u_a +- v_b only.  They
+    are summed over chunks of nodes from the half-angle tables of u and v,
+    every chunk's tables within BLOCK_BYTES: about 3 N M multiply-adds,
+    against N^2 M / 2 for R R^T (4,096 points: 0.1-0.2 s against 3-5 s).
+    K is then written one u-row of points at a time from the lag table,
+    whose mirror half makes (x, x') and (x', x) read the same value, so K
+    is exactly symmetric and the origin's row is g(x) - g(x) = +0.0.
+    Memory is K, one chunk's tables and one (len(v), N) row block.
+    Against a long-double reference (1-d on 8 and 64 points, 2-d on 8 x 8,
+    H from 0.1 to 0.9) its largest error is 1.7e-16 to 4.5e-16 of max K
+    where R R^T's is 3.6e-16 to 1.0e-15; at H = 0.1 in d = 1 both are
+    7e-14 to 2.1e-13, the float phases at |xi| up to 2^21.
+
+    A point list has no lattice of lags: it is summed as R_c R_c^T over the
+    chunks R_c of `factor_chunks`, so memory is O(n^2) plus one chunk
+    whatever the grid size, and the lower triangle is mirrored from the
+    upper one.
+    """
+    if isinstance(points, SpatialGrid):
+        return _lag_gram(density, points, grid)
+    return _factor_gram(density, points, grid)
 
 
 def _distinct_points(points) -> np.ndarray:

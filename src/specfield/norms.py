@@ -98,14 +98,20 @@ class HolderNorm:
 
     def _full_pair_ratio(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
         """The maximum over pairs (i, i + k) for each lag k, one contiguous
-        slice of the transposed block per lag."""
+        slice of the transposed block per lag.  The pair scales
+        |x_i - x_j|^alpha are one (N, N) array, at most pair_budget entries,
+        whose k-th diagonal holds lag k's."""
+        squares = np.zeros((len(points), len(points)))
+        for axis in points.T:
+            squares += np.subtract.outer(axis, axis) ** 2
+        scales = np.sqrt(squares, out=squares)
+        scales **= self.alpha
         columns = np.ascontiguousarray(rows.T)
         ratio = np.zeros(rows.shape[0])
         for lag in range(1, len(columns)):
-            seps = np.sqrt(np.sum((points[:-lag] - points[lag:]) ** 2, axis=1))
             diffs = np.subtract(columns[:-lag], columns[lag:])
             np.abs(diffs, out=diffs)
-            diffs /= (seps ** self.alpha)[:, None]
+            diffs /= np.diagonal(scales, lag)[:, None]
             np.maximum(ratio, np.max(diffs, axis=0), out=ratio)
         return ratio
 

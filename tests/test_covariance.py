@@ -322,6 +322,90 @@ class TestRowWiseFill:
             assert rows <= math.ceil(2 * math.sqrt(len(points))) < len(points)
 
 
+def long_double_gram(densities, points, grid):
+    """g(x) + g(x') - g(x - x') for each density, from the variogram
+    g(h) = 2 sum w f sin^2(h.xi/2) in long double over the exact lags of the
+    float points, with the float masses 2 w f."""
+    x = np.asarray(points, dtype=np.longdouble)
+    n = len(x)
+    upper = np.triu_indices(n, 1)
+    lags = np.concatenate([x, (x[:, None] - x[None])[upper]])
+    xi = grid.nodes.astype(np.longdouble)
+    mass = np.stack([2.0 * grid.weights * f.evaluate(grid.nodes) for f in densities],
+                    axis=1).astype(np.longdouble)
+    variogram = np.concatenate([np.sin(lags[top:top + 64] @ xi.T / 2) ** 2 @ mass
+                                for top in range(0, len(lags), 64)])
+    grams = []
+    for g in variogram.T:
+        between = np.zeros((n, n), dtype=np.longdouble)
+        between[upper] = g[n:]
+        grams.append(g[:n, None] + g[None, :n] - (between + between.T))
+    return grams
+
+
+class TestLagGram:
+    """On a spatial grid the Gram is read off a lag table of the variogram,
+    never from R."""
+
+    @needs_long_double
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 64), (2, 8)])
+    def test_long_double_error_is_that_of_the_factor(self, default_grid, dimension,
+                                                     resolution):
+        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
+        space = uniform_spatial_grid(dimension, resolution)
+        densities = [sf.fractional_brownian_density(h, dimension) for h in (0.1, 0.5, 0.9)]
+        references = long_double_gram(densities, space.points, grid)
+        for density, reference in zip(densities, references):
+            factor = sf.covariance.spectral_factor(density, space, grid)
+            error = {name: float(np.max(np.abs(gram - reference)))
+                     for name, gram in (("lags", sf.covariance.quadrature_gram(
+                         density, space, grid)), ("factor", factor @ factor.T))}
+            assert error["lags"] <= 2 * error["factor"]
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.9])
+    @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
+    def test_matches_the_whole_factor(self, default_grid, dimension, resolution,
+                                      hurst):
+        # 300 = 17 x 18 - 6 points: the split's last u-row is short.  At
+        # H = 0.1 the two differ by up to 5e-13 of max K at 300 points:
+        # both carry the float phase roundoff at |xi| up to 2^21, and both
+        # are that far from the long-double Gram
+        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
+        density = sf.fractional_brownian_density(hurst, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        factor = sf.covariance.spectral_factor(density, space, grid)
+        whole = factor @ factor.T
+        gram = sf.covariance.quadrature_gram(density, space, grid)
+        assert np.max(np.abs(gram - whole)) <= 1e-14 * np.max(np.diag(whole))
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 300), (2, 8)])
+    def test_exactly_symmetric_with_a_positive_zero_origin(self, default_grid, grid_2d,
+                                                          dimension, resolution):
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(0.3, dimension)
+        gram = sf.covariance.quadrature_gram(
+            density, uniform_spatial_grid(dimension, resolution), grid)
+        assert np.array_equal(gram, gram.T)
+        for origin in (gram[0], gram[:, 0]):
+            assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+
+    def test_4096_points_hold_the_gram_and_two_blocks(self, default_grid, monkeypatch):
+        # the R R^T walk took 3.4 to 4.9 s here; the lag table takes about 0.2 s
+        def refused(*args):
+            raise AssertionError("the Gram on a grid built a chunk of R")
+        monkeypatch.setattr(sf.covariance, "spectral_factor", refused)
+        density = sf.fractional_brownian_density(0.7)
+        space = uniform_spatial_grid(1, 4096)
+        tracemalloc.start()
+        try:
+            gram = sf.covariance.quadrature_gram(density, space, default_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gram.nbytes + 2 * sf.covariance.BLOCK_BYTES
+        assert gram[0, 0] == 0.0 and np.all(np.diag(gram)[1:] > 0.0)
+
+
 class TestCouplingKernel:
     """The kernel identity behind the coupling: K_Y = K_X / C + K_residual,
     with x1 and the residual drawn by their own synthesizers on disjoint

@@ -219,14 +219,19 @@ class TestSampleBlock:
     def test_factor_chunks_are_built_once_per_block_and_per_gram_chunk(
             self, default_grid, brownian, monkeypatch):
         from specfield import covariance
-        builds = []
-        build = covariance.spectral_factor
+        builds, lag_chunks = [], []
+        build, variogram = covariance.spectral_factor, covariance._chunk_variogram
 
         def counting(*args):
             builds.append(args[3])
             return build(*args)
+
+        def counting_lags(*args):
+            lag_chunks.append(args[4])
+            return variogram(*args)
         monkeypatch.setattr(covariance, "spectral_factor", counting)
-        # direct and low rank walk the same two chunks of nodes over 300 points
+        monkeypatch.setattr(covariance, "_chunk_variogram", counting_lags)
+        # direct blocks walk the same two chunks of nodes over 300 points
         pairs = covariance.block_rows(2 * 300)
         assert pairs < len(default_grid.nodes) <= 2 * pairs
         chunks = [slice(0, pairs), slice(pairs, len(default_grid.nodes))]
@@ -236,9 +241,17 @@ class TestSampleBlock:
         for seed in range(3):
             synth.sample_block(seed, range(3))
         assert builds == chunks * 3
+        assert lag_chunks == []
         builds.clear()
+        # the low-rank Gram builds no chunk of R; a 2 MiB budget splits its
+        # lag tables into two chunks, each built once, in node order
+        monkeypatch.setattr(covariance, "BLOCK_BYTES", 1 << 21)
         synth.prepare(301)
-        assert builds == chunks
+        assert builds == []
+        assert len(lag_chunks) == 2
+        assert lag_chunks[0].start == 0
+        assert lag_chunks[0].stop == lag_chunks[1].start
+        assert lag_chunks[1].stop == len(default_grid.nodes)
 
 
 class TestLowRankFactor:
