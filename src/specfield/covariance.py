@@ -182,34 +182,36 @@ def _chunk_variogram(density: SpectralDensity, u: np.ndarray, v: np.ndarray,
 
     With s = sin(theta/2) and c = cos(theta/2) of theta = u_a.xi and of
     v_b.xi, sin^2 of the half sum is s_u^2 c_v^2 + c_u^2 s_v^2
-    +- 2 s_u c_u s_v c_v, so each table is a product of the rows
-    (c^2, s^2, s c) per node of u, scaled by 2 w f, with (s^2, c^2, +-2 s c)
-    of v.  The product is taken over SUM_NODES nodes at a time and the
-    partial tables are summed pairwise: one product over every node of a
-    chunk let the cross terms' roundoff grow to 3 times that of R R^T.
+    +- 2 s_u c_u s_v c_v: the sum over nodes, weighted by 2 w f, of the
+    first two terms is the table `both`, of the last `cross`, and each is
+    a product of per-node rows of u and v.  The products are taken over
+    SUM_NODES nodes at a time and the partial tables summed pairwise: one
+    product over every node of a chunk let the roundoff grow to 3 times
+    that of R R^T.
     """
     nodes = grid.nodes[pairs]
-    mass = 2.0 * grid.weights[pairs] * density.evaluate(nodes)
     parts = -(-len(nodes) // SUM_NODES)
     sides = []
-    for points, order in ((u, (1, 0)), (v, (0, 1))):
+    for points in (u, v):
         table = _progression_table(points, nodes)           # c - i s
-        rows = np.zeros((len(points), parts * SUM_NODES, 3))  # zero past the nodes
-        used = rows[:, :len(nodes)]
-        np.square(table.imag, out=used[..., order[0]])      # s^2
-        np.square(table.real, out=used[..., order[1]])      # c^2
-        np.multiply(table.real, table.imag, out=used[..., 2])  # -s c
+        rows = np.empty((3, len(points), parts * SUM_NODES))
+        rows[..., len(nodes):] = 0.0
+        used = rows[..., :len(nodes)]
+        np.square(table.imag, out=used[0])                  # s^2
+        np.square(table.real, out=used[1])                  # c^2
+        np.multiply(table.real, table.imag, out=used[2])    # -s c
         sides.append(rows)
-    left, right = sides
-    left[:, :len(nodes)] *= mass[:, None]
-    right[..., 2] *= 2.0
-    left = left.reshape(len(u), parts, -1).transpose(1, 0, 2)
-    tables = []
-    for _ in range(2):
-        partial = left @ right.reshape(len(v), parts, -1).transpose(1, 2, 0)
-        tables.append(np.ascontiguousarray(np.moveaxis(partial, 0, -1)).sum(axis=-1))
-        np.negative(right[..., 2], out=right[..., 2])
-    return tuple(tables)
+    sides[0][..., :len(nodes)] *= 2.0 * grid.weights[pairs] * density.evaluate(nodes)
+    # (3, parts, len(points), SUM_NODES): one matrix per part and term
+    left, right = (rows.reshape(len(rows), len(rows[0]), parts, -1).transpose(0, 2, 1, 3)
+                   for rows in sides)
+
+    def summed(*products):  # over the terms, then pairwise over the parts
+        partial = sum(a @ b.transpose(0, 2, 1) for a, b in products)
+        return np.ascontiguousarray(np.moveaxis(partial, 0, -1)).sum(axis=-1)
+    both = summed((left[0], right[1]), (left[1], right[0]))
+    cross = 2.0 * summed((left[2], right[2]))
+    return both + cross, both - cross
 
 
 def _lag_gram(density: SpectralDensity, space: SpatialGrid,
@@ -282,9 +284,9 @@ def quadrature_gram(density: SpectralDensity, points,
     is exactly symmetric and the origin's row is g(x) - g(x) = +0.0.
     Memory is K, one chunk's tables and one (len(v), N) row block.
     Against a long-double reference (1-d on 8 and 64 points, 2-d on 8 x 8,
-    H from 0.1 to 0.9) its largest error is 1.7e-16 to 4.5e-16 of max K
-    where R R^T's is 3.6e-16 to 1.0e-15; at H = 0.1 in d = 1 both are
-    7e-14 to 2.1e-13, the float phases at |xi| up to 2^21.
+    H from 0.1 to 0.9) its largest error is 0.2 to 0.75 of that of R R^T
+    at H >= 0.5 and never above it; at H = 0.1 in d = 1 both are 7e-14 to
+    2.1e-13 of max K, from the float phases at |xi| up to 2^21.
 
     A point list has no lattice of lags: it is summed as R_c R_c^T over the
     chunks R_c of `factor_chunks`, so memory is O(n^2) plus one chunk
