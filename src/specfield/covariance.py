@@ -278,7 +278,7 @@ def quadrature_gram(density: SpectralDensity, points,
     needed at the 2 len(u) len(v) (about 2N) lags u_a +- v_b only.  They
     are summed over chunks of nodes from the half-angle tables of u and v,
     every chunk's tables within BLOCK_BYTES: about 3 N M multiply-adds,
-    against N^2 M / 2 for R R^T (4,096 points: 0.1-0.2 s against 3-5 s).
+    against N^2 M / 2 for R R^T.
     K is then written one u-row of points at a time from the lag table,
     whose mirror half makes (x, x') and (x', x) read the same value, so K
     is exactly symmetric and the origin's row is g(x) - g(x) = +0.0.

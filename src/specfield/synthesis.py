@@ -92,16 +92,15 @@ class SpectralSynthesizer:
       when more than one block reuses them; the two give bit-identical
       blocks.
     - Low rank (n > N): K comes from covariance.quadrature_gram, which on a
-      grid reads it off a lag table of the variogram in about 3 N M flops,
-      its origin row and column (index 0 of the grid) are dropped, and
-      F = V sqrt(max(lambda, 0)) is taken from its eigendecomposition.  A
-      block is the product (B, N - 1) noise @ F^T, written into columns 1
-      onward, and the origin column is set to +0.0.  The eigendecomposition
-      costs of order N^3 flops and holds N^2 floats whatever n is, so below
-      n = N it can cost more than the n N M of direct blocks (at 4,096
-      points and 100 replicas, many times more); n > N keeps the choice a
-      function of n and N alone, and every draw of the direct path
-      unchanged.
+      grid reads it off a lag table of the variogram in about 3 N M
+      multiply-adds, its origin row and column (index 0 of the grid) are
+      dropped, and F = V sqrt(max(lambda, 0)) is taken from its
+      eigendecomposition.  A block is the product (B, N - 1) noise @ F^T,
+      written into columns 1 onward, and the origin column is set to +0.0.
+      The eigendecomposition costs of order N^3 flops and holds N^2 floats
+      whatever n is, so below n = N it can cost more than the n N M of the
+      direct blocks it replaces; n > N keeps the choice a function of n
+      and N alone, and every draw of the direct path unchanged.
 
     Each row is the draw of its own stream, so which replicas share a block
     changes a row at roundoff at most, through the product's blocking.
