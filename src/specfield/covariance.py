@@ -220,7 +220,7 @@ def _lag_gram(density: SpectralDensity, space: SpatialGrid,
     over the lags of the split (u, v); see quadrature_gram."""
     u, v = space.split()
     n = space.size
-    pairs = block_rows(5 * (len(u) + len(v)))
+    pairs = block_rows(5 * (len(u) + len(v)))  # a complex table and 3 rows a point
     plus = np.zeros((len(u), len(v)))
     minus = np.zeros((len(u), len(v)))
     for start in range(0, len(grid.nodes), pairs):

@@ -390,7 +390,7 @@ class TestLagGram:
             assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
 
     def test_4096_points_hold_the_gram_and_two_blocks(self, default_grid, monkeypatch):
-        # on a 2-vCPU x86-64 host the R R^T walk took 3.2 s, the lag table 0.2 s
+        # on a 2-vCPU x86-64 host the R R^T walk took 3.2-3.8 s, the lag table 0.2 s
         def refused(*args):
             raise AssertionError("the Gram on a grid built a chunk of R")
         monkeypatch.setattr(sf.covariance, "spectral_factor", refused)
