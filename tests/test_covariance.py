@@ -353,7 +353,8 @@ class TestLagGram:
                                                      resolution):
         grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
         space = uniform_spatial_grid(dimension, resolution)
-        densities = [sf.fractional_brownian_density(h, dimension) for h in (0.1, 0.5, 0.9)]
+        densities = [sf.fractional_brownian_density(hurst, dimension)
+                     for hurst in (0.1, 0.5, 0.9)]
         references = long_double_gram(densities, space.points, grid)
         for density, reference in zip(densities, references):
             factor = sf.covariance.spectral_factor(density, space, grid)
