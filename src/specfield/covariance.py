@@ -13,7 +13,8 @@ On a spatial grid `quadrature_gram` builds no R: K(x, x') is
 g(x) + g(x') - g(x - x') with the quadrature variogram
 g(h) = 2 sum w f sin^2(h.xi/2), and every lag of the grid is one of about
 2N values u_a +- v_b of its split (below), so K costs about 3 N M
-multiply-adds for the lag table, against N^2 M / 2 for R R^T.
+multiply-adds for the lag table, against N^2 M / 2 for R R^T, and needs K,
+one workspace (within BLOCK_BYTES / 4 up to N of about 29,000) and one row block.
 
 R is built from half-angle phase tables.  Every spatial grid is a sum set
 u + v of two point sets of about sqrt(N) points (in d = 2 the two axes, in
@@ -91,33 +92,31 @@ def sum_set(points) -> tuple:
     return np.zeros((1, pts.shape[1])), pts, pts.shape[0]
 
 
-def _half_angle(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _half_angle(points: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^{-i x.xi/2} = cos - i sin of x.xi/2 for every point x and node xi,
-    (n, k) complex."""
-    half = np.multiply.outer(0.5 * points[:, 0], nodes[:, 0])
+    into the (n, k) complex `out`, whose two parts are the only scratch."""
+    half = np.multiply.outer(0.5 * points[:, 0], nodes[:, 0], out=out.imag)
     for axis in range(1, points.shape[1]):
-        half += np.multiply.outer(0.5 * points[:, axis], nodes[:, axis])
-    table = np.empty(half.shape, dtype=complex)
-    np.cos(half, out=table.real)
-    np.negative(np.sin(half, out=table.imag), out=table.imag)
-    return table
+        half += np.multiply.outer(0.5 * points[:, axis], nodes[:, axis], out=out.real)
+    np.cos(half, out=out.real)
+    np.multiply(np.sin(half, out=half), -1.0, out=half)  # np.negative errs on (n, 1) views
+    return out
 
 
-def _progression_table(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _progression_table(points: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """_half_angle of points p = 0, ..., n - 1 of an arithmetic progression
-    from the origin, from trig on rows 1..b-1 and the multiples of b only,
-    b = ceil(sqrt(n)): row qb + r is row qb times row r, and row 0 is the
-    exact 1 - 0i."""
+    from the origin, into `out`, from trig on rows 1..b-1 and the multiples
+    of b only, b = ceil(sqrt(n)): row qb + r is row qb times row r, and row
+    0 is the exact 1 - 0i."""
     n = len(points)
     step = math.isqrt(n - 1) + 1
-    table = np.empty((n, len(nodes)), dtype=complex)
-    table[0] = complex(1.0, -0.0)
-    trig = np.concatenate((np.arange(1, step), np.arange(step, n, step)))
-    table[trig] = _half_angle(points[trig], nodes)
+    out[0] = complex(1.0, -0.0)
+    _half_angle(points[1:step], nodes, out[1:step])
+    _half_angle(points[step::step], nodes, out[step::step])
     for base in range(step, n, step):
         stop = min(base + step, n)
-        np.multiply(table[base], table[1:stop - base], out=table[base + 1:stop])
-    return table
+        np.multiply(out[base], out[1:stop - base], out=out[base + 1:stop])
+    return out
 
 
 def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
@@ -147,7 +146,7 @@ def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
     nodes = grid.nodes[pairs]
     scale = -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
     table = _progression_table if isinstance(points, SpatialGrid) else _half_angle
-    across, along = table(u, nodes), table(v, nodes)
+    across, along = (table(p, nodes, np.empty((len(p), len(nodes)), complex)) for p in (u, v))
     turned_u = np.empty_like(across)       # i e^{-i u.xi/2} = sin + i cos
     turned_u.real, turned_u.imag = -across.imag, across.real
     factor = np.empty((size, 2 * len(scale)))
@@ -175,10 +174,10 @@ def factor_chunks(density: SpectralDensity, points, grid: FrequencyGrid):
 
 
 def _chunk_variogram(density: SpectralDensity, u: np.ndarray, v: np.ndarray,
-                     grid: FrequencyGrid, pairs: slice) -> tuple:
+                     grid: FrequencyGrid, pairs: slice, work: tuple) -> tuple:
     """(plus, minus), the terms of g(u_a + v_b) and g(u_a - v_b) of the
     stored nodes `pairs` selects, each (len(u), len(v)), for the progressions
-    u and v of a grid's split.
+    u and v of a grid's split, filled into views of _lag_gram's workspace.
 
     With s = sin(theta/2) and c = cos(theta/2) of theta = u_a.xi and of
     v_b.xi, sin^2 of the half sum is s_u^2 c_v^2 + c_u^2 s_v^2
@@ -191,20 +190,20 @@ def _chunk_variogram(density: SpectralDensity, u: np.ndarray, v: np.ndarray,
     """
     nodes = grid.nodes[pairs]
     parts = -(-len(nodes) // SUM_NODES)
-    sides = []
-    for points in (u, v):
-        table = _progression_table(points, nodes)           # c - i s
-        rows = np.empty((3, len(points), parts * SUM_NODES))
-        rows[..., len(nodes):] = 0.0
-        used = rows[..., :len(nodes)]
-        np.square(table.imag, out=used[0])                  # s^2
-        np.square(table.real, out=used[1])                  # c^2
-        np.multiply(table.real, table.imag, out=used[2])    # -s c
-        sides.append(rows)
-    sides[0][..., :len(nodes)] *= 2.0 * grid.weights[pairs] * density.evaluate(nodes)
-    # (3, parts, len(points), SUM_NODES): one matrix per part and term
-    left, right = (rows.reshape(len(rows), len(rows[0]), parts, -1).transpose(0, 2, 1, 3)
-                   for rows in sides)
+    tables, rows, weight = (part[..., :width] for part, width in
+                            zip(work, (len(nodes), parts * SUM_NODES, len(nodes))))
+    rows[..., len(nodes):] = 0.0                        # a short chunk's padding
+    used = rows[..., :len(nodes)]
+    _progression_table(u, nodes, tables[:len(u)])      # c - i s
+    _progression_table(v, nodes, tables[len(u):])
+    np.square(tables.imag, out=used[0])                 # s^2
+    np.square(tables.real, out=used[1])                 # c^2
+    np.multiply(tables.real, tables.imag, out=used[2])  # -s c
+    np.multiply(grid.weights[pairs], 2.0, out=weight)
+    used[:, :len(u)] *= np.multiply(weight, density.evaluate(nodes), out=weight)
+    # (3, parts, len(u) or len(v), SUM_NODES): one matrix per part and term
+    left, right = (side.reshape(3, side.shape[1], parts, -1).transpose(0, 2, 1, 3)
+                   for side in (rows[:, :len(u)], rows[:, len(u):]))
 
     def summed(*products):  # over the terms, then pairwise over the parts
         partial = sum(a @ b.transpose(0, 2, 1) for a, b in products)
@@ -220,14 +219,21 @@ def _lag_gram(density: SpectralDensity, space: SpatialGrid,
     over the lags of the split (u, v); see quadrature_gram."""
     u, v = space.split()
     n = space.size
-    pairs = block_rows(5 * (len(u) + len(v)))  # a complex table and 3 rows a point
+    count = len(u) + len(v)
+    # one workspace for all chunks in BLOCK_BYTES / 4 (padding set aside):
+    # the tables of u then v, their three rows padded to whole parts, the weight
+    pairs = max(1, (BLOCK_BYTES // 4 - 24 * count * SUM_NODES) // (8 * (5 * count + 1)))
+    pairs = min(pairs, len(grid.nodes))
+    work = (np.empty((count, pairs), dtype=complex),
+            np.empty((3, count, -(-pairs // SUM_NODES) * SUM_NODES)), np.empty(pairs))
     plus = np.zeros((len(u), len(v)))
     minus = np.zeros((len(u), len(v)))
     for start in range(0, len(grid.nodes), pairs):
         stop = min(start + pairs, len(grid.nodes))
-        terms = _chunk_variogram(density, u, v, grid, slice(start, stop))
+        terms = _chunk_variogram(density, u, v, grid, slice(start, stop), work)
         plus += terms[0]
         minus += terms[1]
+    del work  # freed before K is allocated
     # lags[len(u) - 1 + p, len(v) - 1 + t] = g(p u_1 + t v_1): the sign of
     # the pair decides between plus and minus, and the half p < 0 is the
     # mirror of p > 0, so x - x' and x' - x read the same value
@@ -276,13 +282,14 @@ def quadrature_gram(density: SpectralDensity, points,
     quadrature variogram g(h) = 2 sum w f sin^2(h.xi/2), and no R is built.
     Every lag of the grid is +-(u_a +- v_b) over its split (u, v), so g is
     needed at the 2 len(u) len(v) (about 2N) lags u_a +- v_b only.  They
-    are summed over chunks of nodes from the half-angle tables of u and v,
-    every chunk's tables within BLOCK_BYTES: about 3 N M multiply-adds,
-    against N^2 M / 2 for R R^T.
+    are summed over chunks of nodes from the half-angle tables of u and v:
+    about 3 N M multiply-adds, against N^2 M / 2 for R R^T.
     K is then written one u-row of points at a time from the lag table,
     whose mirror half makes (x, x') and (x', x) read the same value, so K
     is exactly symmetric and the origin's row is g(x) - g(x) = +0.0.
-    Memory is K, one chunk's tables and one (len(v), N) row block.
+    Memory is K, one workspace for every chunk's tables, allocated once per
+    call and freed before K, and one (len(v), N) row block; the workspace
+    is at most BLOCK_BYTES / 4 while the split has at most 340 points.
     Against a long-double reference (1-d on 8 and 64 points, 2-d on 8 x 8,
     H from 0.1 to 0.9) its largest error is 0.2 to 0.75 of that of R R^T
     at H >= 0.5 and never above it; at H = 0.1 in d = 1 both are 7e-14 to

@@ -312,14 +312,15 @@ class TestRowWiseFill:
         seen = []
         trig = sf.covariance._half_angle
 
-        def counting(points, nodes):
+        def counting(points, nodes, out):
             seen.append(len(points))
-            return trig(points, nodes)
+            return trig(points, nodes, out)
         monkeypatch.setattr(sf.covariance, "_half_angle", counting)
         sf.covariance.spectral_factor(density, space, grid, slice(0, 64))
-        assert len(seen) == len(sets)
-        for rows, points in zip(seen, sets):
-            assert rows <= math.ceil(2 * math.sqrt(len(points))) < len(points)
+        # one call for rows 1..b-1 and one for the multiples of b, per set
+        assert len(seen) == 2 * len(sets)
+        for rows, points in zip(zip(seen[::2], seen[1::2]), sets):
+            assert sum(rows) <= math.ceil(2 * math.sqrt(len(points))) < len(points)
 
 
 def long_double_gram(densities, points, grid):
@@ -389,6 +390,43 @@ class TestLagGram:
         assert np.array_equal(gram, gram.T)
         for origin in (gram[0], gram[:, 0]):
             assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+
+    def test_does_not_depend_on_the_node_chunks(self, grid_2d, monkeypatch):
+        # a 4 MiB workspace splits the 59,392 stored nodes into chunks of
+        # 6,320 and a last one of 2,512: every chunk pads its rows to whole
+        # parts, and the last re-zeroes padding that the one before it wrote
+        chunks, variogram = [], sf.covariance._chunk_variogram
+
+        def counting(*args):
+            chunks.append(args[4])
+            return variogram(*args)
+        monkeypatch.setattr(sf.covariance, "_chunk_variogram", counting)
+        density = sf.fractional_brownian_density(0.3, 2)
+        space = uniform_spatial_grid(2, 8)
+        grams = []
+        for budget in (1 << 28, 1 << 24):
+            monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", budget)
+            grams.append(sf.covariance.quadrature_gram(density, space, grid_2d))
+        whole, chunked = grams
+        sizes = [chunk.stop - chunk.start for chunk in chunks]
+        assert sizes[0] == len(grid_2d.nodes) and len(sizes) >= 4
+        assert sizes[-1] < sizes[1] and sizes[-1] % sf.covariance.SUM_NODES
+        assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.max(whole)
+        assert np.array_equal(chunked, chunked.T)
+        for origin in (chunked[0], chunked[:, 0]):
+            assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+        assert np.all(np.diag(chunked)[1:] > 0.0)
+
+    def test_plane_grid_workspace_is_small(self, grid_2d):
+        density = sf.fractional_brownian_density(0.5, 2)
+        space = uniform_spatial_grid(2, 8)
+        tracemalloc.start()
+        try:
+            gram = sf.covariance.quadrature_gram(density, space, grid_2d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gram.nbytes + (3 << 20)
 
     def test_4096_points_hold_the_gram_and_two_blocks(self, default_grid, monkeypatch):
         # on a 2-vCPU x86-64 host the R R^T walk took 3.2-3.8 s, the lag table 0.2 s

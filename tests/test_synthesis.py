@@ -243,9 +243,10 @@ class TestSampleBlock:
         assert builds == chunks * 3
         assert lag_chunks == []
         builds.clear()
-        # the low-rank Gram builds no chunk of R; a 2 MiB budget splits its
-        # lag tables into two chunks, each built once, in node order
-        monkeypatch.setattr(covariance, "BLOCK_BYTES", 1 << 21)
+        # the low-rank Gram builds no chunk of R; a 12 MiB budget (a 3 MiB
+        # workspace) splits its lag tables into two chunks, each built once,
+        # in node order
+        monkeypatch.setattr(covariance, "BLOCK_BYTES", 12 << 20)
         synth.prepare(301)
         assert builds == []
         assert len(lag_chunks) == 2
