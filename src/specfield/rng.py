@@ -2,10 +2,10 @@
 
 Every draw is addressed by (master_seed, stream_id): the pair keys a Philox
 generator, so streams are independent and can be drawn in any order, on any
-worker, with identical results.  Replicate k of a coupled pair uses the
-stream pair (2k, 2k+1).  Noise comes in blocks of replicas, but each row is
-still the draw of its own stream, so a block is the same whatever replicas
-share it.
+worker, with identical results.  Replicate k of a coupled or two-field
+campaign draws both components from stream k, as the two halves of one row
+of 2W normals.  Noise comes in blocks of replicas, but each row is still the
+draw of its own stream, so a block is the same whatever replicas share it.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ def hermitian_noise(width: int, master_seed: int, stream_ids) -> np.ndarray:
     a reset costs the state setter's own work and no numpy indexing.  The
     keys are checked once per block, before any row is drawn: the ids are
     scanned for the first bad one only when the smallest or largest is
-    outside [0, 2^64).  A row costs about 1.7 us at width 7 and 3.4 us at
-    width 63, of which the reset is 0.7 us (numpy 2.4.6, one thread of a
-    shared 2-core x86-64 host).
+    outside [0, 2^64).  A row costs about 2.3 us at width 14 and 4.7 us at
+    width 126, the coupled rows of 8 and 64 points on the low-rank path, of
+    which the reset is 0.7 us (best of 7 blocks of 20,000 rows, numpy
+    2.4.6, one thread of a shared 2-core x86-64 host).
     The samplers say how a row is read: as Hermitian noise on the frequency
     nodes (covariance.spectral_factor), or as the N - 1 or N normals that a
     low-rank or Cholesky factor maps to the points.

@@ -17,8 +17,9 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 - ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
   grid's points (jittered Cholesky), and maps standard normals through it.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
-  the dominated field and the residual field from disjoint streams and
-  assembles the representative of the dominating law as C^{-1/2} x1 + x2.
+  the dominated field and the residual field as a FieldPair, replicate k
+  of both from the two halves of one row of stream k, and assembles the
+  representative of the dominating law as C^{-1/2} x1 + x2.
 
 Each draws blocks with sample_block(seed, ids), row j from stream ids[j];
 sample(seed, k) is the FieldSample of the one-row direct block [k].
@@ -119,10 +120,14 @@ class SpectralSynthesizer:
         self._factor = None
         self._low_rank = None
 
-    def prepare(self, n_replicas: int) -> int:
+    def prepare(self, n_replicas: int, paired: bool = False) -> int:
         """Choose the way to draw a campaign of n_replicas, build what it
-        needs, and return the replicas per block.  Depends on n and the grids
-        only, so a rerun splits the campaign into the same blocks."""
+        needs, and return the replicas per block: as many as fit in
+        BLOCK_BYTES at the noise width W of the chosen way, or, for a
+        FieldPair (paired), at the pair's whole working row of 2W normals
+        and three N-point samples (both fields and their sum).  Depends on
+        n and the grids only, so a rerun splits the campaign into the same
+        blocks."""
         points = self.spatial_grid.size
         if n_replicas > points:
             if self._low_rank is None:
@@ -130,10 +135,11 @@ class SpectralSynthesizer:
                                        self.frequency_grid)
                 eigenvalues, vectors = np.linalg.eigh(gram[1:, 1:])
                 self._low_rank = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
-            return min(n_replicas, block_rows(points - 1))
-        self._low_rank = None
-        rows = min(n_replicas, block_rows(self.frequency_grid.size))
-        if rows < n_replicas:
+        else:
+            self._low_rank = None
+        width = self._noise_width()
+        rows = min(n_replicas, block_rows(2 * width + 3 * points if paired else width))
+        if rows < n_replicas and self._low_rank is None:
             self.keep_factor()
         return rows
 
@@ -143,35 +149,40 @@ class SpectralSynthesizer:
             self._factor = list(factor_chunks(self.density, self.spatial_grid,
                                               self.frequency_grid))
 
-    def _direct_block(self, master_seed: int, stream_ids) -> np.ndarray:
-        noise = hermitian_noise(self.frequency_grid.size, master_seed, stream_ids)
+    def _noise_width(self, direct: bool = False) -> int:
+        """Normals per replica: M on the direct path, N - 1 on the low-rank
+        path that the last prepare() chose."""
+        if direct or self._low_rank is None:
+            return self.frequency_grid.size
+        return self._low_rank.shape[1]
+
+    def _synthesize(self, noise: np.ndarray, direct: bool = False) -> np.ndarray:
+        """The (B, N) sample block that a (B, W) noise block maps to, on the
+        way the last prepare() chose, or on the direct path if asked."""
         block = np.zeros((noise.shape[0], self.spatial_grid.size))
-        chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
-                                               self.frequency_grid)
-        for columns, chunk in chunks:
-            block += noise[:, columns] @ chunk.T
-            del chunk  # a streamed chunk is freed before the next is built
-        return block
+        if direct or self._low_rank is None:
+            chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
+                                                   self.frequency_grid)
+            for columns, chunk in chunks:
+                block += noise[:, columns] @ chunk.T
+                del chunk  # a streamed chunk is freed before the next is built
+        else:
+            np.matmul(noise, self._low_rank.T, out=block[:, 1:])
+        return _check_block(block, self.spatial_grid)
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j],
         the way the last prepare() chose (direct without one)."""
-        if self._low_rank is None:
-            return _check_block(self._direct_block(master_seed, stream_ids),
-                                self.spatial_grid)
-        noise = hermitian_noise(self._low_rank.shape[1], master_seed, stream_ids)
-        block = np.empty((noise.shape[0], self.spatial_grid.size))
-        block[:, 0] = 0.0
-        np.matmul(noise, self._low_rank.T, out=block[:, 1:])
-        return _check_block(block, self.spatial_grid)
+        return self._synthesize(hermitian_noise(self._noise_width(), master_seed,
+                                                stream_ids))
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
         """One replica: the one-row direct block, whatever prepare() chose,
         so it is bitwise the same on every synthesizer.  Callers that draw
         replicas one at a time reuse R, so it is kept."""
         self.keep_factor()
-        return FieldSample(self.spatial_grid,
-                           self._direct_block(master_seed, [stream_id])[0],
+        noise = hermitian_noise(self.frequency_grid.size, master_seed, [stream_id])
+        return FieldSample(self.spatial_grid, self._synthesize(noise, direct=True)[0],
                            master_seed, stream_id)
 
 
@@ -234,14 +245,52 @@ class ExactFieldSampler:
                            master_seed, stream_id)
 
 
+class FieldPair:
+    """Two independent fields on the same grids, drawn together: replicate k
+    is one row of 2W normals from stream k, whose first W drive the first
+    field and last W the second.  W is the noise width of the way both draw
+    (they share the grids, so they choose the same way): N - 1 on the
+    low-rank path, M on the direct path and in sample."""
+
+    def __init__(self, first: SpectralSynthesizer, second: SpectralSynthesizer):
+        self.first = first
+        self.second = second
+
+    def prepare(self, n_replicas: int) -> int:
+        """SpectralSynthesizer.prepare for both fields, each block sized by
+        the pair's whole working row."""
+        self.first.prepare(n_replicas, paired=True)
+        return self.second.prepare(n_replicas, paired=True)
+
+    def _draw(self, master_seed: int, stream_ids, direct: bool = False) -> tuple:
+        width = self.first._noise_width(direct)
+        noise = hermitian_noise(2 * width, master_seed, stream_ids)
+        return (self.first._synthesize(noise[:, :width], direct),
+                self.second._synthesize(noise[:, width:], direct))
+
+    def sample_block(self, master_seed: int, stream_ids) -> tuple:
+        """(first, second) blocks, row j of both from stream stream_ids[j],
+        the way the last prepare() chose (direct without one)."""
+        return self._draw(master_seed, stream_ids)
+
+    def sample(self, master_seed: int, stream_id: int) -> tuple:
+        """One replicate as FieldSamples, both on stream_id: the one-row
+        direct block, whatever prepare() chose; R is kept for both fields,
+        as in SpectralSynthesizer.sample."""
+        self.first.keep_factor()
+        self.second.keep_factor()
+        return tuple(FieldSample(self.first.spatial_grid, block[0], master_seed, stream_id)
+                     for block in self._draw(master_seed, [stream_id], direct=True))
+
+
 class CouplingSynthesizer:
     """Draws (x1, x2, y_rep) replicas of the domination-based decomposition.
 
-    x1 has the dominated density f_X, x2 the residual density f_Y - f_X/C,
-    from disjoint streams (2k, 2k+1) for replicate k; y_rep = C^{-1/2} x1 + x2
-    then carries the dominating law up to quadrature accuracy.  The
-    certificate must come from the sampling grid: domination on one grid
-    says nothing about another.
+    x1 has the dominated density f_X and x2 the residual density
+    f_Y - f_X/C, drawn as a FieldPair: both halves of stream k's row for
+    replicate k; y_rep = C^{-1/2} x1 + x2 then carries the dominating law up
+    to quadrature accuracy.  The certificate must come from the sampling
+    grid: domination on one grid says nothing about another.
     """
 
     def __init__(self, density_x: SpectralDensity, density_y: SpectralDensity,
@@ -255,32 +304,27 @@ class CouplingSynthesizer:
         self.density_y = density_y
         self.constant = float(constant)
         self.certificate = certificate
-        self._synth_x = SpectralSynthesizer(density_x, frequency_grid, spatial_grid)
-        self._synth_residual = SpectralSynthesizer(residual, frequency_grid, spatial_grid)
+        self._pair = FieldPair(SpectralSynthesizer(density_x, frequency_grid, spatial_grid),
+                               SpectralSynthesizer(residual, frequency_grid, spatial_grid))
         self._inv_root = self.constant ** -0.5
 
     @property
     def spatial_grid(self) -> SpatialGrid:
-        return self._synth_x.spatial_grid
+        return self._pair.first.spatial_grid
 
     def prepare(self, n_replicas: int) -> int:
-        """SpectralSynthesizer.prepare for both components; they share the
-        grids, so they choose the same way and the same block size."""
-        self._synth_x.prepare(n_replicas)
-        return self._synth_residual.prepare(n_replicas)
+        """FieldPair.prepare for the two components."""
+        return self._pair.prepare(n_replicas)
 
     def sample_block(self, master_seed: int, replicate_ids) -> tuple:
         """(x1, x2, y) blocks for the replicates, y = C^{-1/2} x1 + x2 exactly."""
-        x1 = self._synth_x.sample_block(master_seed, [2 * k for k in replicate_ids])
-        x2 = self._synth_residual.sample_block(master_seed,
-                                               [2 * k + 1 for k in replicate_ids])
+        x1, x2 = self._pair.sample_block(master_seed, replicate_ids)
         return x1, x2, self._inv_root * x1 + x2
 
     def sample(self, master_seed: int, replicate_id: int) -> tuple:
-        """One replicate as FieldSamples (x1, x2, y_rep) on streams 2k, 2k+1
-        and 2k, each component drawn by SpectralSynthesizer.sample."""
-        x1 = self._synth_x.sample(master_seed, 2 * replicate_id)
-        x2 = self._synth_residual.sample(master_seed, 2 * replicate_id + 1)
+        """One replicate as FieldSamples (x1, x2, y_rep), all on stream k:
+        the one-row direct block, drawn by FieldPair.sample."""
+        x1, x2 = self._pair.sample(master_seed, replicate_id)
         y = FieldSample(self.spatial_grid, self._inv_root * x1.values + x2.values,
-                        master_seed, 2 * replicate_id)
+                        master_seed, replicate_id)
         return x1, x2, y

@@ -26,10 +26,11 @@ import numpy as np
 from .covariance import covariance_matrix
 from .grids import FrequencyGrid, SpatialGrid
 from .spectral import DominationCertificate, SpectralDensity
-from .synthesis import CouplingSynthesizer, SpectralSynthesizer
+from .synthesis import CouplingSynthesizer, FieldPair, SpectralSynthesizer
 
-# Pilot draws (quantile estimation) use replicate ids offset far past any
-# verification replica so the two stream ranges never collide.
+# Pilot draws (quantile estimation) use replicate ids offset past every
+# verification replica (MCConfig refuses more replicas than this), so the
+# two stream ranges never collide.
 PILOT_REPLICATE_BASE = 1 << 31
 
 # Dyadic scales of the quadratic-variation regression; the two finest grid
@@ -63,6 +64,9 @@ class MCConfig:
     def __post_init__(self):
         if self.n_replicas < 100:
             raise ValueError("need at least 100 replicas for any verdict to mean much")
+        if self.n_replicas > PILOT_REPLICATE_BASE:
+            raise ValueError(f"{self.n_replicas} replicas would reach the pilot streams, "
+                             f"which start at {PILOT_REPLICATE_BASE}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         object.__setattr__(self, "radii", check_radii(self.radii))
@@ -73,10 +77,12 @@ def _collect_blocks(work, n_replicas: int, samplers) -> list:
 
     Each sampler's prepare(n) chooses how the campaign is drawn, builds its
     factor, and returns the block size: as many replicas as fit in
-    BLOCK_BYTES at the noise width of the chosen factor.  A row is drawn
-    from its own stream, but its product with the factor, like a sum over
-    blocks, can change at roundoff with the block bounds, so they are fixed
-    by n and the grids alone.
+    BLOCK_BYTES at the noise width of the chosen factor, or, for a coupled
+    or two-field block, at its whole working row (the 2W normals of both
+    components and three samples).  A row is drawn from its own stream, but
+    its product with the factor, like a sum over blocks, can change at
+    roundoff with the block bounds, so they are fixed by n and the grids
+    alone.
     """
     size = min(sampler.prepare(n_replicas) for sampler in samplers)
     return [work(range(start, min(start + size, n_replicas)))
@@ -370,20 +376,18 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
                         norm, cfg: MCConfig) -> InequalityReport:
     """Check P(||X1 + X2|| <= r) <= P(||X1|| <= r) for independent X1, X2.
 
-    Replicate k draws X1 on stream 2k and X2 on stream 2k+1; both sides share
-    the X1 replicas.
+    X1 and X2 are drawn as a FieldPair: replicate k takes both from the two
+    halves of stream k's row.  Both sides share the X1 replicas.
     """
-    synth_one = SpectralSynthesizer(density_one, cfg.frequency_grid, cfg.spatial_grid)
-    synth_two = SpectralSynthesizer(density_two, cfg.frequency_grid, cfg.spatial_grid)
+    pair = FieldPair(SpectralSynthesizer(density_one, cfg.frequency_grid, cfg.spatial_grid),
+                     SpectralSynthesizer(density_two, cfg.frequency_grid, cfg.spatial_grid))
 
     def work(ids: range) -> np.ndarray:
-        x1 = synth_one.sample_block(cfg.master_seed, [2 * k for k in ids])
-        x2 = synth_two.sample_block(cfg.master_seed, [2 * k + 1 for k in ids])
+        x1, x2 = pair.sample_block(cfg.master_seed, ids)
         return np.column_stack([norm(x1 + x2, cfg.spatial_grid),
                                 norm(x1, cfg.spatial_grid)])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas,
-                                          (synth_one, synth_two)))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (pair,)))
     return _report_from_norms("anderson-sum", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X1 + X2|| (X1 ~ {density_one.label}, "
                                         f"X2 ~ {density_two.label})",

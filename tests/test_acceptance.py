@@ -101,7 +101,9 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
 def test_04_coupling_law(default_grid, space_8, fbm_pair):
     density_x, density_y = fbm_pair
     # the cross check is a max over 64 pairs capped at 3 SE, so even a correct
-    # sampler fails it for some seeds; the gate pins one with wide margins
+    # sampler fails it for some seeds; the gate pins one with wide margins:
+    # seed 9 reads match 0.52 and 0.65 against 1 and cross 1.31 and 1.06
+    # against 3 at C = 1 and 3
     cfg = MCConfig(5000, 9, default_grid, space_8)
     results = []
     ok = True

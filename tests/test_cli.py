@@ -303,12 +303,12 @@ class TestDeterminism:
     drawn in, so a campaign split into many blocks writes the bytes of the
     same campaign in one block."""
 
-    def split_and_whole(self, tmp_path, monkeypatch, text):
+    def split_and_whole(self, tmp_path, monkeypatch, text, sampler):
         whole = run_cli(tmp_path, text, name="whole")[1]
         blocks = []
-        sample_block = synthesis.SpectralSynthesizer.sample_block
+        sample_block = sampler.sample_block
         monkeypatch.setattr(synthesis, "block_rows", lambda width: 16)
-        monkeypatch.setattr(synthesis.SpectralSynthesizer, "sample_block",
+        monkeypatch.setattr(sampler, "sample_block",
                             lambda self, seed, ids: blocks.append(len(ids))
                             or sample_block(self, seed, ids))
         split = run_cli(tmp_path, text, name="split")[1]
@@ -316,9 +316,9 @@ class TestDeterminism:
 
     def test_block_split_does_not_change_any_byte(self, tmp_path, monkeypatch):
         whole, split, blocks = self.split_and_whole(tmp_path, monkeypatch,
-                                                    COMPARISON_SELF)
-        # 120 replicas, 16 per block, each block drawn for both components
-        assert blocks == [16, 16] * 7 + [8, 8]
+                                                    COMPARISON_SELF, synthesis.FieldPair)
+        # 120 replicas, 16 per block, both components drawn by one coupled draw
+        assert blocks == [16] * 7 + [8]
         assert (whole / "report.csv").exists()
         assert tree_bytes(whole) == tree_bytes(split)
 
@@ -329,7 +329,8 @@ class TestDeterminism:
                 "density.hurst = 0.5\nnorm.kind = holder\nnorm.alpha = 0.25\n"
                 "mc.radii = 0.5, 1.0, 2.0\nmc.replicas = 120\n"
                 "spatial_grid.resolution = 4\n")
-        whole, split, blocks = self.split_and_whole(tmp_path, monkeypatch, text)
+        whole, split, blocks = self.split_and_whole(tmp_path, monkeypatch, text,
+                                                    synthesis.SpectralSynthesizer)
         assert blocks == [16] * 7 + [8]
         assert (whole / "report.csv").exists()
         assert tree_bytes(whole) == tree_bytes(split)
@@ -369,6 +370,16 @@ class TestErrorPaths:
                                                 "constant = 0.5"))
         assert code == 3
         assert "domination" in capsys.readouterr().err
+
+    def test_replicas_reaching_the_pilot_streams_exit_before_any_draw(
+            self, tmp_path, capsys, monkeypatch):
+        draws = []
+        monkeypatch.setattr(synthesis, "hermitian_noise", lambda *args: draws.append(args))
+        text = COMPARISON_SELF.replace("mc.radii = 0.3, 0.6, 1.0", "mc.radii = auto")
+        code, _ = run_cli(tmp_path, text.replace("mc.replicas = 120",
+                                                 "mc.replicas = 2147483649"))
+        assert code == 3 and draws == []
+        assert "2147483649 replicas" in capsys.readouterr().err
 
     def test_output_falls_back_to_the_config_key(self, tmp_path):
         outdir = tmp_path / "from-config"

@@ -10,7 +10,7 @@ import specfield as sf
 from specfield import (CouplingSynthesizer, ExactFieldSampler, InadmissibleDensityError,
                        PointSet, PowerLawDensity, SpectralSynthesizer, check_domination,
                        covariance_matrix, difference_density, dyadic_frequency_grid,
-                       power_law_covariance_matrix, uniform_spatial_grid)
+                       hermitian_noise, power_law_covariance_matrix, uniform_spatial_grid)
 from specfield.covariance import PSD_NOISE_FACTOR
 
 BROWNIAN_POINTS = (0.25, 0.5, 0.75, 1.0)
@@ -447,8 +447,13 @@ class TestLagGram:
 
 class TestCouplingKernel:
     """The kernel identity behind the coupling: K_Y = K_X / C + K_residual,
-    with x1 and the residual drawn by their own synthesizers on disjoint
-    streams."""
+    with x1 and the residual mapped by their own synthesizers from the two
+    disjoint halves of one stream's row."""
+
+    def halves(self, grid, seed, ids):
+        """The two halves of the direct-path rows of the streams."""
+        noise = hermitian_noise(2 * grid.size, seed, ids)
+        return noise[:, :grid.size], noise[:, grid.size:]
 
     def make_coupler(self, grid, fx, fy, constant=1.0):
         cert = check_domination(fx, fy, constant, grid)
@@ -482,24 +487,29 @@ class TestCouplingKernel:
 
     def test_first_component_reduces_to_dominated_kernel(self, default_grid,
                                                          fbm_pair):
-        # x1 is the f_X synthesizer on the even streams, row for row
+        # x1 is the f_X synthesizer's map of the first half of stream k's row,
+        # whose normals are the first ones of stream k
         perturbed, base = fbm_pair
         coupler = self.make_coupler(default_grid, perturbed, base)
         x1 = coupler.sample_block(5, range(4))[0]
         direct = SpectralSynthesizer(perturbed, default_grid, coupler.spatial_grid)
-        assert np.array_equal(x1, direct.sample_block(5, [0, 2, 4, 6]))
+        first, _ = self.halves(default_grid, 5, range(4))
+        assert np.array_equal(first, hermitian_noise(default_grid.size, 5, range(4)))
+        assert x1.tobytes() == direct._synthesize(first).tobytes()
 
     def test_orthogonal_components_give_zero(self, default_grid, fbm_pair):
-        # x2 is the residual synthesizer on the odd streams, which never
-        # meet the even streams of x1, so the cross kernel vanishes
+        # x2 is the residual synthesizer's map of the second half of stream
+        # k's row, which never meets the first half that x1 reads, so the
+        # cross kernel vanishes
         perturbed, base = fbm_pair
         coupler = self.make_coupler(default_grid, perturbed, base, 3.0)
         x2 = coupler.sample_block(5, range(4))[1]
         residual = difference_density(base, perturbed, 3.0, coupler.certificate)
         direct = SpectralSynthesizer(residual, default_grid, coupler.spatial_grid)
-        assert np.array_equal(x2, direct.sample_block(5, [1, 3, 5, 7]))
+        _, second = self.halves(default_grid, 5, range(4))
+        assert x2.tobytes() == direct._synthesize(second).tobytes()
         streams = [sample.stream_id for sample in coupler.sample(5, 2)[:2]]
-        assert streams == [4, 5]
+        assert streams == [2, 2]
 
     def test_extended_kernel_is_positive_semidefinite(self, default_grid,
                                                       fbm_pair):

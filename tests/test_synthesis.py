@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -474,7 +476,7 @@ class TestCoupling:
         coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
                                       space_8)
         x1, x2, y_rep = coupler.sample(31, 3)
-        assert (x1.stream_id, x2.stream_id, y_rep.stream_id) == (6, 7, 6)
+        assert (x1.stream_id, x2.stream_id, y_rep.stream_id) == (3, 3, 3)
         assert np.array_equal(y_rep.values, x1.values + x2.values)
 
     def test_one_off_matches_synthesizer(self, default_grid, space_8, fbm_pair):
@@ -523,11 +525,49 @@ class TestCoupling:
         for k in (0, 4):
             samples = coupler.sample(17, k)
             rows = coupler.sample_block(17, [k])
-            for sample, row, stream_id in zip(samples, rows, (2 * k, 2 * k + 1, 2 * k)):
+            for sample, row in zip(samples, rows):
                 assert sample.values.tobytes() == row[0].tobytes()
-                assert (sample.master_seed, sample.stream_id) == (17, stream_id)
+                assert (sample.master_seed, sample.stream_id) == (17, k)
             x1, x2, y_rep = (sample.values for sample in samples)
             assert np.array_equal(y_rep, 3.0 ** -0.5 * x1 + x2)
+
+    def test_one_noise_draw_per_coupled_block(self, default_grid, space_8, fbm_pair,
+                                              monkeypatch):
+        # each block, and each one-replicate sample, sets up one stream per
+        # replicate and draws one row of 2W normals from it
+        perturbed, base = fbm_pair
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid, space_8)
+        draws = []
+        draw = sf.synthesis.hermitian_noise
+        monkeypatch.setattr(sf.synthesis, "hermitian_noise",
+                            lambda width, seed, ids: draws.append((len(ids), width))
+                            or draw(width, seed, ids))
+        coupler.sample_block(3, range(5))
+        coupler.sample(3, 0)
+        assert coupler.prepare(300) == 300
+        coupler.sample_block(3, range(300))
+        direct = 2 * default_grid.size
+        assert draws == [(5, direct), (1, direct), (300, 2 * (space_8.size - 1))]
+
+    def test_coupled_block_peak_stays_below_two_draws(self, default_grid, fbm_pair):
+        # a coupling-law-sized campaign: 64 points, 5,000 replicates, low rank.
+        # Drawing x1 and x2 from streams 2k and 2k+1 in one 5,000-row block
+        # peaked at 8,159,672 traced bytes; the coupled row is wider, so its
+        # blocks are sized by the whole working row to stay below that
+        perturbed, base = fbm_pair
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
+                                      uniform_spatial_grid(1, 64))
+        rows = coupler.prepare(5000)
+        assert rows == 3297
+        tracemalloc.start()
+        try:
+            coupler.sample_block(9, range(rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_159_672
 
     def test_certificate_from_another_grid_is_rejected(self):
         # the pair is dominated on j = -5..5 but not on j = -5..12, where the

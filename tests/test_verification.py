@@ -14,9 +14,9 @@ from specfield import (MCConfig, SupNorm, ZeroDensity,
                        verify_anderson_shift, verify_anderson_sum,
                        verify_comparison, verify_coupling_law)
 from specfield.synthesis import block_rows
-from specfield.verification import (InequalityReport, RadiusComparison,
-                                    _collect_blocks, _linear_quantiles, _profile_hurst,
-                                    _resolve_shift, _standardized_max)
+from specfield.verification import (PILOT_REPLICATE_BASE, InequalityReport,
+                                    RadiusComparison, _collect_blocks, _linear_quantiles,
+                                    _profile_hurst, _resolve_shift, _standardized_max)
 
 
 def small_mc(default_grid, seed=5, n=300, radii=(0.3, 0.6, 1.2), resolution=8):
@@ -194,6 +194,14 @@ class TestMCConfig:
             MCConfig(100, 0, default_grid, uniform_spatial_grid(1, 8),
                      confidence=1.0)
 
+    def test_replicas_stay_below_the_pilot_streams(self, default_grid):
+        # main replicas use streams 0..n-1 and pilot draws 2^31 + j, so more
+        # than 2^31 replicas would reuse pilot streams
+        grid = uniform_spatial_grid(1, 8)
+        assert MCConfig(PILOT_REPLICATE_BASE, 0, default_grid, grid).n_replicas == 1 << 31
+        with pytest.raises(ValueError, match="2147483649 replicas .* start at 2147483648"):
+            MCConfig(PILOT_REPLICATE_BASE + 1, 0, default_grid, grid)
+
 
 class TestCollectBlocks:
     # With no more replicas than points, blocks are drawn directly through R
@@ -339,6 +347,20 @@ class TestAndersonSum:
         cfg = small_mc(default_grid)
         report = verify_anderson_sum(perturbed, base, SupNorm(), cfg)
         assert report.worst_verdict != "violated"
+
+    def test_one_noise_draw_per_block(self, default_grid, fbm_pair, monkeypatch):
+        # replicate k draws X1 and X2 from the two halves of one row of
+        # stream k, so each block is one draw of 2 (N - 1) normals a row
+        from specfield import synthesis
+        perturbed, base = fbm_pair
+        draws = []
+        draw = synthesis.hermitian_noise
+        monkeypatch.setattr(synthesis, "hermitian_noise",
+                            lambda width, seed, ids: draws.append((len(ids), width))
+                            or draw(width, seed, ids))
+        monkeypatch.setattr(synthesis, "block_rows", lambda width: 128)
+        verify_anderson_sum(perturbed, base, SupNorm(), small_mc(default_grid))
+        assert draws == [(128, 14), (128, 14), (44, 14)]
 
 
 class TestCouplingLaw:
