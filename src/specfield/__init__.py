@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
 from .covariance import covariance_matrix, power_law_covariance_matrix
-from .grids import (FrequencyGrid, PointSet, SpatialGrid, dyadic_frequency_grid,
+from .grids import (FrequencyGrid, SpatialGrid, dyadic_frequency_grid,
                     uniform_spatial_grid)
 from .norms import HolderNorm, SupNorm
 from .rng import hermitian_noise

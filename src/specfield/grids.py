@@ -145,25 +145,3 @@ def uniform_spatial_grid(dimension: int = 1, resolution: int = 64) -> SpatialGri
         points = np.column_stack([x1.ravel(), x2.ravel()])
     return SpatialGrid(dimension, resolution, points)
 
-
-@dataclass(frozen=True)
-class PointSet:
-    """Arbitrary finite list of spatial points, for samplers whose support is
-    not a uniform grid.  origin_index is None when the origin is absent."""
-
-    dimension: int
-    label: str
-    points: np.ndarray = field(compare=False, repr=False)  # (N, d)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def origin_index(self) -> int | None:
-        hits = np.flatnonzero(np.all(self.points == 0.0, axis=1))
-        return int(hits[0]) if hits.size else None
-
-    @property
-    def grid_id(self) -> str:
-        return f"{self.label}(d={self.dimension},n={self.size})"

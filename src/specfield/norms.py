@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import SpatialGrid
-
 # Above this many point pairs the Holder norm switches from all pairs to the
 # deterministic dyadic-offset subset.
 DEFAULT_PAIR_BUDGET = 1 << 22
@@ -88,8 +86,6 @@ class HolderNorm:
             raise ValueError(f"a path of {n} values does not fit a grid of "
                              f"{grid.size} points")
         sup = np.max(np.abs(rows), axis=1, initial=0.0)
-        if n < 2:
-            return _per_path(values, sup)
         if n * n <= self.pair_budget:
             ratio = self._full_pair_ratio(rows, np.asarray(grid.points, dtype=float))
         else:
@@ -116,9 +112,6 @@ class HolderNorm:
         return ratio
 
     def _dyadic_pair_ratio(self, rows: np.ndarray, grid) -> np.ndarray:
-        if not isinstance(grid, SpatialGrid):
-            raise ValueError("dyadic pair subsampling needs a uniform grid; "
-                             "raise pair_budget for arbitrary point sets")
         spacing = grid.spacing
         best = np.zeros(rows.shape[0])
         if grid.dimension == 1:

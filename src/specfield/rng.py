@@ -28,13 +28,13 @@ def hermitian_noise(width: int, master_seed: int, stream_ids) -> np.ndarray:
     a reset costs the state setter's own work and no numpy indexing.  The
     keys are checked once per block, before any row is drawn: the ids are
     scanned for the first bad one only when the smallest or largest is
-    outside [0, 2^64).  A row costs about 2.3 us at width 14 and 4.7 us at
-    width 126, the coupled rows of 8 and 64 points on the low-rank path, of
-    which the reset is 0.7 us (best of 7 blocks of 20,000 rows, numpy
+    outside [0, 2^64).  A row costs about 1.8 us at width 16 and 3.8 us at
+    width 128, the coupled rows of 8 and 64 points on the exact path, of
+    which the reset is 0.6 us (best of 7 blocks of 20,000 rows, numpy
     2.4.6, one thread of a shared 2-core x86-64 host).
     The samplers say how a row is read: as Hermitian noise on the frequency
-    nodes (covariance.spectral_factor), or as the N - 1 or N normals that a
-    low-rank or Cholesky factor maps to the points.
+    nodes (covariance.spectral_factor), or as the N normals that a Cholesky
+    factor maps to the points.
     """
     if not 0 <= master_seed < _SEED_BOUND:
         raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")

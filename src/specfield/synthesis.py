@@ -11,9 +11,8 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
   module docstring gives how R is built and its measured accuracy).  Its
   distribution matches the quadrature covariance matrix K = R R^T exactly,
   which is what makes the next sampler an oracle for it.  A campaign with
-  more replicas than points draws the same law through a factor F with
-  F F^T = K instead, from N - 1 normals per replica rather than one per
-  frequency node.
+  more replicas than points draws from K through an ExactFieldSampler
+  instead, from N normals per replica rather than one per frequency node.
 - ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
   grid's points (jittered Cholesky), and maps standard normals through it.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import PSD_NOISE_FACTOR, block_rows, factor_chunks, quadrature_gram
-from .grids import PointSet, SpatialGrid
+from .grids import SpatialGrid
 from .rng import hermitian_noise
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
                        require_admissible)
@@ -47,24 +46,23 @@ class IndefiniteMatrixError(RuntimeError):
 
 def _check_block(block: np.ndarray, grid) -> np.ndarray:
     """The block, refused unless it is (B, grid.size), every value is finite
-    and the origin column, if the grid has the origin, is exactly +0.0."""
+    and the origin column is exactly +0.0."""
     if block.shape[1:] != (grid.size,):
         raise ValueError(f"values shape {block.shape[1:]} does not match grid size "
                          f"{grid.size}")
     if not np.all(np.isfinite(block)):
         raise ValueError("sample values must be finite")
-    if grid.origin_index is not None:
-        origin = block[:, grid.origin_index]
-        if np.any(origin != 0.0) or np.any(np.signbit(origin)):
-            raise ValueError("value at the origin must be exactly +0.0")
+    origin = block[:, grid.origin_index]
+    if np.any(origin != 0.0) or np.any(np.signbit(origin)):
+        raise ValueError("value at the origin must be exactly +0.0")
     return block
 
 
 @dataclass(frozen=True, eq=False)
 class FieldSample:
-    """One realization of a field on a set of spatial points, with its stream."""
+    """One realization of a field on a spatial grid, with its stream."""
 
-    grid: SpatialGrid | PointSet
+    grid: SpatialGrid
     values: np.ndarray
     master_seed: int
     stream_id: int
@@ -92,16 +90,16 @@ class SpectralSynthesizer:
       its product unless keep_factor() stored them all, which pays only
       when more than one block reuses them; the two give bit-identical
       blocks.
-    - Low rank (n > N): K comes from covariance.quadrature_gram, which on a
+    - Exact (n > N): K comes from covariance.quadrature_gram, which on a
       grid reads it off a lag table of the variogram in about 3 N M
-      multiply-adds, its origin row and column (index 0 of the grid) are
-      dropped, and F = V sqrt(max(lambda, 0)) is taken from its
-      eigendecomposition.  A block is the product (B, N - 1) noise @ F^T,
-      written into columns 1 onward, and the origin column is set to +0.0.
-      The eigendecomposition costs of order N^3 flops and holds N^2 floats
-      whatever n is, so below n = N it can cost more than the n N M of the
-      direct blocks it replaces; n > N keeps the choice a function of n
-      and N alone, and every draw of the direct path unchanged.
+      multiply-adds, and an ExactFieldSampler on K draws the blocks: the
+      product (B, N) noise @ L^T with the jittered Cholesky factor L, its
+      origin column set to +0.0, so the law off the origin is K + eps I
+      (eps = 1e-8 of max diag K at the ladder's first rung).  The Cholesky
+      costs N^3 / 3 flops and holds N^2 floats whatever n is, so below
+      n = N it can cost more than the n N M of the direct blocks it
+      replaces; n > N keeps the choice a function of n and N alone, and
+      every draw of the direct path unchanged.
 
     Each row is the draw of its own stream, so which replicas share a block
     changes a row at roundoff at most, through the product's blocking.
@@ -118,7 +116,7 @@ class SpectralSynthesizer:
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
         self._factor = None
-        self._low_rank = None
+        self._exact = None
 
     def prepare(self, n_replicas: int, paired: bool = False) -> int:
         """Choose the way to draw a campaign of n_replicas, build what it
@@ -130,16 +128,15 @@ class SpectralSynthesizer:
         blocks."""
         points = self.spatial_grid.size
         if n_replicas > points:
-            if self._low_rank is None:
-                gram = quadrature_gram(self.density, self.spatial_grid,
-                                       self.frequency_grid)
-                eigenvalues, vectors = np.linalg.eigh(gram[1:, 1:])
-                self._low_rank = vectors * np.sqrt(np.maximum(eigenvalues, 0.0))
+            if self._exact is None:
+                self._exact = ExactFieldSampler(
+                    quadrature_gram(self.density, self.spatial_grid, self.frequency_grid),
+                    self.spatial_grid)
         else:
-            self._low_rank = None
+            self._exact = None
         width = self._noise_width()
         rows = min(n_replicas, block_rows(2 * width + 3 * points if paired else width))
-        if rows < n_replicas and self._low_rank is None:
+        if rows < n_replicas and self._exact is None:
             self.keep_factor()
         return rows
 
@@ -150,24 +147,23 @@ class SpectralSynthesizer:
                                               self.frequency_grid))
 
     def _noise_width(self, direct: bool = False) -> int:
-        """Normals per replica: M on the direct path, N - 1 on the low-rank
-        path that the last prepare() chose."""
-        if direct or self._low_rank is None:
+        """Normals per replica: M on the direct path, N on the exact path
+        that the last prepare() chose."""
+        if direct or self._exact is None:
             return self.frequency_grid.size
-        return self._low_rank.shape[1]
+        return self.spatial_grid.size
 
     def _synthesize(self, noise: np.ndarray, direct: bool = False) -> np.ndarray:
         """The (B, N) sample block that a (B, W) noise block maps to, on the
         way the last prepare() chose, or on the direct path if asked."""
+        if not direct and self._exact is not None:
+            return self._exact._synthesize(noise)
         block = np.zeros((noise.shape[0], self.spatial_grid.size))
-        if direct or self._low_rank is None:
-            chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
-                                                   self.frequency_grid)
-            for columns, chunk in chunks:
-                block += noise[:, columns] @ chunk.T
-                del chunk  # a streamed chunk is freed before the next is built
-        else:
-            np.matmul(noise, self._low_rank.T, out=block[:, 1:])
+        chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
+                                               self.frequency_grid)
+        for columns, chunk in chunks:
+            block += noise[:, columns] @ chunk.T
+            del chunk  # a streamed chunk is freed before the next is built
         return _check_block(block, self.spatial_grid)
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
@@ -212,12 +208,14 @@ class ExactFieldSampler:
     """Samples from an (N, N) covariance array over the points of `grid`
     through a cached jittered factorization L.
 
-    The independent oracle for the spectral synthesizer: the two target the
-    same matrix through unrelated mechanisms.  This is where a caller's own
-    array enters, so its shape, finiteness, symmetry and diagonal are checked.
+    The independent oracle for the spectral synthesizer's direct path: the
+    two target the same matrix through unrelated mechanisms.  It also draws
+    the synthesizer's campaigns of more replicas than points.  This is where
+    a caller's own array enters, so its shape, finiteness, symmetry and
+    diagonal are checked.
     """
 
-    def __init__(self, entries, grid: SpatialGrid | PointSet):
+    def __init__(self, entries, grid: SpatialGrid):
         entries = np.asarray(entries, dtype=float)
         if entries.shape != (grid.size, grid.size):
             raise ValueError(f"covariance shape {entries.shape} does not match "
@@ -231,13 +229,17 @@ class ExactFieldSampler:
         self.grid = grid
         self._factor = _jittered_factor(entries)
 
+    def _synthesize(self, noise: np.ndarray) -> np.ndarray:
+        """The (B, N) sample block noise @ L^T of a (B, N) noise block, with
+        the origin column set to +0.0."""
+        block = noise @ self._factor.T
+        block[:, self.grid.origin_index] = 0.0
+        return _check_block(block, self.grid)
+
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples: row j is L times the first N normals
         of stream stream_ids[j], with the origin column set to +0.0."""
-        block = hermitian_noise(self.grid.size, master_seed, stream_ids) @ self._factor.T
-        if self.grid.origin_index is not None:
-            block[:, self.grid.origin_index] = 0.0
-        return _check_block(block, self.grid)
+        return self._synthesize(hermitian_noise(self.grid.size, master_seed, stream_ids))
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
         """One replica: the one-row block."""
@@ -249,8 +251,8 @@ class FieldPair:
     """Two independent fields on the same grids, drawn together: replicate k
     is one row of 2W normals from stream k, whose first W drive the first
     field and last W the second.  W is the noise width of the way both draw
-    (they share the grids, so they choose the same way): N - 1 on the
-    low-rank path, M on the direct path and in sample."""
+    (they share the grids, so they choose the same way): N on the exact
+    path, M on the direct path and in sample."""
 
     def __init__(self, first: SpectralSynthesizer, second: SpectralSynthesizer):
         self.first = first

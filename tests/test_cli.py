@@ -371,6 +371,18 @@ class TestErrorPaths:
         assert code == 3
         assert "domination" in capsys.readouterr().err
 
+    def test_indefinite_kernel_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # 150 replicas on 6 points draw through the exact sampler on K; a K
+        # with eigenvalue -1 resists every rung of the jitter ladder
+        def indefinite(density, points, grid):
+            return 2.0 * np.ones((points.size, points.size)) - np.eye(points.size)
+        monkeypatch.setattr(synthesis, "quadrature_gram", indefinite)
+        outdir = tmp_path / "out"
+        assert cli.run(parse_config(COUPLING_SELF), outdir) == 3
+        assert ("6 x 6 covariance matrix is not positive semidefinite"
+                in capsys.readouterr().err)
+        assert not (outdir / "summary.txt").exists()
+
     def test_replicas_reaching_the_pilot_streams_exit_before_any_draw(
             self, tmp_path, capsys, monkeypatch):
         draws = []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import specfield as sf
 from specfield import (CouplingSynthesizer, ExactFieldSampler, InadmissibleDensityError,
-                       PointSet, PowerLawDensity, SpectralSynthesizer, check_domination,
+                       PowerLawDensity, SpectralSynthesizer, check_domination,
                        covariance_matrix, difference_density, dyadic_frequency_grid,
                        hermitian_noise, power_law_covariance_matrix, uniform_spatial_grid)
 from specfield.covariance import PSD_NOISE_FACTOR
@@ -28,7 +28,7 @@ def psd_floor(matrix):
 
 
 # the points of the 2 x 2 arrays the exact sampler is handed below
-PAIR = PointSet(1, "pair", np.array([[0.0], [1.0]]))
+PAIR = uniform_spatial_grid(1, 2)
 
 
 class TestBrownianOracle:
@@ -126,14 +126,6 @@ class TestCovarianceMatrix:
         entries = covariance_matrix(brownian, points, default_grid)
         assert np.array_equal(entries, entries.T)
         assert np.max(np.abs(entries - whole)) <= 1e-13 * np.max(whole)
-
-    def test_origin_absent(self, default_grid, brownian):
-        # without the origin no row vanishes, and the exact sampler pins none
-        points = PointSet(1, "no-origin", np.array([[0.25], [0.5]]))
-        matrix = covariance_matrix(brownian, points.points, default_grid)
-        assert points.origin_index is None
-        assert np.all(np.diag(matrix) > 0.0)
-        assert np.all(ExactFieldSampler(matrix, points).sample_block(3, range(4)) != 0.0)
 
     def test_eigenvalue_floor(self, default_grid, brownian):
         for density, points in [(brownian, np.linspace(0, 1, 8)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specfield import (FrequencyGrid, PointSet, SpatialGrid, dyadic_frequency_grid,
+from specfield import (FrequencyGrid, SpatialGrid, dyadic_frequency_grid,
                        uniform_spatial_grid)
 
 
@@ -146,18 +146,3 @@ class TestSpatialGrid:
         with pytest.raises(ValueError, match="dimension"):
             uniform_spatial_grid(3, 4)
 
-
-class TestPointSet:
-    def test_origin_found(self):
-        ps = PointSet(1, "probe", np.array([[0.5], [0.0], [1.0]]))
-        assert ps.size == 3
-        assert ps.origin_index == 1
-        assert ps.grid_id == "probe(d=1,n=3)"
-
-    def test_origin_absent(self):
-        ps = PointSet(1, "probe", np.array([[0.5], [1.0]]))
-        assert ps.origin_index is None
-
-    def test_origin_2d(self):
-        ps = PointSet(2, "probe", np.array([[0.0, 0.5], [0.0, 0.0]]))
-        assert ps.origin_index == 1

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specfield import (ConfigError, HolderNorm, PointSet, SupNorm, parse_config,
-                       uniform_spatial_grid)
+from specfield import ConfigError, HolderNorm, SupNorm, parse_config, uniform_spatial_grid
 
 GRID_9 = uniform_spatial_grid(1, 9)
 
@@ -29,10 +28,6 @@ class TestExamples:
         assert SupNorm()(ramp, grid) == 1.0
         assert HolderNorm(1.0)(ramp, grid) == 2.0
         assert HolderNorm(0.5)(ramp, grid) == 2.0
-
-    def test_single_point_set_has_no_pairs(self):
-        ps = PointSet(1, "solo", np.array([[0.3]]))
-        assert HolderNorm(0.5)(np.array([2.5]), ps) == 2.5
 
 
 class TestAxioms:
@@ -103,10 +98,9 @@ class TestFullPairs:
     every pair, bit for bit."""
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
-    @pytest.mark.parametrize("grid", [
-        uniform_spatial_grid(1, 17), uniform_spatial_grid(2, 8),
-        PointSet(2, "scatter", np.random.default_rng(5).random((12, 2)))],
-        ids=["line", "plane", "points"])
+    @pytest.mark.parametrize("grid", [uniform_spatial_grid(1, 17),
+                                      uniform_spatial_grid(2, 8)],
+                             ids=["line", "plane"])
     def test_matches_every_pair(self, grid, alpha):
         rng = np.random.default_rng(6)
         points = np.asarray(grid.points, dtype=float)
@@ -140,13 +134,6 @@ class TestPairSubsampling:
         full = HolderNorm(0.5)(values, grid)
         dyadic = HolderNorm(0.5, pair_budget=16)(values, grid)
         assert SupNorm()(values, grid) <= dyadic <= full
-
-    def test_point_set_needs_full_pairs(self):
-        ps = PointSet(1, "scatter", np.array([[0.1], [0.4], [0.9]]))
-        values = np.array([1.0, 2.0, 0.0])
-        assert HolderNorm(0.5)(values, ps) > 0  # full pairs fit the budget
-        with pytest.raises(ValueError, match="uniform grid"):
-            HolderNorm(0.5, pair_budget=4)(values, ps)
 
 
 class TestInterface:

@@ -7,7 +7,7 @@ from scipy import stats
 
 import specfield as sf
 from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSampler,
-                       FieldSample, IndefiniteMatrixError, PointSet, SpectralSynthesizer,
+                       FieldSample, IndefiniteMatrixError, SpectralSynthesizer,
                        ZeroDensity, check_domination, covariance_matrix, hermitian_noise,
                        uniform_spatial_grid)
 
@@ -245,7 +245,7 @@ class TestSampleBlock:
         assert builds == chunks * 3
         assert lag_chunks == []
         builds.clear()
-        # the low-rank Gram builds no chunk of R; a 12 MiB budget (a 3 MiB
+        # the exact path's Gram builds no chunk of R; a 12 MiB budget (a 3 MiB
         # workspace) splits its lag tables into two chunks, each built once,
         # in node order
         monkeypatch.setattr(covariance, "BLOCK_BYTES", 12 << 20)
@@ -258,21 +258,47 @@ class TestSampleBlock:
 
 
 class TestLowRankFactor:
-    """Campaigns with more replicas than points draw through F, F F^T = K."""
+    """Campaigns with more replicas than points draw through the exact
+    sampler on the quadrature kernel K: L L^T = K + jitter I."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 64), (2, 8)])
     def test_factor_reproduces_the_quadrature_kernel(self, default_grid, grid_2d,
                                                      dimension, resolution):
+        # the first rung's jitter, 1e-8 of max K, is far above the 1e-13
+        # tolerance, so a later rung would fail this
         grid = default_grid if dimension == 1 else grid_2d
         density = sf.fractional_brownian_density(0.7, dimension)
         space = uniform_spatial_grid(dimension, resolution)
         synth = SpectralSynthesizer(density, grid, space)
         synth.prepare(space.size + 1)
-        factor = sf.covariance.spectral_factor(density, space.points, grid)
-        kernel = factor @ factor.T
-        low_rank = np.zeros_like(kernel)
-        low_rank[1:, 1:] = synth._low_rank @ synth._low_rank.T
-        assert np.max(np.abs(low_rank - kernel)) <= 1e-13 * np.max(kernel)
+        kernel = sf.covariance.quadrature_gram(density, space, grid)
+        jitter = sf.covariance.PSD_NOISE_FACTOR * np.max(np.diag(kernel))
+        factor = synth._exact._factor
+        assert synth._exact.grid is space
+        assert (np.max(np.abs(factor @ factor.T - kernel - jitter * np.eye(space.size)))
+                <= 1e-13 * np.max(kernel))
+
+    @pytest.mark.parametrize("dimension,resolution,hurst", [
+        (1, 1024, 0.1), (1, 1024, 0.5), (1, 1024, 0.9), (2, 16, 0.5)])
+    def test_near_singular_kernels_factor_at_the_first_rung(
+            self, default_grid, grid_2d, dimension, resolution, hurst, monkeypatch):
+        # off the origin, K's min/max eigenvalue is 9.1e-10, 2.0e-13 and
+        # 5.5e-18 in d = 1 and 6.7e-5 in d = 2
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(hurst, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        attempts = []
+        cholesky = np.linalg.cholesky
+
+        def counting(matrix):
+            attempts.append(len(matrix))
+            return cholesky(matrix)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        synth = SpectralSynthesizer(density, grid, space)
+        synth.prepare(space.size + 1)
+        assert attempts == [space.size]
+        block = synth.sample_block(5, range(3))
+        assert np.all(block[:, 0] == 0.0) and not np.any(np.signbit(block[:, 0]))
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (2, 3)])
     def test_blocks_carry_the_quadrature_law(self, default_grid, grid_2d, dimension,
@@ -301,11 +327,11 @@ class TestLowRankFactor:
                                                             space_8, brownian):
         synth = SpectralSynthesizer(brownian, default_grid, space_8)
         assert synth.prepare(8) == 8
-        assert synth._low_rank is None
+        assert synth._exact is None
         assert synth.prepare(9) == 9
-        assert synth._low_rank.shape == (7, 7)
+        assert synth._exact._factor.shape == (8, 8)
         assert synth.prepare(8) == 8
-        assert synth._low_rank is None
+        assert synth._exact is None
 
     def test_long_path_campaigns_keep_the_direct_factor(self, default_grid, brownian):
         # estimate-hurst on 4,096 points and 100 replicas: one direct block,
@@ -313,7 +339,7 @@ class TestLowRankFactor:
         synth = SpectralSynthesizer(brownian, default_grid,
                                     uniform_spatial_grid(1, 4096))
         assert synth.prepare(100) == 100
-        assert synth._low_rank is None and synth._factor is None
+        assert synth._exact is None and synth._factor is None
 
     def test_per_replica_samples_stay_direct(self, default_grid, space_8, fbm_pair):
         perturbed, base = fbm_pair
@@ -376,26 +402,21 @@ class TestFieldSampleValidation:
         with pytest.raises(ValueError, match="finite"):
             FieldSample(space_8, values, 0, 0)
 
-    def test_origin_free_point_set(self):
-        ps = PointSet(1, "probe", np.array([[0.5], [1.0]]))
-        sample = FieldSample(ps, np.array([1.0, 2.0]), 0, 0)
-        assert sample.size == 2
 
-
-def point_set(*points):
-    return PointSet(1, "probe", np.array(points, dtype=float)[:, None])
+# the grid {0, 1} of the 2 x 2 arrays the exact sampler is handed below
+PAIR = uniform_spatial_grid(1, 2)
 
 
 class TestExactSampler:
     def test_zero_matrix_gives_zero_sample(self):
-        sample = ExactFieldSampler(np.zeros((2, 2)), point_set(0.5, 1.0)).sample(3, 0)
+        sample = ExactFieldSampler(np.zeros((2, 2)), PAIR).sample(3, 0)
         assert np.all(sample.values == 0.0)
 
     def test_single_point_distribution(self):
         variance = 2.5
-        sampler = ExactFieldSampler(np.array([[variance]]), point_set(1.0))
+        sampler = ExactFieldSampler(np.diag([0.0, variance]), PAIR)
         n = 2000
-        draws = sampler.sample_block(5, range(n))[:, 0]
+        draws = sampler.sample_block(5, range(n))[:, 1]
         assert abs(np.mean(draws)) <= 4.0 * np.sqrt(variance / n)
         assert np.isclose(np.var(draws), variance, rtol=4.0 * np.sqrt(2.0 / n))
 
@@ -437,8 +458,8 @@ class TestExactSampler:
             ExactFieldSampler(matrix, other)
 
     def test_empirical_covariance_matches_matrix(self, default_grid, brownian):
-        points = point_set(0.4, 1.0)
-        matrix = covariance_matrix(brownian, points.points, default_grid)
+        points = uniform_spatial_grid(1, 3)
+        matrix = covariance_matrix(brownian, points, default_grid)
         sampler = ExactFieldSampler(matrix, points)
         n = 3000
         rows = sampler.sample_block(23, range(n))
@@ -451,7 +472,7 @@ class TestJitterLadder:
     def sampler(self, defect):
         # eigenvalues 2 + defect and -defect: indefinite by exactly `defect`
         entries = np.array([[1.0, 1.0 + defect], [1.0 + defect, 1.0]])
-        return ExactFieldSampler(entries, point_set(0.5, 1.0))
+        return ExactFieldSampler(entries, PAIR)
 
     def test_first_rung_absorbs_tiny_defect(self):
         sample = self.sampler(5e-9).sample(1, 0)
@@ -548,10 +569,10 @@ class TestCoupling:
         assert coupler.prepare(300) == 300
         coupler.sample_block(3, range(300))
         direct = 2 * default_grid.size
-        assert draws == [(5, direct), (1, direct), (300, 2 * (space_8.size - 1))]
+        assert draws == [(5, direct), (1, direct), (300, 2 * space_8.size)]
 
     def test_coupled_block_peak_stays_below_two_draws(self, default_grid, fbm_pair):
-        # a coupling-law-sized campaign: 64 points, 5,000 replicates, low rank.
+        # a coupling-law-sized campaign: 64 points, 5,000 replicates, exact.
         # Drawing x1 and x2 from streams 2k and 2k+1 in one 5,000-row block
         # peaked at 8,159,672 traced bytes; the coupled row is wider, so its
         # blocks are sized by the whole working row to stay below that
@@ -560,7 +581,7 @@ class TestCoupling:
         coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid,
                                       uniform_spatial_grid(1, 64))
         rows = coupler.prepare(5000)
-        assert rows == 3297
+        assert rows == 3276
         tracemalloc.start()
         try:
             coupler.sample_block(9, range(rows))

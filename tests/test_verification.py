@@ -205,7 +205,7 @@ class TestMCConfig:
 
 class TestCollectBlocks:
     # With no more replicas than points, blocks are drawn directly through R
-    # (width M); with more, through the low-rank factor (width N - 1).
+    # (width M); with more, through the exact sampler on K (width N).
     def test_direct_rows_agree_across_blocks_at_roundoff(self, default_grid, brownian):
         space = uniform_spatial_grid(1, 512)
         n = 2 * block_rows(default_grid.size) + 51       # three blocks, one short
@@ -238,7 +238,7 @@ class TestCollectBlocks:
                                         uniform_spatial_grid(1, 512))
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
         for synth, size in ((direct, block_rows(default_grid.size)),
-                            (low_rank, block_rows(space_8.size - 1))):
+                            (low_rank, block_rows(space_8.size))):
             blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, (synth,))
             assert blocks == [range(0, size), range(size, 2 * size),
                               range(2 * size, 2 * size + 1)]
@@ -250,16 +250,16 @@ class TestCollectBlocks:
         rows = block_rows(default_grid.size)
         single = sf.SpectralSynthesizer(brownian, default_grid, space)
         _collect_blocks(lambda ids: None, rows, (single,))
-        assert single._factor is None and single._low_rank is None
+        assert single._factor is None and single._exact is None
         several = sf.SpectralSynthesizer(brownian, default_grid, space)
         _collect_blocks(lambda ids: None, rows + 1, (several,))
         kept = np.concatenate([chunk for _, chunk in several._factor], axis=1)
         assert kept.shape == (512, default_grid.size)
-        assert several._low_rank is None
+        assert several._exact is None
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
         _collect_blocks(lambda ids: None, 9, (low_rank,))
         assert low_rank._factor is None
-        assert low_rank._low_rank.shape == (7, 7)
+        assert low_rank._exact._factor.shape == (8, 8)
 
 
 class TestBallProbabilities:
@@ -350,7 +350,7 @@ class TestAndersonSum:
 
     def test_one_noise_draw_per_block(self, default_grid, fbm_pair, monkeypatch):
         # replicate k draws X1 and X2 from the two halves of one row of
-        # stream k, so each block is one draw of 2 (N - 1) normals a row
+        # stream k, so each block is one draw of 2N normals a row
         from specfield import synthesis
         perturbed, base = fbm_pair
         draws = []
@@ -360,7 +360,7 @@ class TestAndersonSum:
                             or draw(width, seed, ids))
         monkeypatch.setattr(synthesis, "block_rows", lambda width: 128)
         verify_anderson_sum(perturbed, base, SupNorm(), small_mc(default_grid))
-        assert draws == [(128, 14), (128, 14), (44, 14)]
+        assert draws == [(128, 16), (128, 16), (44, 16)]
 
 
 class TestCouplingLaw:
@@ -420,7 +420,7 @@ class TestCouplingLaw:
         assert np.isfinite(report.covariance_match)
 
     def test_running_sums_hold_one_block(self, fbm_pair, monkeypatch):
-        # 200 replicas on 64 points take one low-rank block; two replicas per
+        # 200 replicas on 64 points take one exact block; two replicas per
         # block make 100, whose moments must not all be held at once.  A
         # coarse frequency grid keeps the factor build below that peak.
         import tracemalloc
