@@ -24,7 +24,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .covariance import covariance_matrix
 from .spectral import check_admissible, check_domination, estimate_min_C
-from .synthesis import ExactFieldSampler, FieldSample, SpectralSynthesizer
+from .synthesis import ExactFieldSampler, SpectralSynthesizer
 from .verification import (MCConfig, coupling_norm_quantiles, estimate_holder_exponent,
                            verify_anderson_shift, verify_anderson_sum,
                            verify_comparison, verify_coupling_law)
@@ -108,11 +108,10 @@ def _inequality_summary_lines(report):
     return lines
 
 
-def _write_sample_csv(path: Path, sample: FieldSample):
-    dim = sample.grid.dimension
-    header = "x,value" if dim == 1 else "x0,x1,value"
+def _write_sample_csv(path: Path, grid, values: np.ndarray):
+    header = "x,value" if grid.dimension == 1 else "x0,x1,value"
     rows = [header]
-    for point, value in zip(sample.grid.points, sample.values):
+    for point, value in zip(grid.points, values):
         coords = ",".join(_fmt(c) for c in point)
         rows.append(f"{coords},{_fmt(value)}")
     _write_text(path, "\n".join(rows) + "\n")
@@ -217,12 +216,14 @@ def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
     samples_dir.mkdir(exist_ok=True)
     if cfg.method == "spectral":
         sampler = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
+        if cfg.replicas > 1:
+            sampler.keep_factor()  # every replica reuses R
     else:
         matrix = covariance_matrix(density, cfg.spatial_grid, cfg.frequency_grid)
         sampler = ExactFieldSampler(matrix, cfg.spatial_grid)
     for k in range(cfg.replicas):
-        sample = sampler.sample(cfg.master_seed, k)
-        _write_sample_csv(samples_dir / f"sample_{k:05d}.csv", sample)
+        values = sampler.sample_block(cfg.master_seed, [k])[0]
+        _write_sample_csv(samples_dir / f"sample_{k:05d}.csv", cfg.spatial_grid, values)
         if verbose:
             print(f"wrote sample {k} (stream {k})")
     side_lines = ["# stream id for sample_NNNNN.csv is NNNNN",
@@ -382,6 +383,9 @@ def console_main(argv=None) -> int:
     except ConfigError as exc:
         for line in exc.format_errors():
             print(f"error: {line}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return run(cfg, args.output, args.verbose)
 

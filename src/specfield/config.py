@@ -412,8 +412,9 @@ def parse_config(text: str) -> RunConfig:
         _radii(reader, command, fields)
 
     # grids
-    j_lo = reader.integer("frequency_grid.j_lo", default=-20)
-    j_hi = reader.integer("frequency_grid.j_hi", default=20)
+    # within +-1022 every annulus edge 2^j is a finite normal float
+    j_lo = reader.integer("frequency_grid.j_lo", default=-20, minimum=-1022, maximum=1022)
+    j_hi = reader.integer("frequency_grid.j_hi", default=20, minimum=-1022, maximum=1022)
     nodes = reader.integer("frequency_grid.nodes_per_annulus", default=64, minimum=1)
     # density-check and covariance on explicit points place no field on the
     # spatial grid, so they do not read its resolution
@@ -460,7 +461,9 @@ def parse_config(text: str) -> RunConfig:
                 reader.error("points", f"points must be comma-separated numbers, "
                                        f"got {raw_points!r}")
             else:
-                if len(set(points)) != len(points):
+                if not all(map(math.isfinite, points)):
+                    reader.error("points", f"points must be finite, got {raw_points!r}")
+                elif len(set(points)) != len(points):
                     reader.error("points", "points must be distinct")
                 fields["points"] = points
                 reader.record("points", ", ".join(repr(p) for p in points))

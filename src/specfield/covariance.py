@@ -69,12 +69,14 @@ def block_rows(width: int) -> int:
 
 
 def _as_points(points, dimension: int | None = None) -> np.ndarray:
-    """Coerce to an (n, d) float array; a flat list means d = 1."""
+    """Coerce to an (n, d) array of finite floats; a flat list means d = 1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be an (n, d) array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     if dimension is not None and pts.shape[1] != dimension:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {dimension}")
     return pts

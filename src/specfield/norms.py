@@ -25,11 +25,18 @@ def _values_of(sample_or_values) -> np.ndarray:
 
 
 def _grid_of(sample_or_values, grid):
-    if grid is None:
-        grid = getattr(sample_or_values, "grid", None)
-    if grid is None:
-        raise ValueError("a grid is required: pass a FieldSample or supply grid=")
-    return grid
+    """The grid given, else the one a FieldSample carries, else None."""
+    return getattr(sample_or_values, "grid", None) if grid is None else grid
+
+
+def _rows_on(values: np.ndarray, grid) -> np.ndarray:
+    """The values as (B, N) rows, refused unless a grid is absent or has N
+    points."""
+    rows = np.atleast_2d(values)
+    if grid is not None and rows.shape[1] != grid.size:
+        raise ValueError(f"a path of {rows.shape[1]} values does not fit a grid of "
+                         f"{grid.size} points")
+    return rows
 
 
 def _per_path(values: np.ndarray, per_row: np.ndarray):
@@ -39,13 +46,14 @@ def _per_path(values: np.ndarray, per_row: np.ndarray):
 
 @dataclass(frozen=True)
 class SupNorm:
-    """max |g(x)| over the grid points; one value per row of a (B, N) block."""
+    """max |g(x)| over the grid points; one value per row of a (B, N) block.
+    The grid is optional, but one that is given or carried must fit."""
 
     kind: str = "sup"
 
     def __call__(self, sample_or_values, grid=None):
         values = _values_of(sample_or_values)
-        rows = np.atleast_2d(values)
+        rows = _rows_on(values, _grid_of(sample_or_values, grid))
         return _per_path(values, np.max(np.abs(rows), axis=1, initial=0.0))
 
     @property
@@ -80,11 +88,10 @@ class HolderNorm:
     def __call__(self, sample_or_values, grid=None):
         values = _values_of(sample_or_values)
         grid = _grid_of(sample_or_values, grid)
-        rows = np.atleast_2d(values)
+        if grid is None:
+            raise ValueError("a grid is required: pass a FieldSample or supply grid=")
+        rows = _rows_on(values, grid)
         n = rows.shape[1]
-        if n != grid.size:
-            raise ValueError(f"a path of {n} values does not fit a grid of "
-                             f"{grid.size} points")
         sup = np.max(np.abs(rows), axis=1, initial=0.0)
         if n * n <= self.pair_budget:
             ratio = self._full_pair_ratio(rows, np.asarray(grid.points, dtype=float))

@@ -21,7 +21,7 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
   representative of the dominating law as C^{-1/2} x1 + x2.
 
 Each draws blocks with sample_block(seed, ids), row j from stream ids[j];
-sample(seed, k) is the FieldSample of the one-row direct block [k].
+sample(seed, k) is the FieldSample of row 0 of its own sample_block(seed, [k]).
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ class SpectralSynthesizer:
 
     Each row is the draw of its own stream, so which replicas share a block
     changes a row at roundoff at most, through the product's blocking.
+    sample is the one-row block, so it streams R unless R was kept: a caller
+    drawing many direct replicas one at a time calls keep_factor() first.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -146,17 +148,15 @@ class SpectralSynthesizer:
             self._factor = list(factor_chunks(self.density, self.spatial_grid,
                                               self.frequency_grid))
 
-    def _noise_width(self, direct: bool = False) -> int:
+    def _noise_width(self) -> int:
         """Normals per replica: M on the direct path, N on the exact path
         that the last prepare() chose."""
-        if direct or self._exact is None:
-            return self.frequency_grid.size
-        return self.spatial_grid.size
+        return self.frequency_grid.size if self._exact is None else self.spatial_grid.size
 
-    def _synthesize(self, noise: np.ndarray, direct: bool = False) -> np.ndarray:
-        """The (B, N) sample block that a (B, W) noise block maps to, on the
-        way the last prepare() chose, or on the direct path if asked."""
-        if not direct and self._exact is not None:
+    def _synthesize(self, noise: np.ndarray) -> np.ndarray:
+        """The (B, N) sample block that a (B, W) noise block maps to, the way
+        the last prepare() chose."""
+        if self._exact is not None:
             return self._exact._synthesize(noise)
         block = np.zeros((noise.shape[0], self.spatial_grid.size))
         chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
@@ -173,12 +173,8 @@ class SpectralSynthesizer:
                                                 stream_ids))
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
-        """One replica: the one-row direct block, whatever prepare() chose,
-        so it is bitwise the same on every synthesizer.  Callers that draw
-        replicas one at a time reuse R, so it is kept."""
-        self.keep_factor()
-        noise = hermitian_noise(self.frequency_grid.size, master_seed, [stream_id])
-        return FieldSample(self.spatial_grid, self._synthesize(noise, direct=True)[0],
+        """One replica: the one-row block."""
+        return FieldSample(self.spatial_grid, self.sample_block(master_seed, [stream_id])[0],
                            master_seed, stream_id)
 
 
@@ -252,7 +248,7 @@ class FieldPair:
     is one row of 2W normals from stream k, whose first W drive the first
     field and last W the second.  W is the noise width of the way both draw
     (they share the grids, so they choose the same way): N on the exact
-    path, M on the direct path and in sample."""
+    path, M on the direct path."""
 
     def __init__(self, first: SpectralSynthesizer, second: SpectralSynthesizer):
         self.first = first
@@ -264,25 +260,13 @@ class FieldPair:
         self.first.prepare(n_replicas, paired=True)
         return self.second.prepare(n_replicas, paired=True)
 
-    def _draw(self, master_seed: int, stream_ids, direct: bool = False) -> tuple:
-        width = self.first._noise_width(direct)
-        noise = hermitian_noise(2 * width, master_seed, stream_ids)
-        return (self.first._synthesize(noise[:, :width], direct),
-                self.second._synthesize(noise[:, width:], direct))
-
     def sample_block(self, master_seed: int, stream_ids) -> tuple:
         """(first, second) blocks, row j of both from stream stream_ids[j],
         the way the last prepare() chose (direct without one)."""
-        return self._draw(master_seed, stream_ids)
-
-    def sample(self, master_seed: int, stream_id: int) -> tuple:
-        """One replicate as FieldSamples, both on stream_id: the one-row
-        direct block, whatever prepare() chose; R is kept for both fields,
-        as in SpectralSynthesizer.sample."""
-        self.first.keep_factor()
-        self.second.keep_factor()
-        return tuple(FieldSample(self.first.spatial_grid, block[0], master_seed, stream_id)
-                     for block in self._draw(master_seed, [stream_id], direct=True))
+        width = self.first._noise_width()
+        noise = hermitian_noise(2 * width, master_seed, stream_ids)
+        return (self.first._synthesize(noise[:, :width]),
+                self.second._synthesize(noise[:, width:]))
 
 
 class CouplingSynthesizer:
@@ -292,7 +276,8 @@ class CouplingSynthesizer:
     f_Y - f_X/C, drawn as a FieldPair: both halves of stream k's row for
     replicate k; y_rep = C^{-1/2} x1 + x2 then carries the dominating law up
     to quadrature accuracy.  The certificate must come from the sampling
-    grid: domination on one grid says nothing about another.
+    grid: domination on one grid says nothing about another.  sample is the
+    one-row block, drawn the way the last prepare() chose.
     """
 
     def __init__(self, density_x: SpectralDensity, density_y: SpectralDensity,
@@ -324,9 +309,6 @@ class CouplingSynthesizer:
         return x1, x2, self._inv_root * x1 + x2
 
     def sample(self, master_seed: int, replicate_id: int) -> tuple:
-        """One replicate as FieldSamples (x1, x2, y_rep), all on stream k:
-        the one-row direct block, drawn by FieldPair.sample."""
-        x1, x2 = self._pair.sample(master_seed, replicate_id)
-        y = FieldSample(self.spatial_grid, self._inv_root * x1.values + x2.values,
-                        master_seed, replicate_id)
-        return x1, x2, y
+        """One replicate as FieldSamples (x1, x2, y_rep): the one-row block."""
+        return tuple(FieldSample(self.spatial_grid, block[0], master_seed, replicate_id)
+                     for block in self.sample_block(master_seed, [replicate_id]))

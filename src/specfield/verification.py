@@ -72,10 +72,10 @@ class MCConfig:
         object.__setattr__(self, "radii", check_radii(self.radii))
 
 
-def _collect_blocks(work, n_replicas: int, samplers) -> list:
+def _collect_blocks(work, n_replicas: int, sampler) -> list:
     """work(ids) for consecutive blocks of replica ids, in order.
 
-    Each sampler's prepare(n) chooses how the campaign is drawn, builds its
+    The sampler's prepare(n) chooses how the campaign is drawn, builds its
     factor, and returns the block size: as many replicas as fit in
     BLOCK_BYTES at the noise width of the chosen factor, or, for a coupled
     or two-field block, at its whole working row (the 2W normals of both
@@ -84,7 +84,7 @@ def _collect_blocks(work, n_replicas: int, samplers) -> list:
     roundoff with the block bounds, so they are fixed by n and the grids
     alone.
     """
-    size = min(sampler.prepare(n_replicas) for sampler in samplers)
+    size = sampler.prepare(n_replicas)
     return [work(range(start, min(start + size, n_replicas)))
             for start in range(0, n_replicas, size)]
 
@@ -366,7 +366,7 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
         return np.column_stack([norm(block + shift_values, cfg.spatial_grid),
                                 norm(block, cfg.spatial_grid)])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,)))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, synth))
     return _report_from_norms("anderson-shift", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X + shift|| (X ~ {density.label})",
                               rhs_label="||X||")
@@ -387,7 +387,7 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
         return np.column_stack([norm(x1 + x2, cfg.spatial_grid),
                                 norm(x1, cfg.spatial_grid)])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (pair,)))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, pair))
     return _report_from_norms("anderson-sum", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X1 + X2|| (X1 ~ {density_one.label}, "
                                         f"X2 ~ {density_two.label})",
@@ -484,7 +484,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
         sums[3] += x1.T @ x2
 
     n = cfg.n_replicas
-    _collect_blocks(work, n, (coupler,))
+    _collect_blocks(work, n, coupler)
     empirical, se_y = _mean_and_se(sums[0], sums[1], n)
     match_stat = _standardized_max(empirical - reference, se_y, 3.0)
     cross, se_cross = _mean_and_se(sums[2], sums[3], n)
@@ -512,7 +512,7 @@ def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
         return np.column_stack([norm(y, cfg.spatial_grid),
                                 norm(inv_root * x1, cfg.spatial_grid)])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (coupler,)))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, coupler))
     return _report_from_norms("comparison", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||Y|| (Y ~ {density_y.label})",
                               rhs_label=f"||C^-1/2 X|| (X ~ {density_x.label}, "
@@ -545,7 +545,7 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
         pilot = [PILOT_REPLICATE_BASE + k for k in ids]
         return norm(coupler.sample_block(cfg.master_seed, pilot)[2], cfg.spatial_grid)
 
-    norms = np.concatenate(_collect_blocks(work, n_pilot, (coupler,)))
+    norms = np.concatenate(_collect_blocks(work, n_pilot, coupler))
     tail = (1.0 - span) / 2.0
     probs = np.linspace(tail, 1.0 - tail, count)
     return tuple(float(q) for q in _linear_quantiles(norms, probs))
@@ -632,7 +632,7 @@ def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig) -> HurstEs
         profile = quadratic_variation_profile(synth.sample_block(cfg.master_seed, ids))
         return np.column_stack([_profile_hurst(profile), profile])
 
-    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, (synth,)))
+    rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, synth))
     estimates = rows[:, 0]
     estimate = float(np.mean(estimates))
     stderr = float(np.std(estimates, ddof=1) / np.sqrt(cfg.n_replicas))

@@ -72,7 +72,7 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
     n = 20000
     reference = covariance_matrix(brownian, space_8.points, default_grid)
 
-    # the synthesizer's direct path with R kept, as per-replica draws take it
+    # the synthesizer's direct path with R kept, as more than one block takes it
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
     synth.keep_factor()
     exact = sf.ExactFieldSampler(reference, space_8)
@@ -188,6 +188,7 @@ def test_08_regularity_recovery(default_grid):
 
 def test_09_norm_axioms(default_grid, space_8, brownian):
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
+    synth.keep_factor()  # 4,000 replicas one at a time reuse R
     scalars = np.random.default_rng(2024)
     alphas = (0.3, 0.5, 0.8)
     failures = 0

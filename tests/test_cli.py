@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 from specfield import cli, parse_config, synthesis
 from specfield.cli import console_main
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 SMALL_FREQUENCY_GRID = """\
 frequency_grid.j_lo = -12
@@ -124,6 +126,14 @@ def run_cli(tmp_path, text, name="run", extra=()):
     return code, outdir
 
 
+def run_python(*args):
+    """A child interpreter that imports the checkout's src/, as the tests do."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -198,6 +208,29 @@ class TestSimulate:
         _, first = run_cli(tmp_path, SIMULATE, name="a")
         _, second = run_cli(tmp_path, SIMULATE, name="b")
         assert tree_bytes(first) == tree_bytes(second)
+
+    @pytest.mark.parametrize("replicas, kept", [(3, True), (1, False)])
+    def test_factor_is_kept_only_for_several_replicas(self, tmp_path, monkeypatch,
+                                                      replicas, kept):
+        # R is built once per run either way; a one-replica run streams it
+        builds, synths = [], []
+        chunks = synthesis.factor_chunks
+
+        def counting(*args):
+            builds.append(args)
+            return chunks(*args)
+
+        class Recorded(synthesis.SpectralSynthesizer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                synths.append(self)
+        monkeypatch.setattr(synthesis, "factor_chunks", counting)
+        monkeypatch.setattr(cli, "SpectralSynthesizer", Recorded)
+        code, outdir = run_cli(tmp_path, SIMULATE.replace("replicas = 3",
+                                                          f"replicas = {replicas}"))
+        assert code == 0 and len(list((outdir / "samples").glob("*.csv"))) == replicas
+        assert len(builds) == 1 and len(synths) == 1
+        assert (synths[0]._factor is not None) == kept
 
     def test_exact_method(self, tmp_path):
         code, outdir = run_cli(tmp_path,
@@ -371,6 +404,21 @@ class TestErrorPaths:
         assert code == 3
         assert "domination" in capsys.readouterr().err
 
+    def test_out_of_range_exponent_is_a_config_error(self, tmp_path, capsys):
+        # 2^1100 overflows a float; within +-1022 every annulus edge is finite
+        code, outdir = run_cli(tmp_path, CHECK_MAIN.replace("j_hi = 12", "j_hi = 1100"))
+        assert code == 3 and not outdir.exists()
+        assert capsys.readouterr().err == (
+            "error: line 6: frequency_grid.j_hi must be <= 1022, got 1100\n")
+
+    def test_any_parse_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(text):
+            raise MemoryError("cannot allocate the frequency grid")
+        monkeypatch.setattr(cli, "parse_config", exhausted)
+        code, outdir = run_cli(tmp_path, CHECK_MAIN)
+        assert code == 3 and not outdir.exists()
+        assert capsys.readouterr().err == "error: cannot allocate the frequency grid\n"
+
     def test_indefinite_kernel_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
         # 150 replicas on 6 points draw through the exact sampler on K; a K
         # with eigenvalue -1 resists every rung of the jitter ladder
@@ -429,10 +477,8 @@ class TestExitPlumbing:
 def test_module_entry_point(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(CHECK_MAIN)
-    result = subprocess.run(
-        [sys.executable, "-m", "specfield", "--config", str(config),
-         "--output", str(tmp_path / "out")],
-        capture_output=True, text=True)
+    result = run_python("-m", "specfield", "--config", str(config),
+                        "--output", str(tmp_path / "out"))
     assert result.returncode == 0
     assert (tmp_path / "out" / "summary.txt").exists()
 
@@ -446,8 +492,7 @@ def test_campaigns_run_without_scipy(tmp_path):
         config = tmp_path / f"{name}.cfg"
         config.write_text(text)
         args += [str(config), str(tmp_path / f"{name}-out")]
-    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args],
-                            capture_output=True, text=True)
+    result = run_python("-c", WITHOUT_SCIPY, *args)
     assert result.returncode == 0, result.stderr
     assert all((tmp_path / f"{name}-out" / "summary.txt").exists()
                for name in ("comparison", "coupling", "hurst", "check"))
@@ -462,7 +507,6 @@ def test_shipped_configs_leave_numpy_ma_unloaded(tmp_path):
     args = []
     for config in configs:
         args += [str(config), str(tmp_path / config.stem)]
-    result = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY_MA, *args],
-                            capture_output=True, text=True)
+    result = run_python("-c", WITHOUT_NUMPY_MA, *args)
     assert result.returncode == 0, result.stderr
     assert all((tmp_path / config.stem / "summary.txt").exists() for config in configs)

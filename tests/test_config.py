@@ -307,6 +307,11 @@ class TestValidationErrors:
         assert len(msgs) == 1
         assert msgs[0].startswith("line 6: radii must be finite, positive and sorted")
 
+    @pytest.mark.parametrize("points", ["0.25, nan, 1.0", "inf"], ids=["nan", "inf"])
+    def test_non_finite_points(self, points):
+        msgs = errors_of(COVARIANCE.replace("points = 0.25, 0.5, 1.0", f"points = {points}"))
+        assert msgs == [f"line 5: points must be finite, got {points!r}"]
+
     @pytest.mark.parametrize("constant", ["nan", "inf"])
     def test_non_finite_constant(self, constant):
         msgs = errors_of(COUPLING.replace("constant = 1.0", f"constant = {constant}"))

@@ -163,6 +163,15 @@ class TestCovarianceMatrix:
                 matrix(plane)
             assert matrix(plane[:3]).shape == (3, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, default_grid, bad):
+        density = sf.fractional_brownian_density(0.5)
+        for points in ([0.25, bad, 1.0], [[0.25], [bad]]):
+            with pytest.raises(ValueError, match="points must be finite"):
+                covariance_matrix(density, points, default_grid)
+            with pytest.raises(ValueError, match="points must be finite"):
+                power_law_covariance_matrix(points, 0.5)
+
     # the exact sampler is where a caller's own array enters, so it checks
     # what the covariance functions guarantee by construction
 

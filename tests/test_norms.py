@@ -151,9 +151,9 @@ class TestInterface:
     @pytest.mark.parametrize("budget", [1 << 22, 4], ids=["all-pairs", "dyadic"])
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (9,)])
     def test_width_must_match_the_grid(self, budget, shape):
-        norm = HolderNorm(0.5, pair_budget=budget)
-        with pytest.raises(ValueError, match=f"{shape[-1]} values .* grid of 8 points"):
-            norm(np.zeros(shape), uniform_spatial_grid(1, 8))
+        for norm in (HolderNorm(0.5, pair_budget=budget), SupNorm()):
+            with pytest.raises(ValueError, match=f"{shape[-1]} values .* grid of 8 points"):
+                norm(np.zeros(shape), uniform_spatial_grid(1, 8))
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError, match="alpha"):

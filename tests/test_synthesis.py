@@ -108,6 +108,7 @@ class TestSpectralSynthesizer:
     def test_empirical_variance_matches_quadrature(self, default_grid, brownian):
         grid = uniform_spatial_grid(1, 2)  # points 0 and 1
         synth = SpectralSynthesizer(brownian, default_grid, grid)
+        synth.keep_factor()  # one replica at a time reuses R
         n = 4000
         values = np.array([synth.sample(7, k).values[1] for k in range(n)])
         target = covariance_matrix(brownian, [1.0], default_grid)[0, 0]
@@ -127,13 +128,43 @@ class TestSpectralSynthesizer:
 
 
 class TestSampleBlock:
-    def test_sample_is_the_one_row_block(self, default_grid, space_8, brownian):
-        synth = SpectralSynthesizer(brownian, default_grid, space_8)
-        for k in (0, 5):
-            sample = synth.sample(19, k)
-            row = SpectralSynthesizer(brownian, default_grid, space_8).sample_block(19, [k])
-            assert sample.values.tobytes() == row[0].tobytes()
-            assert (sample.master_seed, sample.stream_id) == (19, k)
+    def test_sample_is_the_one_row_block(self, default_grid, space_8, fbm_pair):
+        # on fresh samplers, and on ones that prepare(n > N) sent to the
+        # exact path; the exact sampler has no prepare
+        perturbed, base = fbm_pair
+        cert = check_domination(perturbed, base, 3.0, default_grid)
+        for prepared in (False, True):
+            samplers = [SpectralSynthesizer(base, default_grid, space_8),
+                        CouplingSynthesizer(perturbed, base, 3.0, cert, default_grid,
+                                            space_8)]
+            if prepared:
+                for sampler in samplers:
+                    assert sampler.prepare(1000) == 1000
+                assert samplers[0]._exact is not None
+            else:
+                samplers.append(ExactFieldSampler(covariance_matrix(base, space_8,
+                                                                    default_grid), space_8))
+            for sampler in samplers:
+                for k in (0, 5):
+                    samples, rows = sampler.sample(19, k), sampler.sample_block(19, [k])
+                    if isinstance(samples, FieldSample):
+                        samples, rows = (samples,), (rows,)
+                    for sample, row in zip(samples, rows, strict=True):
+                        assert sample.values.tobytes() == row[0].tobytes()
+                        assert (sample.master_seed, sample.stream_id) == (19, k)
+
+    def test_one_sample_streams_the_factor(self, default_grid, brownian):
+        # 4,096 points: R is 164 MiB whole, and one replica needs none of it
+        # at once
+        synth = SpectralSynthesizer(brownian, default_grid, uniform_spatial_grid(1, 4096))
+        tracemalloc.start()
+        try:
+            synth.sample(3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert synth._factor is None
+        assert peak < 2 * sf.covariance.BLOCK_BYTES
 
     @pytest.mark.parametrize("resolution", [8, 300])
     def test_streamed_and_kept_factor_agree_bitwise_1d(self, default_grid, brownian,
@@ -160,6 +191,7 @@ class TestSampleBlock:
     def test_block_matches_per_replica_samples(self, default_grid, space_8, fbm_pair):
         perturbed, base = fbm_pair
         synth = SpectralSynthesizer(base, default_grid, space_8)
+        synth.keep_factor()
         block = synth.sample_block(12, range(40))
         rows = np.array([synth.sample(12, k).values for k in range(40)])
         assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(block))
@@ -341,19 +373,6 @@ class TestLowRankFactor:
         assert synth.prepare(100) == 100
         assert synth._exact is None and synth._factor is None
 
-    def test_per_replica_samples_stay_direct(self, default_grid, space_8, fbm_pair):
-        perturbed, base = fbm_pair
-        fresh = SpectralSynthesizer(base, default_grid, space_8).sample(12, 3)
-        prepared = SpectralSynthesizer(base, default_grid, space_8)
-        prepared.prepare(1000)
-        assert prepared.sample(12, 3).values.tobytes() == fresh.values.tobytes()
-        cert = check_domination(perturbed, base, 3.0, default_grid)
-        coupler = CouplingSynthesizer(perturbed, base, 3.0, cert, default_grid, space_8)
-        expected = coupler.sample(12, 3)
-        coupler.prepare(1000)
-        for got, want in zip(coupler.sample(12, 3), expected):
-            assert got.values.tobytes() == want.values.tobytes()
-
 
 class TestComplexReference:
     """The real folded factor against the complex Hermitian sum over the full
@@ -534,7 +553,7 @@ class TestCoupling:
         coupler = CouplingSynthesizer(perturbed, base, 3.0, cert, default_grid,
                                       space_8)
         n = 1500
-        tail = np.array([coupler.sample(13, k)[2].values[-1] for k in range(n)])
+        tail = coupler.sample_block(13, range(n))[2][:, -1]
         target = covariance_matrix(base, [1.0], default_grid)[0, 0]
         assert np.isclose(np.mean(tail ** 2), target, rtol=4.0 * np.sqrt(2.0 / n))
 
@@ -555,7 +574,8 @@ class TestCoupling:
     def test_one_noise_draw_per_coupled_block(self, default_grid, space_8, fbm_pair,
                                               monkeypatch):
         # each block, and each one-replicate sample, sets up one stream per
-        # replicate and draws one row of 2W normals from it
+        # replicate and draws one row of 2W normals from it, W the width of
+        # the way the last prepare() chose
         perturbed, base = fbm_pair
         cert = check_domination(perturbed, base, 1.0, default_grid)
         coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid, space_8)
@@ -568,8 +588,9 @@ class TestCoupling:
         coupler.sample(3, 0)
         assert coupler.prepare(300) == 300
         coupler.sample_block(3, range(300))
-        direct = 2 * default_grid.size
-        assert draws == [(5, direct), (1, direct), (300, 2 * space_8.size)]
+        coupler.sample(3, 0)
+        direct, exact = 2 * default_grid.size, 2 * space_8.size
+        assert draws == [(5, direct), (1, direct), (300, exact), (1, exact)]
 
     def test_coupled_block_peak_stays_below_two_draws(self, default_grid, fbm_pair):
         # a coupling-law-sized campaign: 64 points, 5,000 replicates, exact.

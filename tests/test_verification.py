@@ -213,7 +213,7 @@ class TestCollectBlocks:
 
         def work(ids):
             return synth.sample_block(3, ids)
-        blocks = np.concatenate(_collect_blocks(work, n, (synth,)))
+        blocks = np.concatenate(_collect_blocks(work, n, synth))
         whole = synth.sample_block(3, range(n))
         # the GEMM's own blocking follows its shape, so rows agree at
         # roundoff, not bit for bit: hence block bounds fixed by n and grids
@@ -226,9 +226,9 @@ class TestCollectBlocks:
 
         def work(ids):
             return synth.sample_block(3, ids)
-        whole = np.concatenate(_collect_blocks(work, 200, (synth,)))
+        whole = np.concatenate(_collect_blocks(work, 200, synth))
         monkeypatch.setattr(synthesis, "block_rows", lambda width: 64)
-        blocks = _collect_blocks(work, 200, (synth,))
+        blocks = _collect_blocks(work, 200, synth)
         assert [len(block) for block in blocks] == [64, 64, 64, 8]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
@@ -239,25 +239,25 @@ class TestCollectBlocks:
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
         for synth, size in ((direct, block_rows(default_grid.size)),
                             (low_rank, block_rows(space_8.size))):
-            blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, (synth,))
+            blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, synth)
             assert blocks == [range(0, size), range(size, 2 * size),
                               range(2 * size, 2 * size + 1)]
-            assert _collect_blocks(lambda ids: ids, 5, (synth,)) == [range(5)]
+            assert _collect_blocks(lambda ids: ids, 5, synth) == [range(5)]
 
     def test_factor_is_kept_only_when_blocks_reuse_it(self, default_grid, space_8,
                                                        brownian):
         space = uniform_spatial_grid(1, 512)
         rows = block_rows(default_grid.size)
         single = sf.SpectralSynthesizer(brownian, default_grid, space)
-        _collect_blocks(lambda ids: None, rows, (single,))
+        _collect_blocks(lambda ids: None, rows, single)
         assert single._factor is None and single._exact is None
         several = sf.SpectralSynthesizer(brownian, default_grid, space)
-        _collect_blocks(lambda ids: None, rows + 1, (several,))
+        _collect_blocks(lambda ids: None, rows + 1, several)
         kept = np.concatenate([chunk for _, chunk in several._factor], axis=1)
         assert kept.shape == (512, default_grid.size)
         assert several._exact is None
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-        _collect_blocks(lambda ids: None, 9, (low_rank,))
+        _collect_blocks(lambda ids: None, 9, low_rank)
         assert low_rank._factor is None
         assert low_rank._exact._factor.shape == (8, 8)
 
