@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .covariance import covariance_matrix
-from .spectral import check_admissible, check_domination, estimate_min_C
+from .spectral import check_admissible, check_domination, estimate_min_C, exact_law
 from .synthesis import ExactFieldSampler, SpectralSynthesizer
 from .verification import (MCConfig, coupling_norm_quantiles, estimate_holder_exponent,
                            verify_anderson_shift, verify_anderson_sum,
@@ -105,7 +105,13 @@ def _inequality_summary_lines(report):
         lines.append(f"radius.{i} = {_fmt(row.radius)}")
         lines.append(f"verdict.{i} = {row.verdict}")
         lines.append(f"margin.{i} = {_fmt(row.margin)}")
-    return lines
+    return lines + _sampler_lines(report.samplers)
+
+
+def _sampler_lines(samplers):
+    """law.<field>, sampler.<field> and the way's margins, per drawn field."""
+    return [f"{key}.{field} = {_fmt(value) if isinstance(value, float) else value}"
+            for field, record in samplers for key, value in record]
 
 
 def _write_sample_csv(path: Path, grid, values: np.ndarray):
@@ -221,6 +227,11 @@ def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
     else:
         matrix = covariance_matrix(density, cfg.spatial_grid, cfg.frequency_grid)
         sampler = ExactFieldSampler(matrix, cfg.spatial_grid)
+    if cfg.method == "spectral":
+        record = sampler.describe()
+    else:
+        record = (("law", "exact" if exact_law(density) else "quadrature"),
+                  ("sampler", "cholesky"), ("sampler_jitter_rung", sampler.jitter_rung))
     for k in range(cfg.replicas):
         values = sampler.sample_block(cfg.master_seed, [k])[0]
         _write_sample_csv(samples_dir / f"sample_{k:05d}.csv", cfg.spatial_grid, values)
@@ -234,7 +245,7 @@ def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
                   f"spatial_grid = {cfg.spatial_grid.grid_id}"]
     _write_text(samples_dir / "metadata.txt", "\n".join(side_lines) + "\n")
     lines = [f"replicas = {cfg.replicas}", f"method = {cfg.method}",
-             f"density = {density.label}"]
+             f"density = {density.label}"] + _sampler_lines((("main", record),))
     return EXIT_OK, lines
 
 
@@ -289,6 +300,7 @@ def _run_verify_coupling(cfg: RunConfig, outdir: Path, verbose: bool):
              f"cross_orthogonality = {_fmt(report.cross_orthogonality)}",
              f"cross_orthogonality_passed = "
              f"{str(report.cross_orthogonality_passed).lower()}"]
+    lines += _sampler_lines(report.samplers)
     if verbose:
         print(f"coupling law: match {report.covariance_match:.3f} "
               f"cross {report.cross_orthogonality:.3f}")
@@ -330,7 +342,7 @@ def _run_estimate_hurst(cfg: RunConfig, outdir: Path, verbose: bool):
              f"ci_lower = {_fmt(estimate.ci_lower)}",
              f"ci_upper = {_fmt(estimate.ci_upper)}",
              f"confidence = {_fmt(estimate.confidence)}",
-             f"n_replicas = {estimate.n_replicas}"]
+             f"n_replicas = {estimate.n_replicas}"] + _sampler_lines(estimate.samplers)
     return EXIT_OK, lines
 
 

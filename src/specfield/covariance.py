@@ -1,12 +1,22 @@
-"""Increment covariance kernels by quadrature, plus closed-form oracles.
+"""Increment covariance kernels: the exact law from the variogram, and the
+quadrature law where the variogram has no closed form.
 
 The kernel of a field with stationary increments is
-K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi,
-approximated here as a weighted sum over a symmetric dyadic grid.  With f
-even, each (xi, -xi) pair of nodes contributes a real term, so the sum runs
-over the grid's stored node per pair as K = R R^T with the real factor R of
-`spectral_factor`.  `factor_chunks` is the one walk over R, by chunks of
-node pairs whose columns fit in BLOCK_BYTES: the spectral synthesizer draws
+K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi
+= (V(x) + V(x') - V(x - x')) / 2 with the variogram V of
+`spectral.variogram`.  `covariance_matrix` builds K from the closed-form V
+wherever `spectral.exact_law` holds (every density in d = 1, power-law
+terms in d = 2), on a grid and on a point list alike, so both give the same
+bits for the same points; `power_law_covariance_matrix` is its unit-variance
+power-law case.  A 2-d density with a band or modulated term keeps the
+quadrature law below.
+
+The quadrature law approximates the integral as a weighted sum over a
+symmetric dyadic grid.  With f even, each (xi, -xi) pair of nodes
+contributes a real term, so the sum runs over the grid's stored node per
+pair as K = R R^T with the real factor R of `spectral_factor`.
+`factor_chunks` is the one walk over R, by chunks of node pairs whose
+columns fit in BLOCK_BYTES: the spectral synthesizer's direct way draws
 through it, and `quadrature_gram` sums K over it for a point list, so no
 more than one chunk of R exists at once unless a synthesizer keeps them all.
 On a spatial grid `quadrature_gram` builds no R: K(x, x') is
@@ -38,8 +48,6 @@ error up to 1).  An arbitrary point list is the degenerate sum set
 
 Every covariance here is a plain (n, n) float array, exactly symmetric, in
 the order of its points; the points themselves stay with the caller.
-Closed forms for the power-law (fractional-Brownian) family live here too,
-both as test oracles and as the input to the exact-factorization sampler.
 """
 
 from __future__ import annotations
@@ -49,7 +57,8 @@ import math
 import numpy as np
 
 from .grids import FrequencyGrid, SpatialGrid
-from .spectral import SpectralDensity, require_admissible
+from .spectral import (SpectralDensity, exact_law, fractional_brownian_density,
+                       require_admissible, variogram)
 
 # Eigenvalue floor scale: quadrature matrices may dip this far below zero,
 # relative to their largest diagonal entry.
@@ -318,28 +327,47 @@ def _distinct_points(points) -> np.ndarray:
     return pts
 
 
+def _variogram_gram(density: SpectralDensity, points: np.ndarray) -> np.ndarray:
+    """K = (V(x) + V(x') - V(x - x')) / 2 over an (n, d) point array, by
+    row blocks of the upper triangle, each mirrored into the lower one, so K
+    is exactly symmetric; V(0) is +0.0, so the origin's row is too."""
+    n = len(points)
+    at_points = variogram(density, points)
+    gram = np.empty((n, n))
+    rows = block_rows(n)
+    for top in range(0, n, rows):
+        stop = min(top + rows, n)
+        lags = points[top:stop, None, :] - points[None, top:, :]
+        lags = lags.reshape(-1, points.shape[1])
+        between = variogram(density, lags).reshape(stop - top, n - top)
+        gram[top:stop, top:] = 0.5 * (at_points[top:stop, None] + at_points[None, top:]
+                                      - between)
+        gram[stop:, top:stop] = gram[top:stop, stop:].T
+        corner = gram[top:stop, top:stop]
+        lower = np.tril_indices(stop - top, -1)
+        corner[lower] = corner.T[lower]
+    return gram
+
+
 def covariance_matrix(density: SpectralDensity, points,
                       grid: FrequencyGrid) -> np.ndarray:
-    """The (n, n) quadrature covariance on a SpatialGrid, through its split,
-    or on a list of distinct points."""
+    """The (n, n) covariance of the density's field on a SpatialGrid or on a
+    list of distinct points: the exact K from the variogram where
+    spectral.exact_law holds, bitwise the same for a grid and for its
+    points, and otherwise the quadrature K on `grid`.  The density must be
+    admissible on `grid` either way."""
     require_admissible(density, grid)
     if isinstance(points, SpatialGrid):  # distinct by construction: check d only
-        _as_points(points.points, grid.dimension)
+        pts = _as_points(points.points, grid.dimension)
     else:
-        points = _distinct_points(_as_points(points, grid.dimension))
+        points = pts = _distinct_points(_as_points(points, grid.dimension))
+    if exact_law(density):
+        return _variogram_gram(density, pts)
     return quadrature_gram(density, points, grid)
-
-
-# --------------------------------------------------------------------------
-# closed forms for the power-law family
 
 
 def power_law_covariance_matrix(points, hurst: float) -> np.ndarray:
     """Closed-form (n, n) covariance of the unit-variance power-law field on
-    a list of distinct points."""
+    a list of distinct points: 0.5 (|x|^2H + |x'|^2H - |x - x'|^2H)."""
     pts = _distinct_points(points)
-    r = np.sqrt(np.sum(pts ** 2, axis=1))
-    diff = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
-    h2 = 2.0 * hurst
-    raw = 0.5 * (r[:, None] ** h2 + r[None, :] ** h2 - diff ** h2)
-    return np.triu(raw) + np.triu(raw, 1).T
+    return _variogram_gram(fractional_brownian_density(hurst, pts.shape[1]), pts)

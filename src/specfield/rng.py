@@ -32,9 +32,10 @@ def hermitian_noise(width: int, master_seed: int, stream_ids) -> np.ndarray:
     width 128, the coupled rows of 8 and 64 points on the exact path, of
     which the reset is 0.6 us (best of 7 blocks of 20,000 rows, numpy
     2.4.6, one thread of a shared 2-core x86-64 host).
-    The samplers say how a row is read: as Hermitian noise on the frequency
-    nodes (covariance.spectral_factor), or as the N normals that a Cholesky
-    factor maps to the points.
+    The samplers say how a row is read: as the N normals that a Cholesky
+    factor maps to the points, as the L normals of a circulant embedding's
+    half-spectrum, or as Hermitian noise on the frequency nodes
+    (covariance.spectral_factor).
     """
     if not 0 <= master_seed < _SEED_BOUND:
         raise ValueError(f"master seed must be a 64-bit unsigned integer, got {master_seed}")

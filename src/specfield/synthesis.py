@@ -2,22 +2,19 @@
 
 Three ways to realize a Gaussian field with stationary increments on a grid:
 
-- SpectralSynthesizer: the direct discretization of the harmonizable
-  representation, sum over frequency nodes of (e^{i x.xi} - 1) sqrt(f w) zeta
-  with Hermitian noise, each (xi, -xi) pair folded into one real term.  It
-  is computed for a block of replicas at once as one product of a
-  standard-normal block with the real factor R of the quadrature kernel,
-  walked by the node chunks of covariance.factor_chunks (the covariance
-  module docstring gives how R is built and its measured accuracy).  Its
-  distribution matches the quadrature covariance matrix K = R R^T exactly,
-  which is what makes the next sampler an oracle for it.  A campaign with
-  more replicas than points draws from K through an ExactFieldSampler
-  instead, from N normals per replica rather than one per frequency node.
+- SpectralSynthesizer: one density's law on the spatial grid, the exact
+  K(x, x') = (V(x) + V(x') - V(x - x')) / 2 from the closed-form variogram
+  wherever spectral.exact_law holds, else the quadrature K = R R^T.  Its
+  prepare(n) draws a campaign by circulant embedding of the increments
+  (a 1-d grid, n <= N), by the Cholesky factor of K (n > N, or no
+  embedding, or a 2-d grid), or, for the quadrature law at n <= N, as
+  Hermitian noise on the frequency nodes times R; the class docstring
+  states the rule.
 - ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
   grid's points (jittered Cholesky), and maps standard normals through it.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
   the dominated field and the residual field as a FieldPair, replicate k
-  of both from the two halves of one row of stream k, and assembles the
+  of both from the two parts of one row of stream k, and assembles the
   representative of the dominating law as C^{-1/2} x1 + x2.
 
 Each draws blocks with sample_block(seed, ids), row j from stream ids[j];
@@ -30,14 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import PSD_NOISE_FACTOR, block_rows, factor_chunks, quadrature_gram
+from .covariance import PSD_NOISE_FACTOR, block_rows, covariance_matrix, factor_chunks
 from .grids import SpatialGrid
 from .rng import hermitian_noise
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
-                       require_admissible)
+                       exact_law, require_admissible, variogram)
 
 # Jitter multipliers tried before declaring a covariance matrix indefinite.
 JITTER_LADDER = (1, 2, 4, 8)
+
+# Smallest min eigenvalue / max of a circulant embedding that is drawn from
+# (its negative eigenvalues, roundoff at most, are set to 0).
+EMBEDDING_FLOOR = -1e-12
 
 
 class IndefiniteMatrixError(RuntimeError):
@@ -78,33 +79,44 @@ class FieldSample:
 
 
 class SpectralSynthesizer:
-    """Samples the quadrature law N(0, K) on the spatial grid as blocks of
-    replicas, K = R R^T for the real (N, M) spectral factor R.
+    """Samples one density's law on the spatial grid as blocks of replicas.
 
-    prepare(n) picks one of two ways to draw a campaign of n replicas, from
-    n and the grids alone:
+    The law is the exact K of covariance.covariance_matrix wherever
+    spectral.exact_law holds (every density in d = 1, power-law terms in
+    d = 2), and otherwise the quadrature K = R R^T of the real (N, M)
+    spectral factor R.  prepare(n) picks one way to draw a campaign of n
+    replicas, from n, the grids and the law alone:
 
-    - Direct (n <= N): a block of B replicas is the (B, N) product
-      noise @ R^T of a (B, M) block of Hermitian noise, summed over the node
-      chunks of covariance.factor_chunks.  Each chunk of R is dropped after
-      its product unless keep_factor() stored them all, which pays only
-      when more than one block reuses them; the two give bit-identical
-      blocks.
-    - Exact (n > N): K comes from covariance.quadrature_gram, which on a
-      grid reads it off a lag table of the variogram in about 3 N M
-      multiply-adds, and an ExactFieldSampler on K draws the blocks: the
-      product (B, N) noise @ L^T with the jittered Cholesky factor L, its
-      origin column set to +0.0, so the law off the origin is K + eps I
-      (eps = 1e-8 of max diag K at the ladder's first rung).  The Cholesky
-      costs N^3 / 3 flops and holds N^2 floats whatever n is, so below
-      n = N it can cost more than the n N M of the direct blocks it
-      replaces; n > N keeps the choice a function of n and N alone, and
-      every draw of the direct path unchanged.
+    - n > N: an ExactFieldSampler on K draws the blocks: (B, N) noise @ L^T
+      with the jittered Cholesky factor L, its origin column set to +0.0, so
+      the law off the origin is K + eps I (eps = 1e-8 of max diag K at the
+      ladder's first rung).  The noise width is N.
+    - n <= N on a 1-d grid with the exact law: the N - 1 increments, a
+      stationary sequence with covariance
+      c(k) = (V((k + 1) s) + V(|k - 1| s) - 2 V(k s)) / 2 at spacing s, are
+      drawn by circulant embedding (Davies & Harte 1987; Wood & Chan 1994;
+      Dietrich & Newsam 1997).  The circulant size L is the smallest power
+      of two >= 2(N - 1), or 2L if that one does not embed; an embedding
+      counts only if its min eigenvalue / max is >= EMBEDDING_FLOOR.  A row
+      takes L normals of its stream as a Hermitian half-spectrum, scaled by
+      the square root of the eigenvalues, one inverse real FFT and a
+      cumulative sum from +0.0 at the origin.  O(L log L) per row; the law
+      is K exactly.
+    - Otherwise, n <= N with the exact law (a 2-d grid, or no embedding):
+      the Cholesky way above.  With the quadrature law: a block of B
+      replicas is the (B, N) product noise @ R^T of a (B, M) block of
+      Hermitian noise, summed over the node chunks of
+      covariance.factor_chunks, each dropped after its product unless
+      keep_factor() stored them all; the two give bit-identical blocks.
 
-    Each row is the draw of its own stream, so which replicas share a block
-    changes a row at roundoff at most, through the product's blocking.
-    sample is the one-row block, so it streams R unless R was kept: a caller
-    drawing many direct replicas one at a time calls keep_factor() first.
+    A block holds as many replicas as fit in BLOCK_BYTES at the noise
+    width W, and a circulant row also counts its half-spectrum, its
+    transform and its path (2L + 2 + N floats more).  Each row is the draw
+    of its own stream, so which replicas share a block changes a row at
+    roundoff at most, through the Cholesky and R products' blocking; a
+    circulant row is bitwise the same in any block.  Without a prepare()
+    the sampler draws the n <= N way; it keeps the embedding or the
+    Cholesky factor once built, and streams R unless keep_factor() kept it.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -117,47 +129,86 @@ class SpectralSynthesizer:
         self.density = density
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
-        self._factor = None
-        self._exact = None
+        self.law = "exact" if exact_law(density) else "quadrature"
+        self._factor = None      # R's chunks, when kept
+        self._exact = None       # the Cholesky way, when chosen
+        self._circulant = None   # the circulant way, when chosen
 
-    def prepare(self, n_replicas: int, paired: bool = False) -> int:
-        """Choose the way to draw a campaign of n_replicas, build what it
-        needs, and return the replicas per block: as many as fit in
-        BLOCK_BYTES at the noise width W of the chosen way, or, for a
-        FieldPair (paired), at the pair's whole working row of 2W normals
-        and three N-point samples (both fields and their sum).  Depends on
-        n and the grids only, so a rerun splits the campaign into the same
-        blocks."""
+    def _choose(self, n_replicas: int):
+        """Build the way to draw n_replicas (see the class docstring),
+        reusing what an earlier choice of the same way built."""
         points = self.spatial_grid.size
-        if n_replicas > points:
-            if self._exact is None:
-                self._exact = ExactFieldSampler(
-                    quadrature_gram(self.density, self.spatial_grid, self.frequency_grid),
-                    self.spatial_grid)
-        else:
-            self._exact = None
-        width = self._noise_width()
-        rows = min(n_replicas, block_rows(2 * width + 3 * points if paired else width))
-        if rows < n_replicas and self._exact is None:
+        exact = self.law == "exact"
+        circulant = None
+        if n_replicas <= points and exact and self.spatial_grid.dimension == 1:
+            circulant = self._circulant or _Circulant.embed(self.density, self.spatial_grid)
+        cholesky = None
+        if circulant is None and (n_replicas > points or exact):
+            cholesky = self._exact or ExactFieldSampler(
+                covariance_matrix(self.density, self.spatial_grid, self.frequency_grid),
+                self.spatial_grid)
+        self._circulant, self._exact = circulant, cholesky
+
+    def _way(self):
+        """The Cholesky or circulant sampler of the last prepare() (of the
+        n <= N way without one), or None for the direct R blocks."""
+        if self._exact is None and self._circulant is None and self.law == "exact":
+            self._choose(1)
+        return self._exact if self._exact is not None else self._circulant
+
+    def _row_floats(self) -> tuple:
+        """(W, S): the noise width of the chosen way, and the floats of a
+        circulant row's half-spectrum and transform (0 on the other ways)."""
+        way = self._way()
+        if way is None:
+            return self.frequency_grid.size, 0
+        return way.width, (2 * way.width + 2 if way is self._circulant else 0)
+
+    def prepare(self, n_replicas: int) -> int:
+        """Choose the way to draw a campaign of n_replicas, build what it
+        needs, and return the replicas per block.  Depends on n, the grids
+        and the law only, so a rerun splits the campaign into the same
+        blocks."""
+        self._choose(n_replicas)
+        width, spectrum = self._row_floats()
+        extra = spectrum + self.spatial_grid.size if spectrum else 0
+        rows = min(n_replicas, block_rows(width + extra))
+        if rows < n_replicas:
             self.keep_factor()
         return rows
 
     def keep_factor(self):
-        """Build R's chunks once and keep them for every later direct block."""
-        if self._factor is None:
+        """Keep the factor of the chosen way for every later block: R's
+        chunks on the direct path (built once here); the embedding's root
+        and the Cholesky factor are kept once built anyway."""
+        if self._way() is None and self._factor is None:
             self._factor = list(factor_chunks(self.density, self.spatial_grid,
                                               self.frequency_grid))
 
     def _noise_width(self) -> int:
-        """Normals per replica: M on the direct path, N on the exact path
-        that the last prepare() chose."""
-        return self.frequency_grid.size if self._exact is None else self.spatial_grid.size
+        """Normals per replica on the chosen way: N, L or M."""
+        return self._row_floats()[0]
+
+    def describe(self) -> tuple:
+        """(key, value) pairs of the law and the chosen way, for summary
+        lines: law, sampler (circulant, cholesky or direct), and the
+        circulant size L with its min eigenvalue / max, or the Cholesky
+        jitter rung."""
+        way = self._way()
+        if way is None:
+            return ("law", self.law), ("sampler", "direct")
+        if way is self._circulant:
+            return (("law", self.law), ("sampler", "circulant"),
+                    ("sampler_size", way.width), ("sampler_min_ratio", way.min_ratio))
+        return (("law", self.law), ("sampler", "cholesky"),
+                ("sampler_jitter_rung", way.jitter_rung))
 
     def _synthesize(self, noise: np.ndarray) -> np.ndarray:
         """The (B, N) sample block that a (B, W) noise block maps to, the way
         the last prepare() chose."""
-        if self._exact is not None:
-            return self._exact._synthesize(noise)
+        way = self._way()
+        if way is not None:
+            return way._synthesize(noise)
         block = np.zeros((noise.shape[0], self.spatial_grid.size))
         chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
                                                self.frequency_grid)
@@ -168,7 +219,7 @@ class SpectralSynthesizer:
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j],
-        the way the last prepare() chose (direct without one)."""
+        the way the last prepare() chose."""
         return self._synthesize(hermitian_noise(self._noise_width(), master_seed,
                                                 stream_ids))
 
@@ -178,8 +229,65 @@ class SpectralSynthesizer:
                            master_seed, stream_id)
 
 
-def _jittered_factor(entries: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of entries + jitter*I with escalation.
+class _Circulant:
+    """The increments of a 1-d uniform grid drawn by circulant embedding of
+    their covariance (see SpectralSynthesizer); `width` is the circulant
+    size L, the normals a row takes."""
+
+    def __init__(self, grid: SpatialGrid, root: np.ndarray, min_ratio: float):
+        self.grid = grid
+        self.width = 2 * (len(root) - 1)
+        self.min_ratio = min_ratio
+        self._root = root
+
+    @classmethod
+    def embed(cls, density: SpectralDensity, grid: SpatialGrid):
+        """The embedding at the smallest power of two L >= 2(N - 1), else at
+        2L; None when neither has min eigenvalue / max >= EMBEDDING_FLOOR."""
+        from numpy import fft
+        smallest = 1 << (2 * grid.size - 3).bit_length()
+        for size in (smallest, 2 * smallest):
+            half = size // 2
+            v = variogram(density, np.arange(half + 2) * grid.spacing)
+            c = np.empty(half + 1)          # c(0), ..., c(L/2)
+            c[0] = v[1]
+            c[1:] = 0.5 * (v[2:] + v[:-2] - 2.0 * v[1:-1])
+            eigen = fft.rfft(np.concatenate((c, c[half - 1:0:-1]))).real
+            low, top = float(np.min(eigen)), float(np.max(eigen))
+            # a zero kernel embeds as the zero field
+            min_ratio = low / top if top > 0.0 else (0.0 if low == 0.0 else -np.inf)
+            if min_ratio >= EMBEDDING_FLOOR:
+                # Var of each real normal: L lambda at 0 and L/2, L lambda / 2 between
+                scale = np.full(half + 1, 0.5 * size)
+                scale[[0, -1]] = size
+                return cls(grid, np.sqrt(scale * np.maximum(eigen, 0.0)), min_ratio)
+        return None
+
+    def _synthesize(self, noise: np.ndarray) -> np.ndarray:
+        """The (B, N) paths of a (B, L) noise block: row j's normals z read
+        as the half-spectrum z_0, z_1 (at L/2) and z_2k + i z_2k+1 at k, times
+        the root, through one inverse real FFT, then summed from +0.0."""
+        from numpy import fft
+        rows, size = noise.shape
+        spectrum = np.empty((rows, size // 2 + 1), dtype=complex)
+        flat = spectrum.view(float)
+        flat[:, :size] = noise
+        flat[:, size] = noise[:, 1]
+        flat[:, 1] = 0.0
+        flat[:, size + 1] = 0.0
+        spectrum *= self._root
+        increments = fft.irfft(spectrum, n=size, axis=1)
+        del spectrum
+        block = np.empty((rows, self.grid.size))
+        block[:, 0] = 0.0
+        np.cumsum(increments[:, :self.grid.size - 1], axis=1, out=block[:, 1:])
+        return _check_block(block, self.grid)
+
+
+def _jittered_factor(entries: np.ndarray) -> tuple:
+    """(L, rung): the lower Cholesky factor of entries + jitter*I with
+    escalation, and the JITTER_LADDER multiplier that succeeded (0 for a
+    zero matrix, which needs no factorization).
 
     Starts at the PSD noise floor, PSD_NOISE_FACTOR times the largest
     diagonal entry, and doubles up to len(JITTER_LADDER)-1 times; a matrix
@@ -187,12 +295,12 @@ def _jittered_factor(entries: np.ndarray) -> np.ndarray:
     smoothed further.
     """
     if not np.any(entries):
-        return np.zeros_like(entries)
+        return np.zeros_like(entries), 0
     base = PSD_NOISE_FACTOR * float(np.max(np.diag(entries)))
     for mult in JITTER_LADDER:
         jittered = entries + (base * mult) * np.eye(len(entries))
         try:
-            return np.linalg.cholesky(jittered)
+            return np.linalg.cholesky(jittered), mult
         except np.linalg.LinAlgError:
             continue
     raise IndefiniteMatrixError(
@@ -204,11 +312,12 @@ class ExactFieldSampler:
     """Samples from an (N, N) covariance array over the points of `grid`
     through a cached jittered factorization L.
 
-    The independent oracle for the spectral synthesizer's direct path: the
+    The independent oracle for the spectral synthesizer's other ways: the
     two target the same matrix through unrelated mechanisms.  It also draws
-    the synthesizer's campaigns of more replicas than points.  This is where
-    a caller's own array enters, so its shape, finiteness, symmetry and
-    diagonal are checked.
+    the synthesizer's Cholesky way.  This is where a caller's own array
+    enters, so its shape, finiteness, symmetry and diagonal are checked.
+    `width` is the normals a row takes (N), and `jitter_rung` the ladder
+    multiplier that L needed.
     """
 
     def __init__(self, entries, grid: SpatialGrid):
@@ -223,7 +332,8 @@ class ExactFieldSampler:
         if np.any(np.diag(entries) < 0):
             raise ValueError("covariance diagonal must be nonnegative")
         self.grid = grid
-        self._factor = _jittered_factor(entries)
+        self.width = grid.size
+        self._factor, self.jitter_rung = _jittered_factor(entries)
 
     def _synthesize(self, noise: np.ndarray) -> np.ndarray:
         """The (B, N) sample block noise @ L^T of a (B, N) noise block, with
@@ -245,26 +355,35 @@ class ExactFieldSampler:
 
 class FieldPair:
     """Two independent fields on the same grids, drawn together: replicate k
-    is one row of 2W normals from stream k, whose first W drive the first
-    field and last W the second.  W is the noise width of the way both draw
-    (they share the grids, so they choose the same way): N on the exact
-    path, M on the direct path."""
+    is one row of W1 + W2 normals from stream k, whose first W1 drive the
+    first field and last W2 the second, W1 and W2 the noise widths of the
+    ways the two fields chose."""
 
     def __init__(self, first: SpectralSynthesizer, second: SpectralSynthesizer):
         self.first = first
         self.second = second
 
     def prepare(self, n_replicas: int) -> int:
-        """SpectralSynthesizer.prepare for both fields, each block sized by
-        the pair's whole working row."""
-        self.first.prepare(n_replicas, paired=True)
-        return self.second.prepare(n_replicas, paired=True)
+        """Choose each field's way for n_replicas and return the replicas per
+        block, sized by the pair's whole working row: W1 + W2 normals, three
+        N-point samples (both fields and their sum), and the larger
+        circulant half-spectrum and transform of the two."""
+        fields = (self.first, self.second)
+        for field in fields:
+            field._choose(n_replicas)
+        (w1, s1), (w2, s2) = (field._row_floats() for field in fields)
+        width = w1 + w2 + 3 * self.first.spatial_grid.size + max(s1, s2)
+        size = min(n_replicas, block_rows(width))
+        if size < n_replicas:
+            for field in fields:
+                field.keep_factor()
+        return size
 
     def sample_block(self, master_seed: int, stream_ids) -> tuple:
         """(first, second) blocks, row j of both from stream stream_ids[j],
-        the way the last prepare() chose (direct without one)."""
+        the way the last prepare() chose."""
         width = self.first._noise_width()
-        noise = hermitian_noise(2 * width, master_seed, stream_ids)
+        noise = hermitian_noise(width + self.second._noise_width(), master_seed, stream_ids)
         return (self.first._synthesize(noise[:, :width]),
                 self.second._synthesize(noise[:, width:]))
 
@@ -274,8 +393,9 @@ class CouplingSynthesizer:
 
     x1 has the dominated density f_X and x2 the residual density
     f_Y - f_X/C, drawn as a FieldPair: both halves of stream k's row for
-    replicate k; y_rep = C^{-1/2} x1 + x2 then carries the dominating law up
-    to quadrature accuracy.  The certificate must come from the sampling
+    replicate k; y_rep = C^{-1/2} x1 + x2 then carries the dominating law,
+    K_Y = K_X / C + K_residual, since the residual's terms are Y's minus X's
+    over C.  The certificate must come from the sampling
     grid: domination on one grid says nothing about another.  sample is the
     one-row block, drawn the way the last prepare() chose.
     """
@@ -302,6 +422,11 @@ class CouplingSynthesizer:
     def prepare(self, n_replicas: int) -> int:
         """FieldPair.prepare for the two components."""
         return self._pair.prepare(n_replicas)
+
+    def describe(self) -> tuple:
+        """(field, describe()) of the two components, x and the residual."""
+        return (("x", self._pair.first.describe()),
+                ("residual", self._pair.second.describe()))
 
     def sample_block(self, master_seed: int, replicate_ids) -> tuple:
         """(x1, x2, y) blocks for the replicates, y = C^{-1/2} x1 + x2 exactly."""

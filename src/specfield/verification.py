@@ -77,12 +77,12 @@ def _collect_blocks(work, n_replicas: int, sampler) -> list:
 
     The sampler's prepare(n) chooses how the campaign is drawn, builds its
     factor, and returns the block size: as many replicas as fit in
-    BLOCK_BYTES at the noise width of the chosen factor, or, for a coupled
-    or two-field block, at its whole working row (the 2W normals of both
-    components and three samples).  A row is drawn from its own stream, but
-    its product with the factor, like a sum over blocks, can change at
-    roundoff with the block bounds, so they are fixed by n and the grids
-    alone.
+    BLOCK_BYTES at the whole working row of the chosen way (its normals,
+    and for a circulant row its spectrum and path; for a coupled or
+    two-field block the normals of both components and three samples).  A
+    row is drawn from its own stream, but its product with a factor, like a
+    sum over blocks, can change at roundoff with the block bounds, so they
+    are fixed by n, the grids and the law alone.
     """
     size = sampler.prepare(n_replicas)
     return [work(range(start, min(start + size, n_replicas)))
@@ -311,6 +311,7 @@ class InequalityReport:
     confidence: float
     lhs_label: str
     rhs_label: str
+    samplers: tuple = ()   # (field, SpectralSynthesizer.describe()) per drawn field
 
     @property
     def worst_verdict(self) -> str:
@@ -321,8 +322,8 @@ class InequalityReport:
 
 
 def _report_from_norms(name: str, lhs_norms: np.ndarray, rhs_norms: np.ndarray,
-                       cfg: MCConfig, lhs_label: str,
-                       rhs_label: str) -> InequalityReport:
+                       cfg: MCConfig, lhs_label: str, rhs_label: str,
+                       samplers: tuple) -> InequalityReport:
     if not cfg.radii:
         raise ValueError(f"{name} needs at least one radius in the config")
     rows = []
@@ -332,7 +333,7 @@ def _report_from_norms(name: str, lhs_norms: np.ndarray, rhs_norms: np.ndarray,
         rows.append(compare_counts(successes_lhs, successes_rhs, cfg.n_replicas,
                                    cfg.confidence, len(cfg.radii), radius))
     return InequalityReport(name, tuple(rows), cfg.n_replicas, cfg.master_seed,
-                            cfg.confidence, lhs_label, rhs_label)
+                            cfg.confidence, lhs_label, rhs_label, samplers)
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +370,7 @@ def verify_anderson_shift(density: SpectralDensity, shift, norm,
     rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, synth))
     return _report_from_norms("anderson-shift", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X + shift|| (X ~ {density.label})",
-                              rhs_label="||X||")
+                              rhs_label="||X||", samplers=(("main", synth.describe()),))
 
 
 def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensity,
@@ -391,7 +392,9 @@ def verify_anderson_sum(density_one: SpectralDensity, density_two: SpectralDensi
     return _report_from_norms("anderson-sum", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||X1 + X2|| (X1 ~ {density_one.label}, "
                                         f"X2 ~ {density_two.label})",
-                              rhs_label="||X1||")
+                              rhs_label="||X1||",
+                              samplers=(("x", pair.first.describe()),
+                                        ("y", pair.second.describe())))
 
 
 # --------------------------------------------------------------------------
@@ -426,8 +429,8 @@ def _mean_and_se(total: np.ndarray, total_squares: np.ndarray,
 class CouplingLawReport:
     """Both distributional checks of the decomposition at once.
 
-    covariance_match: max standardized |empirical cov(y_rep) - quadrature
-    cov(f_Y)| over grid pairs, scaled so passing means <= 1 (i.e. within 3 SE).
+    covariance_match: max standardized |empirical cov(y_rep) - the
+    covariance of f_Y| over grid pairs, scaled so passing means <= 1 (i.e. within 3 SE).
     cross_orthogonality: max |empirical E[x1(x) x2(x')]| / SE, passing <= 3.
     """
 
@@ -441,6 +444,7 @@ class CouplingLawReport:
     empirical: np.ndarray
     reference: np.ndarray
     cross: np.ndarray
+    samplers: tuple = ()   # (field, SpectralSynthesizer.describe()) per drawn field
 
     @property
     def covariance_match_passed(self) -> bool:
@@ -461,7 +465,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
     """Empirically confirm the decomposition's law identity and independence.
 
     (a) the empirical covariance of y_rep = C^{-1/2} x1 + x2 must match the
-    quadrature covariance of f_Y within 3 SE per grid pair; (b) the empirical
+    covariance of f_Y (covariance_matrix) within 3 SE per grid pair; (b) the empirical
     cross-covariance of x1 and x2 must be within 3 SE of zero per pair.
     The sums of the products and of their squares are added up block by
     block, so memory is O(N^2) whatever the replica count.
@@ -492,7 +496,7 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
 
     return CouplingLawReport(match_stat, cross_stat, n, cfg.master_seed,
                              float(constant), density_x.label, density_y.label,
-                             empirical, reference, cross)
+                             empirical, reference, cross, coupler.describe())
 
 
 def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
@@ -516,7 +520,8 @@ def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
     return _report_from_norms("comparison", rows[:, 0], rows[:, 1], cfg,
                               lhs_label=f"||Y|| (Y ~ {density_y.label})",
                               rhs_label=f"||C^-1/2 X|| (X ~ {density_x.label}, "
-                                        f"C={float(constant)!r})")
+                                        f"C={float(constant)!r})",
+                              samplers=coupler.describe())
 
 
 def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensity,
@@ -616,6 +621,7 @@ class HurstEstimate:
     scales: tuple
     mean_log2_variation: tuple
     density_label: str
+    samplers: tuple = ()   # (field, SpectralSynthesizer.describe()) per drawn field
 
 
 def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig) -> HurstEstimate:
@@ -641,4 +647,4 @@ def estimate_holder_exponent(density: SpectralDensity, cfg: MCConfig) -> HurstEs
     return HurstEstimate(estimate, stderr, estimate - z * stderr,
                          estimate + z * stderr, cfg.confidence, cfg.n_replicas,
                          cfg.spatial_grid.resolution, tuple(HURST_SCALES),
-                         mean_profile, density.label)
+                         mean_profile, density.label, (("main", synth.describe()),))

@@ -72,11 +72,13 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
     n = 20000
     reference = covariance_matrix(brownian, space_8.points, default_grid)
 
-    # the synthesizer's direct path with R kept, as more than one block takes it
+    # the synthesizer's circulant embedding, the way of campaigns with no
+    # more replicas than points, against Cholesky draws of the same K
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
     synth.keep_factor()
+    assert dict(synth.describe())["sampler"] == "circulant"
     exact = sf.ExactFieldSampler(reference, space_8)
-    rows = sf.covariance.block_rows(default_grid.size)
+    rows = sf.covariance.block_rows(synth._noise_width())
 
     def outer_products(sampler, seed):
         values = np.concatenate([sampler.sample_block(seed, range(top, min(top + rows, n)))
@@ -85,8 +87,8 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
 
     ok = True
     detail = []
-    for name, products in (("spectral", outer_products(synth, 5150)),
-                           ("exact", outer_products(exact, 5151))):
+    for name, products in (("circulant", outer_products(synth, 5150)),
+                           ("cholesky", outer_products(exact, 5151))):
         mean = products.mean(axis=0)
         se = products.std(axis=0, ddof=1) / np.sqrt(n)
         good = within_3se(mean, reference, se)
@@ -94,7 +96,7 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
         detail.append(f"{name} {'ok' if good else 'off'}")
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 60.0
-    report(3, "synthesizer matches exact sampler", ok,
+    report(3, "circulant draws match cholesky draws", ok,
            f"{', '.join(detail)}, n={n}, {elapsed:.1f} s")
 
 
@@ -188,7 +190,7 @@ def test_08_regularity_recovery(default_grid):
 
 def test_09_norm_axioms(default_grid, space_8, brownian):
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-    synth.keep_factor()  # 4,000 replicas one at a time reuse R
+    synth.keep_factor()  # 4,000 replicas one at a time reuse the embedding
     scalars = np.random.default_rng(2024)
     alphas = (0.3, 0.5, 0.8)
     failures = 0

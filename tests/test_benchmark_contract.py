@@ -54,6 +54,15 @@ density.hurst = 0.5
 mc.radii = 0.25, 0.5, 1.0
 """
 
+# 150 replicas on 256 points (the estimator's smallest grid) take the
+# circulant way, as long-paths does
+PATHS = TINY.replace("resolution = 6", "resolution = 256") + """\
+command = estimate-hurst
+seed = 41
+density.family = power-law
+density.hurst = 0.7
+"""
+
 
 def run_child(args, cwd):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
@@ -64,7 +73,7 @@ def run_child(args, cwd):
 
 
 def test_setup_probe_is_ready(tmp_path):
-    for name, body in (("coupled", COUPLED), ("single", SINGLE)):
+    for name, body in (("coupled", COUPLED), ("single", SINGLE), ("paths", PATHS)):
         config = tmp_path / f"{name}.cfg"
         config.write_text(body)
         child = run_child([str(PERFBENCH / "setup_probe.py"), str(config)], tmp_path)
@@ -80,6 +89,17 @@ def test_tracer_runs_a_comparison(tmp_path):
                       tmp_path)
     assert child.returncode == 0, child.stderr
     assert (tmp_path / "spans.pickle").stat().st_size > 0
+
+
+def test_tracer_runs_a_circulant_campaign(tmp_path):
+    config = tmp_path / "paths.cfg"
+    config.write_text(PATHS)
+    child = run_child([str(PERFBENCH / "tracer.py"), str(tmp_path / "spans.pickle"),
+                       "--config", str(config), "--output", str(tmp_path / "out")],
+                      tmp_path)
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "spans.pickle").stat().st_size > 0
+    assert "sampler.main = circulant\n" in (tmp_path / "out" / "summary.txt").read_text()
 
 
 def test_plane_radii_increase(tmp_path):

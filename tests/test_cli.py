@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,23 @@ class TestDensityCheck:
         # the certificate records the raw ratio max f_x/f_y it certified
         assert summary["max_ratio"] == summary["min_constant"]
 
+    def test_density_overflow_at_the_low_end_is_a_range_error(self, tmp_path, capsys):
+        # at 2^-1022 the power law overflows to inf: a float64 range error of
+        # the grid, refused with its annulus, not an "inadmissible" verdict
+        code, outdir = run_cli(tmp_path, CHECK_MAIN.replace("j_lo = -12", "j_lo = -1022"))
+        assert code == 3 and not (outdir / "summary.txt").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: density PowerLawDensity(")
+        assert "not finite in float64 at a node of the annulus [2^-1022, 2^-1021)" in err
+
+    def test_top_of_the_exponent_range_is_admissible_without_warnings(self, tmp_path):
+        # r^2 at 2^1022 would overflow; min(1, r)^2 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, outdir = run_cli(tmp_path, CHECK_MAIN.replace("j_hi = 12", "j_hi = 1022"))
+        assert code == 0
+        assert summary_dict(outdir)["admissibility.main"] == "admissible"
+
     def test_inconclusive_tail_exits_underpowered(self, tmp_path):
         code, outdir = run_cli(tmp_path,
                                CHECK_MAIN.replace("hurst = 0.5", "hurst = 0.03"))
@@ -212,7 +230,8 @@ class TestSimulate:
     @pytest.mark.parametrize("replicas, kept", [(3, True), (1, False)])
     def test_factor_is_kept_only_for_several_replicas(self, tmp_path, monkeypatch,
                                                       replicas, kept):
-        # R is built once per run either way; a one-replica run streams it
+        # a 2-d band-limited density keeps the quadrature law, drawn through
+        # R: R is built once per run either way; a one-replica run streams it
         builds, synths = [], []
         chunks = synthesis.factor_chunks
 
@@ -226,11 +245,33 @@ class TestSimulate:
                 synths.append(self)
         monkeypatch.setattr(synthesis, "factor_chunks", counting)
         monkeypatch.setattr(cli, "SpectralSynthesizer", Recorded)
-        code, outdir = run_cli(tmp_path, SIMULATE.replace("replicas = 3",
-                                                          f"replicas = {replicas}"))
+        text = SIMULATE.replace("replicas = 3", f"replicas = {replicas}").replace(
+            "density.family = power-law\ndensity.hurst = 0.5\n",
+            "density.family = band-limited\ndensity.dimension = 2\ndensity.outer = 64\n")
+        code, outdir = run_cli(tmp_path, text)
         assert code == 0 and len(list((outdir / "samples").glob("*.csv"))) == replicas
+        assert "sampler.main = direct\n" in (outdir / "summary.txt").read_text()
         assert len(builds) == 1 and len(synths) == 1
         assert (synths[0]._factor is not None) == kept
+
+    def test_summary_names_the_law_and_the_sampler(self, tmp_path):
+        # 6 points embed at L = 16; Brownian increments are white, so the
+        # embedding's eigenvalues are flat
+        code, outdir = run_cli(tmp_path, SIMULATE)
+        assert code == 0
+        summary = summary_dict(outdir)
+        assert summary["law.main"] == "exact"
+        assert summary["sampler.main"] == "circulant"
+        assert summary["sampler_size.main"] == "16"
+        assert float(summary["sampler_min_ratio.main"]) == pytest.approx(1.0, abs=1e-9)
+        code, outdir = run_cli(tmp_path, COUPLING_SELF, name="coupled")
+        summary = summary_dict(outdir)
+        for field in ("x", "residual"):
+            assert summary[f"law.{field}"] == "exact"
+            assert summary[f"sampler.{field}"] == "cholesky"
+        # the residual of identical densities is zero and needs no factor
+        assert summary["sampler_jitter_rung.x"] == "1"
+        assert summary["sampler_jitter_rung.residual"] == "0"
 
     def test_exact_method(self, tmp_path):
         code, outdir = run_cli(tmp_path,
@@ -424,7 +465,7 @@ class TestErrorPaths:
         # with eigenvalue -1 resists every rung of the jitter ladder
         def indefinite(density, points, grid):
             return 2.0 * np.ones((points.size, points.size)) - np.eye(points.size)
-        monkeypatch.setattr(synthesis, "quadrature_gram", indefinite)
+        monkeypatch.setattr(synthesis, "covariance_matrix", indefinite)
         outdir = tmp_path / "out"
         assert cli.run(parse_config(COUPLING_SELF), outdir) == 3
         assert ("6 x 6 covariance matrix is not positive semidefinite"

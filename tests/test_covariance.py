@@ -123,7 +123,7 @@ class TestCovarianceMatrix:
         assert sf.covariance.block_rows(2 * 300) < len(default_grid.nodes)
         factor = sf.covariance.spectral_factor(brownian, points, default_grid)
         whole = factor @ factor.T
-        entries = covariance_matrix(brownian, points, default_grid)
+        entries = sf.covariance.quadrature_gram(brownian, points, default_grid)
         assert np.array_equal(entries, entries.T)
         assert np.max(np.abs(entries - whole)) <= 1e-13 * np.max(whole)
 
@@ -451,10 +451,12 @@ class TestCouplingKernel:
     with x1 and the residual mapped by their own synthesizers from the two
     disjoint halves of one stream's row."""
 
-    def halves(self, grid, seed, ids):
-        """The two halves of the direct-path rows of the streams."""
-        noise = hermitian_noise(2 * grid.size, seed, ids)
-        return noise[:, :grid.size], noise[:, grid.size:]
+    def halves(self, coupler, seed, ids):
+        """The two parts of the coupled rows of the streams, W1 and W2
+        normals wide for the ways the two fields chose."""
+        width = coupler._pair.first._noise_width()
+        noise = hermitian_noise(width + coupler._pair.second._noise_width(), seed, ids)
+        return noise[:, :width], noise[:, width:]
 
     def make_coupler(self, grid, fx, fy, constant=1.0):
         cert = check_domination(fx, fy, constant, grid)
@@ -494,8 +496,8 @@ class TestCouplingKernel:
         coupler = self.make_coupler(default_grid, perturbed, base)
         x1 = coupler.sample_block(5, range(4))[0]
         direct = SpectralSynthesizer(perturbed, default_grid, coupler.spatial_grid)
-        first, _ = self.halves(default_grid, 5, range(4))
-        assert np.array_equal(first, hermitian_noise(default_grid.size, 5, range(4)))
+        first, _ = self.halves(coupler, 5, range(4))
+        assert np.array_equal(first, hermitian_noise(direct._noise_width(), 5, range(4)))
         assert x1.tobytes() == direct._synthesize(first).tobytes()
 
     def test_orthogonal_components_give_zero(self, default_grid, fbm_pair):
@@ -507,7 +509,7 @@ class TestCouplingKernel:
         x2 = coupler.sample_block(5, range(4))[1]
         residual = difference_density(base, perturbed, 3.0, coupler.certificate)
         direct = SpectralSynthesizer(residual, default_grid, coupler.spatial_grid)
-        _, second = self.halves(default_grid, 5, range(4))
+        _, second = self.halves(coupler, 5, range(4))
         assert x2.tobytes() == direct._synthesize(second).tobytes()
         streams = [sample.stream_id for sample in coupler.sample(5, 2)[:2]]
         assert streams == [2, 2]
@@ -538,3 +540,42 @@ class TestPlaneKernel:
         assert matrix.shape == (9, 9)
         assert np.array_equal(matrix, matrix.T)
         assert np.linalg.eigvalsh(matrix)[0] >= -psd_floor(matrix)
+
+
+class TestExactKernel:
+    """K from the closed-form variogram, on a grid and on a point list."""
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 300), (2, 8)])
+    def test_grid_and_point_list_agree_bitwise(self, default_grid, grid_2d, fbm_pair,
+                                               dimension, resolution):
+        # so a caller that hands over the points prices what the grid runs
+        grid = default_grid if dimension == 1 else grid_2d
+        space = uniform_spatial_grid(dimension, resolution)
+        densities = [sf.fractional_brownian_density(0.3, dimension)]
+        if dimension == 1:
+            densities += list(fbm_pair)
+        for density in densities:
+            on_grid = covariance_matrix(density, space, grid)
+            listed = covariance_matrix(density, space.points, grid)
+            assert on_grid.tobytes() == listed.tobytes()
+            assert np.array_equal(on_grid, on_grid.T)
+            for origin in (on_grid[0], on_grid[:, 0]):
+                assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_kernel_at_eight_points_is_the_closed_form(self, default_grid, space_8,
+                                                       hurst):
+        x = space_8.points[:, 0]
+        h2 = 2 * hurst
+        closed = 0.5 * (x[:, None] ** h2 + x[None, :] ** h2
+                        - np.abs(x[:, None] - x[None, :]) ** h2)
+        kernel = covariance_matrix(sf.fractional_brownian_density(hurst), space_8,
+                                   default_grid)
+        assert np.max(np.abs(kernel - closed)) <= 1e-12 * np.max(closed)
+
+    def test_plane_modulated_density_keeps_the_quadrature_law(self, grid_2d):
+        density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
+                                      sf.SineModulation(2.0, 1.0, scale=3.0))
+        space = uniform_spatial_grid(2, 3)
+        assert np.array_equal(covariance_matrix(density, space, grid_2d),
+                              sf.covariance.quadrature_gram(density, space, grid_2d))

@@ -419,3 +419,153 @@ class TestDifferenceDensity:
         cert = check_domination(brownian, brownian, 1.0, default_grid)
         residual = difference_density(brownian, brownian, 1.0, cert)
         assert np.all(residual.evaluate(default_grid.nodes) == 0.0)
+
+
+# --------------------------------------------------------------------------
+# term lists and the closed-form variogram
+
+
+C_K = (1.0, -0.5, -0.5)
+
+
+def quad_power_variogram(hurst, trig, omega, lag):
+    """4 int_0^inf (1 - cos h r) r^(-1-2H) trig(omega r) dr by quadrature:
+    r^(1-2H) (r^(2-2H) for sin) times a smooth factor on [0, 1] with an
+    algebraic weight, and each trig(a r) r^(-1-2H) of the expanded product
+    on [1, inf) with an oscillatory weight."""
+    def second_difference(r):  # (1 - cos h r) / r^2, finite at r = 0
+        return lag ** 2 / 2 * np.sinc(lag * r / (2 * np.pi)) ** 2
+    if trig == "cos":
+        smooth = lambda r: second_difference(r) * np.cos(omega * r)
+        alpha = 1 - 2 * hurst
+    else:  # sin(omega r) / r
+        smooth = lambda r: second_difference(r) * omega * np.sinc(omega * r / np.pi)
+        alpha = 2 - 2 * hurst
+    with warnings.catch_warnings():  # tolerances past what QUADPACK promises
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        head = integrate.quad(smooth, 0, 1, weight="alg", wvar=(alpha, 0), epsabs=1e-15,
+                              epsrel=1e-13, limit=200)[0]
+        tail = 0.0
+        for c, a in zip(C_K, (omega, omega + lag, omega - lag)):
+            if a == 0:
+                tail += c / (2 * hurst) if trig == "cos" else 0.0
+                continue
+            sign = np.sign(a) if trig == "sin" else 1.0
+            tail += c * sign * integrate.quad(lambda r: r ** (-1 - 2 * hurst), 1, np.inf,
+                                              weight=trig, wvar=abs(a), epsabs=1e-14,
+                                              limlst=1000)[0]
+    return 4 * (head + tail)
+
+
+class TestTermLists:
+    def test_families_are_sums_of_terms(self):
+        base = fractional_brownian_density(0.7)
+        (power,) = base.terms()
+        assert (power.weight, power.hurst, power.trig, power.omega) == (base.scale, 0.7,
+                                                                       "cos", 0.0)
+        # (2 + sin r) / 3 times the base: a power term and a sine-modulated one
+        plain, sine = PerturbedDensity(base, SineModulation(2.0, 1.0, scale=3.0)).terms()
+        assert (plain.trig, plain.omega, sine.trig, sine.omega) == ("cos", 0.0, "sin", 1.0)
+        assert plain.weight == base.scale * 2.0 / 3.0 and sine.weight == base.scale / 3.0
+        (band,) = BandLimitedDensity(1, 0.5, 2.0, 3.0).terms()
+        assert (band.weight, band.hurst, band.lo, band.hi) == (3.0, None, 0.5, 2.0)
+        assert ScaledDensity(base, 2.0).terms()[0].weight == 2.0 * base.scale
+        assert len(SumDensity(base, BandLimitedDensity(1, 0.5, 2.0)).terms()) == 2
+        assert ZeroDensity(1).terms() == ()
+
+    def test_products_of_modulations_split_by_frequency(self):
+        # (1 + sin 2r)(1 + sin r): sin(2r) sin(r) = (cos r - cos 3r) / 2
+        once = PerturbedDensity(brownian_density(), SineModulation(1.0, 1.0))
+        twice = PerturbedDensity(once, SineModulation(1.0, 1.0, frequency=2.0))
+        shapes = {(t.trig, t.omega): t.weight for t in twice.terms()}
+        w = brownian_density().scale
+        assert shapes == {("cos", 0.0): w, ("sin", 1.0): w, ("sin", 2.0): w,
+                          ("cos", 1.0): w / 2, ("cos", 3.0): -w / 2}
+
+    def test_residual_is_linear_and_self_difference_is_empty(self, default_grid,
+                                                             fbm_pair):
+        perturbed, base = fbm_pair
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        plain, sine = difference_density(base, perturbed, 1.0, cert).terms()
+        assert plain.weight == base.scale - base.scale * 2.0 / 3.0
+        assert sine.weight == -base.scale / 3.0
+        cert = check_domination(base, base, 1.0, default_grid)
+        assert difference_density(base, base, 1.0, cert).terms() == ()
+
+    def test_a_subclass_without_terms_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="InverseDensity gives no term list"):
+            sf.spectral.exact_law(InverseDensity())
+
+    def test_exact_law_in_the_plane_is_power_terms_only(self):
+        plane = fractional_brownian_density(0.5, 2)
+        assert sf.spectral.exact_law(plane)
+        assert sf.spectral.exact_law(ScaledDensity(plane, 2.0))
+        modulated = PerturbedDensity(plane, SineModulation(2.0, 1.0))
+        assert not sf.spectral.exact_law(modulated)
+        assert not sf.spectral.exact_law(BandLimitedDensity(2, 0.0, 4.0))
+        with pytest.raises(ValueError, match="no closed form"):
+            sf.spectral.variogram(modulated, [[0.5, 0.0]])
+
+
+class OneTerm(SpectralDensity):
+    """A density given by one SpectralTerm in d = 1."""
+
+    dimension = 1
+    family = "test-term"
+
+    def __init__(self, term):
+        self.term = term
+
+    def terms(self):
+        return (self.term,)
+
+
+class TestVariogram:
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.7])
+    @pytest.mark.parametrize("trig", ["cos", "sin"])
+    def test_modulated_terms_match_quadrature(self, hurst, trig):
+        # the textbook Mellin form of the sine is 0 * inf at H = 1/2, and off
+        # by 9e-6 relative at H = 1/2 + 1e-9.  At lags below omega the cosine
+        # term vanishes at H = 1/2, so there every term is also held to the
+        # size of the unmodulated one
+        for omega in (1.0, 2.0):
+            term = sf.spectral.SpectralTerm(1.5, hurst, trig, omega)
+            for lag in (0.5, 3.5, 7.3):
+                value = sf.spectral.variogram(OneTerm(term), [lag])[0]
+                expected = 1.5 * quad_power_variogram(hurst, trig, omega, lag)
+                plain = sf.spectral.variogram(PowerLawDensity(1, hurst, 1.5), [lag])[0]
+                assert abs(value - expected) <= 1e-12 * plain
+                if lag > omega:
+                    assert abs(value - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("trig,omega", [("cos", 0.0), ("cos", 1.0), ("sin", 1.0),
+                                            ("cos", 3.0), ("sin", 3.0)])
+    def test_band_terms_match_quadrature(self, trig, omega):
+        # relative to the unmodulated band, which bounds the modulated one;
+        # lags below and above omega / 2 take the two forms of _band_term
+        shape = np.cos if trig == "cos" else np.sin
+        for lo, hi in ((0.0, 20.0), (1.0, 2.0), (0.5, 7.0)):
+            term = sf.spectral.SpectralTerm(2.5, None, trig, omega, lo, hi)
+            for lag in (1e-6, 1e-4, 0.1, 0.5, 1.4, 2.0, 7.3):
+                value = sf.spectral.variogram(OneTerm(term), [lag])[0]
+
+                def integrand(r):
+                    return 2 * np.sin(lag * r / 2) ** 2 * shape(omega * r)
+                expected = 4 * 2.5 * integrate.quad(integrand, lo, hi, limit=1000,
+                                                    epsabs=0, epsrel=1e-13)[0]
+                envelope = 4 * 2.5 * integrate.quad(lambda r: 2 * np.sin(lag * r / 2) ** 2,
+                                                    lo, hi, epsabs=0, epsrel=1e-13)[0]
+                assert abs(value - expected) <= 1e-12 * envelope
+                if trig == "cos" and omega == 0.0:
+                    assert abs(value - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_power_law_is_the_unit_variance_power(self, dimension):
+        lags = np.array([0.0, 0.25, 1.0, 3.0])
+        for hurst in (0.1, 0.5, 0.9):
+            f = fractional_brownian_density(hurst, dimension)
+            vectors = np.column_stack([lags] + [np.zeros(4)] * (dimension - 1))
+            value = sf.spectral.variogram(f, vectors)
+            assert np.allclose(value, lags ** (2 * hurst), rtol=1e-15, atol=0)
+            assert value[0] == 0.0 and not np.signbit(value[0])

@@ -12,6 +12,15 @@ from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSample
                        uniform_spatial_grid)
 
 
+def plane_quadrature_case(resolution, j_lo=-6, j_hi=6):
+    """A 2-d modulated density, which keeps the quadrature law, with a
+    16-node frequency grid and a resolution x resolution spatial grid."""
+    base = sf.fractional_brownian_density(0.5, dimension=2)
+    density = sf.PerturbedDensity(base, sf.SineModulation(2.0, 1.0, scale=3.0))
+    return (density, sf.dyadic_frequency_grid(2, j_lo, j_hi, 16),
+            uniform_spatial_grid(2, resolution))
+
+
 def stream_normals(master_seed, stream_id, width):
     """The first `width` normals of stream (master_seed, stream_id), from a
     fresh generator keyed by the pair."""
@@ -108,7 +117,7 @@ class TestSpectralSynthesizer:
     def test_empirical_variance_matches_quadrature(self, default_grid, brownian):
         grid = uniform_spatial_grid(1, 2)  # points 0 and 1
         synth = SpectralSynthesizer(brownian, default_grid, grid)
-        synth.keep_factor()  # one replica at a time reuses R
+        synth.keep_factor()  # one replica at a time reuses the embedding
         n = 4000
         values = np.array([synth.sample(7, k).values[1] for k in range(n)])
         target = covariance_matrix(brownian, [1.0], default_grid)[0, 0]
@@ -205,36 +214,36 @@ class TestSampleBlock:
             for got, row in zip(coupler.sample(12, k), (x1[k], x2[k], y[k])):
                 assert np.max(np.abs(got.values - row)) <= 1e-12 * np.max(np.abs(y))
 
-    def test_direct_blocks_sum_over_node_chunks(self, default_grid, space_8, brownian,
-                                                monkeypatch):
-        # a budget of 256 node pairs cuts the 8-point factor into 11 chunks
-        monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", 8 * 16 * 256)
-        assert len(list(sf.covariance.factor_chunks(brownian, space_8,
-                                                    default_grid))) >= 10
-        streamed = SpectralSynthesizer(brownian, default_grid, space_8)
-        kept = SpectralSynthesizer(brownian, default_grid, space_8)
+    def test_direct_blocks_sum_over_node_chunks(self, monkeypatch):
+        # the quadrature law's direct path, which a 2-d modulated density
+        # takes: a budget of 113 node pairs cuts the 9-point factor into 15
+        # chunks
+        density, grid, space = plane_quadrature_case(3)
+        monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", 8 * 18 * 113)
+        assert len(list(sf.covariance.factor_chunks(density, space, grid))) >= 10
+        streamed = SpectralSynthesizer(density, grid, space)
+        kept = SpectralSynthesizer(density, grid, space)
         kept.keep_factor()
         ids = range(6)
         block = streamed.sample_block(4, ids)
-        factor = sf.covariance.spectral_factor(brownian, space_8, default_grid)
-        whole = hermitian_noise(default_grid.size, 4, ids) @ factor.T
+        factor = sf.covariance.spectral_factor(density, space, grid)
+        whole = hermitian_noise(grid.size, 4, ids) @ factor.T
         assert np.max(np.abs(block - whole)) <= 1e-13 * np.max(np.abs(whole))
-        origin = block[:, space_8.origin_index]
+        origin = block[:, space.origin_index]
         assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
         assert block.tobytes() == kept.sample_block(4, ids).tobytes()
 
-    def test_single_block_campaign_never_holds_the_whole_factor(
-            self, default_grid, brownian, monkeypatch):
+    def test_single_block_campaign_never_holds_the_whole_factor(self, monkeypatch):
         from specfield import covariance, verification
-        # 300 = 17 x 18 - 6 points: the short last u-row is filled, not
-        # padded, so each chunk owns exactly its 300 rows
-        space = uniform_spatial_grid(1, 300)
+        # 100 replicas on 12 x 12 points: one direct block of the quadrature
+        # law, R streamed by chunks of its 144 rows
+        density, grid, space = plane_quadrature_case(12, j_lo=-14, j_hi=14)
         synths, widths = [], []
         build = covariance.spectral_factor
 
         def recording(*args):
             chunk = build(*args)
-            assert chunk.base is None and chunk.shape[0] == 300
+            assert chunk.base is None and chunk.shape[0] == space.size
             assert chunk.nbytes <= covariance.BLOCK_BYTES
             widths.append(chunk.shape[1])
             return chunk
@@ -245,13 +254,13 @@ class TestSampleBlock:
                 synths.append(self)
         monkeypatch.setattr(covariance, "spectral_factor", recording)
         monkeypatch.setattr(verification, "SpectralSynthesizer", Kept)
-        cfg = sf.MCConfig(100, 41, default_grid, space)
-        sf.estimate_holder_exponent(brownian, cfg)
-        assert len(widths) > 1 and sum(widths) == default_grid.size
+        cfg = sf.MCConfig(100, 41, grid, space, radii=(0.5,))
+        sf.verify_anderson_shift(density, np.zeros(space.size), sf.SupNorm(), cfg)
+        assert len(widths) > 1 and sum(widths) == grid.size
         assert [synth._factor for synth in synths] == [None]
 
     def test_factor_chunks_are_built_once_per_block_and_per_gram_chunk(
-            self, default_grid, brownian, monkeypatch):
+            self, monkeypatch):
         from specfield import covariance
         builds, lag_chunks = [], []
         build, variogram = covariance.spectral_factor, covariance._chunk_variogram
@@ -265,45 +274,48 @@ class TestSampleBlock:
             return variogram(*args)
         monkeypatch.setattr(covariance, "spectral_factor", counting)
         monkeypatch.setattr(covariance, "_chunk_variogram", counting_lags)
-        # direct blocks walk the same two chunks of nodes over 300 points
-        pairs = covariance.block_rows(2 * 300)
-        assert pairs < len(default_grid.nodes) <= 2 * pairs
-        chunks = [slice(0, pairs), slice(pairs, len(default_grid.nodes))]
-        space = uniform_spatial_grid(1, 300)
-        synth = SpectralSynthesizer(brownian, default_grid, space)
+        # direct blocks of the quadrature law walk the same two chunks of
+        # nodes over 12 x 12 points
+        density, grid, space = plane_quadrature_case(12, j_lo=-14, j_hi=14)
+        pairs = covariance.block_rows(2 * space.size)
+        assert pairs < len(grid.nodes) <= 2 * pairs
+        chunks = [slice(0, pairs), slice(pairs, len(grid.nodes))]
+        synth = SpectralSynthesizer(density, grid, space)
         assert synth.prepare(3) == 3
         for seed in range(3):
             synth.sample_block(seed, range(3))
         assert builds == chunks * 3
         assert lag_chunks == []
         builds.clear()
-        # the exact path's Gram builds no chunk of R; a 12 MiB budget (a 3 MiB
-        # workspace) splits its lag tables into two chunks, each built once,
-        # in node order
+        # the Cholesky way's quadrature Gram builds no chunk of R; a 12 MiB
+        # budget (a 3 MiB workspace) splits its lag tables into two chunks,
+        # each built once, in node order
         monkeypatch.setattr(covariance, "BLOCK_BYTES", 12 << 20)
-        synth.prepare(301)
+        synth.prepare(space.size + 1)
         assert builds == []
         assert len(lag_chunks) == 2
         assert lag_chunks[0].start == 0
         assert lag_chunks[0].stop == lag_chunks[1].start
-        assert lag_chunks[1].stop == len(default_grid.nodes)
+        assert lag_chunks[1].stop == len(grid.nodes)
 
 
 class TestLowRankFactor:
     """Campaigns with more replicas than points draw through the exact
-    sampler on the quadrature kernel K: L L^T = K + jitter I."""
+    sampler on the kernel K of covariance_matrix: L L^T = K + jitter I."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 64), (2, 8)])
     def test_factor_reproduces_the_quadrature_kernel(self, default_grid, grid_2d,
                                                      dimension, resolution):
         # the first rung's jitter, 1e-8 of max K, is far above the 1e-13
-        # tolerance, so a later rung would fail this
+        # tolerance, so a later rung would fail this; the kernel is the
+        # exact one of the power law
         grid = default_grid if dimension == 1 else grid_2d
         density = sf.fractional_brownian_density(0.7, dimension)
         space = uniform_spatial_grid(dimension, resolution)
         synth = SpectralSynthesizer(density, grid, space)
         synth.prepare(space.size + 1)
-        kernel = sf.covariance.quadrature_gram(density, space, grid)
+        kernel = sf.power_law_covariance_matrix(space.points, 0.7)
+        assert synth._exact.jitter_rung == 1
         jitter = sf.covariance.PSD_NOISE_FACTOR * np.max(np.diag(kernel))
         factor = synth._exact._factor
         assert synth._exact.grid is space
@@ -314,8 +326,8 @@ class TestLowRankFactor:
         (1, 1024, 0.1), (1, 1024, 0.5), (1, 1024, 0.9), (2, 16, 0.5)])
     def test_near_singular_kernels_factor_at_the_first_rung(
             self, default_grid, grid_2d, dimension, resolution, hurst, monkeypatch):
-        # off the origin, K's min/max eigenvalue is 9.1e-10, 2.0e-13 and
-        # 5.5e-18 in d = 1 and 6.7e-5 in d = 2
+        # off the origin, the exact K's min/max eigenvalue is 2.4e-4, 5.9e-7
+        # and 4.8e-10 in d = 1 and 1.0e-4 in d = 2
         grid = default_grid if dimension == 1 else grid_2d
         density = sf.fractional_brownian_density(hurst, dimension)
         space = uniform_spatial_grid(dimension, resolution)
@@ -365,18 +377,24 @@ class TestLowRankFactor:
         assert synth.prepare(8) == 8
         assert synth._exact is None
 
-    def test_long_path_campaigns_keep_the_direct_factor(self, default_grid, brownian):
-        # estimate-hurst on 4,096 points and 100 replicas: one direct block,
-        # R streamed by chunks and never built whole
+    def test_long_path_campaigns_draw_by_circulant_embedding(self, default_grid,
+                                                             brownian):
+        # estimate-hurst on 4,096 points and 100 replicas: L = 8,192, and a
+        # block counts each row's 8,192 normals, 8,194 floats of spectrum,
+        # 8,192 of transform and 4,096 of path
         synth = SpectralSynthesizer(brownian, default_grid,
                                     uniform_spatial_grid(1, 4096))
-        assert synth.prepare(100) == 100
+        rows = synth.prepare(100)
+        assert rows == sf.covariance.block_rows(3 * 8192 + 2 + 4096) == 36
         assert synth._exact is None and synth._factor is None
+        assert synth._circulant.width == 8192
+        assert dict(synth.describe())["sampler"] == "circulant"
 
 
 class TestComplexReference:
-    """The real folded factor against the complex Hermitian sum over the full
-    symmetric rule: nodes and -nodes, each with half the pair weight."""
+    """The real folded factor of the quadrature law against the complex
+    Hermitian sum over the full symmetric rule: nodes and -nodes, each with
+    half the pair weight."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 6), (2, 3)])
     def test_sample_and_covariance_match_complex_sum(self, dimension, resolution):
@@ -387,14 +405,15 @@ class TestComplexReference:
         phases = np.exp(1j * space.points @ full_nodes.T) - 1.0
         weighted = np.tile(grid.weights / 2, 2) * density.evaluate(full_nodes)
 
-        values = SpectralSynthesizer(density, grid, space).sample(8, 3).values
+        factor = sf.covariance.spectral_factor(density, space, grid)
+        values = factor @ stream_normals(8, 3, grid.size)
         draws = stream_normals(8, 3, grid.size).reshape(-1, 2)
         zeta = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         zeta = np.concatenate([zeta, np.conj(zeta)])
         reference = phases @ (np.sqrt(weighted) * zeta)
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(values))
 
-        entries = covariance_matrix(density, space.points, grid)
+        entries = sf.covariance.quadrature_gram(density, space.points, grid)
         kernel = ((phases * weighted) @ np.conj(phases.T)).real
         assert np.max(np.abs(entries - kernel)) <= 1e-12 * np.max(np.abs(kernel))
 
@@ -589,8 +608,9 @@ class TestCoupling:
         assert coupler.prepare(300) == 300
         coupler.sample_block(3, range(300))
         coupler.sample(3, 0)
-        direct, exact = 2 * default_grid.size, 2 * space_8.size
-        assert draws == [(5, direct), (1, direct), (300, exact), (1, exact)]
+        # both fields embed at L = 16 on 8 points; the Cholesky way takes N
+        circulant, exact = 16 + 16, 2 * space_8.size
+        assert draws == [(5, circulant), (1, circulant), (300, exact), (1, exact)]
 
     def test_coupled_block_peak_stays_below_two_draws(self, default_grid, fbm_pair):
         # a coupling-law-sized campaign: 64 points, 5,000 replicates, exact.
@@ -624,3 +644,98 @@ class TestCoupling:
         with pytest.raises(ValueError, match="certificate was checked on"):
             CouplingSynthesizer(dominated, dominating, 1.0, cert, sampled,
                                 uniform_spatial_grid(1, 4))
+
+
+def fgn_covariance(hurst, points, lags):
+    """Covariance at lags k of the increments of unit-variance fBm on a
+    uniform grid of `points` points (fractional Gaussian noise)."""
+    k = np.abs(np.asarray(lags, dtype=float))
+    h2 = 2 * hurst
+    return 0.5 * ((k + 1) ** h2 + np.abs(k - 1) ** h2 - 2 * k ** h2) / (points - 1) ** h2
+
+
+class TestCirculantEmbedding:
+    """1-d campaigns of no more replicas than points draw their increments by
+    circulant embedding of the exact variogram."""
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_increment_covariance_is_the_exact_one(self, default_grid, hurst):
+        # at 256 points the sampler's law is read off the images of the unit
+        # noise vectors, as it is linear in its noise; at 4,096 points off
+        # the embedding's own eigenvalues, the root squared over the
+        # variance of its normals
+        density = sf.fractional_brownian_density(hurst)
+        for points in (256, 4096):
+            synth = SpectralSynthesizer(density, default_grid,
+                                        uniform_spatial_grid(1, points))
+            way = synth._way()
+            assert way is synth._circulant and way.min_ratio >= 0.0
+            size = way.width
+            lags = np.arange(points - 1)
+            c0 = fgn_covariance(hurst, points, 0)
+            if points == 256:
+                increments = np.diff(way._synthesize(np.eye(size)), axis=1)
+                expected = fgn_covariance(hurst, points, lags[:, None] - lags[None, :])
+                assert np.max(np.abs(increments.T @ increments - expected)) <= 1e-6 * c0
+            variance = np.full(size // 2 + 1, size / 2)
+            variance[[0, -1]] = size
+            row = np.fft.irfft(way._root ** 2 / variance, n=size)[:points - 1]
+            assert np.max(np.abs(row - fgn_covariance(hurst, points, lags))) <= 1e-6 * c0
+
+    def test_block_rows_are_the_one_row_blocks_bitwise(self, default_grid, fbm_pair):
+        synth = SpectralSynthesizer(fbm_pair[0], default_grid, uniform_spatial_grid(1, 300))
+        ids = [7, 0, 2 ** 64 - 1, 3, 3]
+        block = synth.sample_block(12, ids)
+        assert dict(synth.describe())["sampler"] == "circulant"
+        for row, k in zip(block, ids):
+            assert row.tobytes() == synth.sample_block(12, [k])[0].tobytes()
+        assert np.all(block[:, 0] == 0.0) and not np.any(np.signbit(block[:, 0]))
+
+    def test_first_size_is_doubled_when_it_does_not_embed(self, default_grid, fbm_pair):
+        # the shipped perturbed density at H = 1/2 dips below zero at
+        # L = 8,192 on 4,096 points and embeds at 16,384
+        way = sf.synthesis._Circulant.embed(fbm_pair[0], uniform_spatial_grid(1, 4096))
+        assert way.width == 16384 and way.min_ratio > 0.3
+
+    def test_negative_embeddings_fall_back_to_cholesky(self):
+        # the residual (1 - sin r) f / 3 of H = 0.1 is negative at L = 512
+        # and 1,024 on 256 points; its exact K factors at the first rung.
+        # (The pair's admissibility is settled on j = -10..10, not on the
+        # default grid.)
+        grid = sf.dyadic_frequency_grid(1, -10, 10, 32)
+        base = sf.fractional_brownian_density(0.1)
+        perturbed = sf.PerturbedDensity(base, sf.SineModulation(2.0, 1.0, scale=3.0))
+        cert = check_domination(perturbed, base, 1.0, grid)
+        space = uniform_spatial_grid(1, 256)
+        coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, grid, space)
+        assert coupler.prepare(100) == 100
+        (_, first), (_, second) = coupler.describe()
+        assert dict(first)["sampler"] == "circulant"
+        assert dict(second) == {"law": "exact", "sampler": "cholesky",
+                                "sampler_jitter_rung": 1}
+        assert coupler._pair.second._noise_width() == 256
+
+    def test_shipped_residual_at_4096_points_reaches_the_fallback(
+            self, default_grid, fbm_pair, monkeypatch):
+        # at 4,096 points the shipped residual embeds at L = 16,384 with
+        # min eigenvalue / max 9.9e-5; a floor above that sends it to the
+        # Cholesky way while x stays circulant, and the coupled row takes
+        # 16,384 + 4,096 normals
+        perturbed, base = fbm_pair
+        monkeypatch.setattr(sf.synthesis, "EMBEDDING_FLOOR", 1e-4)
+        cert = check_domination(perturbed, base, 1.0, default_grid)
+        space = uniform_spatial_grid(1, 4096)
+        coupler = CouplingSynthesizer(perturbed, base, 1.0, cert, default_grid, space)
+        draws = []
+        draw = sf.synthesis.hermitian_noise
+        monkeypatch.setattr(sf.synthesis, "hermitian_noise",
+                            lambda width, seed, ids: draws.append((len(ids), width))
+                            or draw(width, seed, ids))
+        rows = coupler.prepare(100)
+        (_, first), (_, second) = coupler.describe()
+        assert (dict(first)["sampler"], dict(first)["sampler_size"]) == ("circulant", 16384)
+        assert dict(second)["sampler"] == "cholesky"
+        x1, x2, y = coupler.sample_block(4, range(2))
+        assert draws == [(2, 16384 + 4096)]
+        assert rows == sf.covariance.block_rows(16384 + 4096 + 3 * 4096 + 2 * 16384 + 2)
+        assert np.all(y[:, 0] == 0.0) and np.all(np.isfinite(y))

@@ -204,12 +204,19 @@ class TestMCConfig:
 
 
 class TestCollectBlocks:
-    # With no more replicas than points, blocks are drawn directly through R
-    # (width M); with more, through the exact sampler on K (width N).
-    def test_direct_rows_agree_across_blocks_at_roundoff(self, default_grid, brownian):
-        space = uniform_spatial_grid(1, 512)
-        n = 2 * block_rows(default_grid.size) + 51       # three blocks, one short
-        synth = sf.SpectralSynthesizer(brownian, default_grid, space)
+    # With no more replicas than points, 1-d blocks are drawn by circulant
+    # embedding (L normals a row, and its spectrum and path) and 2-d blocks
+    # of the quadrature law directly through R (width M); with more,
+    # through the exact sampler on K (width N).
+    def test_direct_rows_agree_across_blocks_at_roundoff(self):
+        # the quadrature law of a 2-d modulated density, drawn through R
+        density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
+                                      sf.SineModulation(2.0, 1.0, scale=3.0))
+        grid = sf.dyadic_frequency_grid(2, -6, 6, 16)
+        space = uniform_spatial_grid(2, 27)
+        n = 2 * block_rows(grid.size) + 51               # three blocks, one short
+        assert n <= space.size
+        synth = sf.SpectralSynthesizer(density, grid, space)
 
         def work(ids):
             return synth.sample_block(3, ids)
@@ -234,31 +241,38 @@ class TestCollectBlocks:
 
     def test_blocks_depend_on_count_and_grid_only(self, default_grid, space_8,
                                                   brownian):
-        direct = sf.SpectralSynthesizer(brownian, default_grid,
-                                        uniform_spatial_grid(1, 512))
+        # 1,025 points embed at L = 2,048: 2,048 normals, 2,050 floats of
+        # spectrum, 2,048 of transform and 1,025 of path a row
+        circulant = sf.SpectralSynthesizer(brownian, default_grid,
+                                           uniform_spatial_grid(1, 1025))
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-        for synth, size in ((direct, block_rows(default_grid.size)),
+        for synth, size in ((circulant, block_rows(3 * 2048 + 2 + 1025)),
                             (low_rank, block_rows(space_8.size))):
             blocks = _collect_blocks(lambda ids: ids, 2 * size + 1, synth)
             assert blocks == [range(0, size), range(size, 2 * size),
                               range(2 * size, 2 * size + 1)]
             assert _collect_blocks(lambda ids: ids, 5, synth) == [range(5)]
 
-    def test_factor_is_kept_only_when_blocks_reuse_it(self, default_grid, space_8,
-                                                       brownian):
-        space = uniform_spatial_grid(1, 512)
-        rows = block_rows(default_grid.size)
-        single = sf.SpectralSynthesizer(brownian, default_grid, space)
+    def test_factor_is_kept_only_when_blocks_reuse_it(self, default_grid, grid_2d,
+                                                       space_8, brownian):
+        # R of the quadrature law, which a 2-d modulated density keeps: one
+        # block of 8 replicas streams it, nine take two blocks and keep it
+        density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
+                                      sf.SineModulation(2.0, 1.0, scale=3.0))
+        space = uniform_spatial_grid(2, 3)
+        rows = block_rows(grid_2d.size)
+        assert rows == 8
+        single = sf.SpectralSynthesizer(density, grid_2d, space)
         _collect_blocks(lambda ids: None, rows, single)
         assert single._factor is None and single._exact is None
-        several = sf.SpectralSynthesizer(brownian, default_grid, space)
+        several = sf.SpectralSynthesizer(density, grid_2d, space)
         _collect_blocks(lambda ids: None, rows + 1, several)
         kept = np.concatenate([chunk for _, chunk in several._factor], axis=1)
-        assert kept.shape == (512, default_grid.size)
+        assert kept.shape == (9, grid_2d.size)
         assert several._exact is None
         low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
         _collect_blocks(lambda ids: None, 9, low_rank)
-        assert low_rank._factor is None
+        assert low_rank._factor is None and low_rank._circulant is None
         assert low_rank._exact._factor.shape == (8, 8)
 
 
