@@ -1,6 +1,6 @@
 """Gaussian random fields with stationary increments, from spectral densities.
 
-Simulates fields through the harmonizable representation, builds the
+Simulates fields from the covariance their density fixes, builds the
 domination-based independent coupling between two fields, and statistically
 verifies Anderson-type ball-probability inequalities and the sample-path
 comparison they imply.  See the README for the CLI and the config format.

@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .covariance import covariance_matrix
-from .spectral import check_admissible, check_domination, estimate_min_C, exact_law
-from .synthesis import ExactFieldSampler, SpectralSynthesizer
+from .spectral import check_admissible, check_domination, estimate_min_C
+from .synthesis import SpectralSynthesizer
 from .verification import (MCConfig, coupling_norm_quantiles, estimate_holder_exponent,
                            verify_anderson_shift, verify_anderson_sum,
                            verify_comparison, verify_coupling_law)
@@ -220,18 +220,8 @@ def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
     density = cfg.densities["main"]
     samples_dir = outdir / "samples"
     samples_dir.mkdir(exist_ok=True)
-    if cfg.method == "spectral":
-        sampler = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
-        if cfg.replicas > 1:
-            sampler.keep_factor()  # every replica reuses R
-    else:
-        matrix = covariance_matrix(density, cfg.spatial_grid, cfg.frequency_grid)
-        sampler = ExactFieldSampler(matrix, cfg.spatial_grid)
-    if cfg.method == "spectral":
-        record = sampler.describe()
-    else:
-        record = (("law", "exact" if exact_law(density) else "quadrature"),
-                  ("sampler", "cholesky"), ("sampler_jitter_rung", sampler.jitter_rung))
+    sampler = SpectralSynthesizer(density, cfg.frequency_grid, cfg.spatial_grid)
+    sampler.prepare(cfg.replicas)
     for k in range(cfg.replicas):
         values = sampler.sample_block(cfg.master_seed, [k])[0]
         _write_sample_csv(samples_dir / f"sample_{k:05d}.csv", cfg.spatial_grid, values)
@@ -239,13 +229,12 @@ def _run_simulate(cfg: RunConfig, outdir: Path, verbose: bool):
             print(f"wrote sample {k} (stream {k})")
     side_lines = ["# stream id for sample_NNNNN.csv is NNNNN",
                   f"master_seed = {cfg.master_seed}",
-                  f"method = {cfg.method}",
                   f"density = {density.label}",
                   f"frequency_grid = {cfg.frequency_grid.grid_id}",
                   f"spatial_grid = {cfg.spatial_grid.grid_id}"]
     _write_text(samples_dir / "metadata.txt", "\n".join(side_lines) + "\n")
-    lines = [f"replicas = {cfg.replicas}", f"method = {cfg.method}",
-             f"density = {density.label}"] + _sampler_lines((("main", record),))
+    lines = [f"replicas = {cfg.replicas}",
+             f"density = {density.label}"] + _sampler_lines((("main", sampler.describe()),))
     return EXIT_OK, lines
 
 

@@ -68,7 +68,6 @@ class RunConfig:
     anderson_kind: str | None = None
     shift_kind: str | None = None
     shift_slope: float | None = None
-    method: str = "spectral"
     replicas: int = 1
     mc_replicas: int = 10000
     confidence: float = 0.99
@@ -444,8 +443,6 @@ def parse_config(text: str) -> RunConfig:
 
     if command == "simulate":
         fields["replicas"] = reader.integer("replicas", default=1, minimum=1)
-        fields["method"] = reader.string("method", default="spectral",
-                                         choices=("spectral", "exact"))
 
     raw_points = reader.raw("points")
     if raw_points is not None:

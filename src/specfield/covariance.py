@@ -13,38 +13,25 @@ quadrature law below.
 
 The quadrature law approximates the integral as a weighted sum over a
 symmetric dyadic grid.  With f even, each (xi, -xi) pair of nodes
-contributes a real term, so the sum runs over the grid's stored node per
-pair as K = R R^T with the real factor R of `spectral_factor`.
-`factor_chunks` is the one walk over R, by chunks of node pairs whose
-columns fit in BLOCK_BYTES: the spectral synthesizer's direct way draws
-through it, and `quadrature_gram` sums K over it for a point list, so no
-more than one chunk of R exists at once unless a synthesizer keeps them all.
-On a spatial grid `quadrature_gram` builds no R: K(x, x') is
-g(x) + g(x') - g(x - x') with the quadrature variogram
-g(h) = 2 sum w f sin^2(h.xi/2), and every lag of the grid is one of about
-2N values u_a +- v_b of its split (below), so K costs about 3 N M
-multiply-adds for the lag table, against N^2 M / 2 for R R^T, and needs K,
-one workspace (within BLOCK_BYTES / 4 up to N of about 29,000) and one row block.
+contributes a real term, so K(x, x') = g(x) + g(x') - g(x - x') with the
+quadrature variogram g(h) = 2 sum w f sin^2(h.xi/2) over the grid's stored
+node per pair.  On a spatial grid `quadrature_gram` sums g over a lag
+table: every lag of the grid is one of about 2N values u_a +- v_b of its
+split u + v into two arithmetic progressions from the origin of about
+sqrt(N) points each (in d = 2 the two axes, in d = 1 the multiples of
+s = ceil(sqrt(N)) and the first s points).  So K costs about 3 N M
+multiply-adds from per-node half-angle tables of u and v, each taking trig
+on at most ceil(2 sqrt(n)) of its n rows, and needs K, one workspace
+(within BLOCK_BYTES / 4 up to N of about 29,000) and one row block.
 
-R is built from half-angle phase tables.  Every spatial grid is a sum set
-u + v of two point sets of about sqrt(N) points (in d = 2 the two axes, in
-d = 1 the multiples of s = ceil(sqrt(N)) and the first s points), so
-e^{-i x.xi/2} is the product of one u-table and one v-table entry.  Each
-set is an arithmetic progression from the origin, so its table takes trig
-on at most ceil(2 sqrt(n)) of its n rows (rows 1..b-1 and the multiples of
-b, b = ceil(sqrt(n))); row qb + r is the complex product of rows qb and r,
-and row 0 is the exact 1 - 0i.  A chunk of R is filled one u-row at a time,
-the len(v) points u + v: the table product, then one complex-by-real
-product with a (len(v), k) scratch row, so no temporary spans the chunk.
-With s = sin(x.xi/2) and c = cos(x.xi/2), each node's column pair is
--2 sqrt(w f) (s^2, s c), the values of sqrt(w f) (cos(x.xi) - 1, -sin(x.xi))
-without the cancellation of cos - 1.  Against a long-double reference, every
-entry is within 4 eps sqrt(w f) (1 + sum_i |x_i xi_i|) (0.40 to 0.45 of that
-bound in the tests, in d = 1 and d = 2; 0.28 to 0.33 with trig on every
-row), and in d = 1 every entry with |x.xi| <= 1 is within 1e-14 relative
-(1.2e-15 measured at N = 4,096 and H = 0.7, where cos - 1 had relative
-error up to 1).  An arbitrary point list is the degenerate sum set
-({0}, points), with trig on every point.
+A point list (reachable from the Python API only: the CLI's points are
+1-d, where the law is exact) has no lattice of lags and is summed as
+K = R R^T over node chunks of the real factor R of `spectral_factor`,
+whose column pair per node is -2 sqrt(w f) (s^2, s c) with
+s = sin(x.xi/2) and c = cos(x.xi/2): the values of
+sqrt(w f) (cos(x.xi) - 1, -sin(x.xi)) without the cancellation of cos - 1.
+Against a long-double reference every entry is within
+4 eps sqrt(w f) (1 + sum_i |x_i xi_i|).
 
 Every covariance here is a plain (n, n) float array, exactly symmetric, in
 the order of its points; the points themselves stay with the caller.
@@ -64,8 +51,8 @@ from .spectral import (SpectralDensity, exact_law, fractional_brownian_density,
 # relative to their largest diagonal entry.
 PSD_NOISE_FACTOR = 1e-8
 
-# Bytes of one chunk of the spectral factor, and of one replica block of
-# noise.
+# Bytes of one replica block of noise, and of one chunk of a point list's
+# spectral factor.
 BLOCK_BYTES = 8 << 20
 
 # Frequency nodes per partial product of the variogram's lag tables.
@@ -89,18 +76,6 @@ def _as_points(points, dimension: int | None = None) -> np.ndarray:
     if dimension is not None and pts.shape[1] != dimension:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {dimension}")
     return pts
-
-
-def sum_set(points) -> tuple:
-    """(u, v, n): n points, point i being u[i // len(v)] + v[i % len(v)].
-
-    A SpatialGrid gives its own split; a point list is the degenerate sum
-    set ({0}, points).
-    """
-    if isinstance(points, SpatialGrid):
-        return (*points.split(), points.size)
-    pts = _as_points(points)
-    return np.zeros((1, pts.shape[1])), pts, pts.shape[0]
 
 
 def _half_angle(points: np.ndarray, nodes: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -132,56 +107,31 @@ def _progression_table(points: np.ndarray, nodes: np.ndarray, out: np.ndarray) -
 
 def spectral_factor(density: SpectralDensity, points, grid: FrequencyGrid,
                     pairs: slice = slice(None)) -> np.ndarray:
-    """Real (n, grid.size) quadrature factor R over n points, or its columns
-    for the stored nodes `pairs` selects.
+    """Real (n, 2k) quadrature factor R over a list of n points, for the k
+    stored nodes `pairs` selects.
 
-    Column pair (2k, 2k+1) belongs to the k-th stored node xi, which stands
-    for the pair (xi, -xi) and carries its weight w, and holds
+    Column pair (2j, 2j+1) belongs to the j-th node xi, which stands for
+    the pair (xi, -xi) and carries its weight w, and holds
     sqrt(w f)(xi) * (cos(x.xi) - 1, -sin(x.xi)).  This folds the Hermitian
-    sum over the pair into one real term, which relies on f being even.
-    Then R R^T is the quadrature kernel, and R times grid.size standard
-    normals, read in order as one pair (a, b) per stored node, is the
-    harmonizable sum against zeta = (a + ib)/sqrt(2) on xi (so
-    E|zeta|^2 = 1) and conj(zeta) on -xi.  `points` is a SpatialGrid or a
-    point list.
-
-    Filled one u-row of the sum set at a time, the len(v) points u + v:
-    for x = u + v and theta = x.xi, i e^{-i u.xi/2} times e^{-i v.xi/2} is
-    i e^{-i theta/2} = s + i c, and read as a complex number the column pair
-    is sqrt(w f) (e^{-i theta} - 1) = -2 sqrt(w f) s (s + i c), one
-    complex-by-real product with a (len(v), k) scratch row of the scaled s.
-    Each entry depends on its point and node only, so a column of R is
-    bitwise the same whatever slice of nodes builds it.
+    sum over the pair into one real term, which relies on f being even, so
+    R R^T is the quadrature kernel.  Read as a complex number the pair is
+    sqrt(w f) (e^{-i theta} - 1) = -2 sqrt(w f) s (s + i c) with
+    s = sin(theta/2), c = cos(theta/2) and theta = x.xi: a product by the
+    real -2 sqrt(w f) s and one by i per entry, with no cancellation in
+    cos - 1 and one (n, k) scratch array.  Each entry depends
+    on its point and node only, so a column of R is bitwise the same
+    whatever slice of nodes builds it.
     """
-    u, v, size = sum_set(points)
+    pts = _as_points(points)
     nodes = grid.nodes[pairs]
-    scale = -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
-    table = _progression_table if isinstance(points, SpatialGrid) else _half_angle
-    across, along = (table(p, nodes, np.empty((len(p), len(nodes)), complex)) for p in (u, v))
-    turned_u = np.empty_like(across)       # i e^{-i u.xi/2} = sin + i cos
-    turned_u.real, turned_u.imag = -across.imag, across.real
-    factor = np.empty((size, 2 * len(scale)))
-    turned = factor.view(complex)
-    scaled = np.empty(along.shape)
-    for top, phase in zip(range(0, size, len(v)), turned_u):
-        row = turned[top:top + len(v)]
-        part = scaled[:len(row)]
-        np.multiply(phase, along[:len(row)], out=row)             # s + i c
-        np.multiply(row.real, scale, out=part)
-        part += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
-        row *= part
+    factor = np.empty((len(pts), 2 * len(nodes)))
+    pair = _half_angle(pts, nodes, factor.view(complex))  # c - i s
+    scaled = -pair.imag
+    scaled *= -2.0 * np.sqrt(grid.weights[pairs] * density.evaluate(nodes))
+    scaled += 0.0  # at x = 0, s is +0.0: turn -0.0 back into +0.0
+    pair *= scaled
+    pair *= 1j  # i (c - i s) = s + i c, in place
     return factor
-
-
-def factor_chunks(density: SpectralDensity, points, grid: FrequencyGrid):
-    """(columns, R[:, columns]) over chunks of stored nodes whose columns of
-    R fit in BLOCK_BYTES, in node order."""
-    n = sum_set(points)[2]
-    pairs = block_rows(2 * n)
-    for start in range(0, len(grid.nodes), pairs):
-        stop = min(start + pairs, len(grid.nodes))
-        yield (slice(2 * start, 2 * stop),
-               spectral_factor(density, points, grid, slice(start, stop)))
 
 
 def _chunk_variogram(density: SpectralDensity, u: np.ndarray, v: np.ndarray,
@@ -269,14 +219,17 @@ def _lag_gram(density: SpectralDensity, space: SpatialGrid,
     return gram
 
 
-def _factor_gram(density: SpectralDensity, points, grid: FrequencyGrid) -> np.ndarray:
-    """R R^T summed as R_c R_c^T over the chunks of `factor_chunks`: each
-    chunk adds only the row blocks of the upper triangle, and the lower
-    triangle is mirrored from the upper one."""
-    n = sum_set(points)[2]
-    rows = block_rows(n)
+def _factor_gram(density: SpectralDensity, points: np.ndarray,
+                 grid: FrequencyGrid) -> np.ndarray:
+    """R R^T over an (n, d) point array, summed as R_c R_c^T over chunks
+    R_c of spectral_factor whose columns fit in BLOCK_BYTES: each chunk adds
+    only the row blocks of the upper triangle, and the lower triangle is
+    mirrored from the upper one."""
+    n = len(points)
+    pairs, rows = block_rows(2 * n), block_rows(n)
     gram = np.zeros((n, n))
-    for _, chunk in factor_chunks(density, points, grid):
+    for start in range(0, len(grid.nodes), pairs):
+        chunk = spectral_factor(density, points, grid, slice(start, start + pairs))
         for top in range(0, n, rows):
             gram[top:top + rows, top:] += chunk[top:top + rows] @ chunk[top:].T
         del chunk  # freed before the next chunk is built
@@ -306,14 +259,14 @@ def quadrature_gram(density: SpectralDensity, points,
     at H >= 0.5 and never above it; at H = 0.1 in d = 1 both are 7e-14 to
     2.1e-13 of max K, from the float phases at |xi| up to 2^21.
 
-    A point list has no lattice of lags: it is summed as R_c R_c^T over the
-    chunks R_c of `factor_chunks`, so memory is O(n^2) plus one chunk
-    whatever the grid size, and the lower triangle is mirrored from the
-    upper one.
+    A point list has no lattice of lags: it is summed as R_c R_c^T over
+    node chunks R_c of `spectral_factor`, so memory is O(n^2) plus one
+    chunk whatever the grid size, and the lower triangle is mirrored from
+    the upper one.
     """
     if isinstance(points, SpatialGrid):
         return _lag_gram(density, points, grid)
-    return _factor_gram(density, points, grid)
+    return _factor_gram(density, _as_points(points), grid)
 
 
 def _distinct_points(points) -> np.ndarray:

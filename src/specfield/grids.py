@@ -22,8 +22,8 @@ class FrequencyGrid:
 
     `nodes` holds one node xi of each (xi, -xi) pair and `weights` the weight
     of the pair, twice that of either node.  `size` is the node count of the
-    symmetric rule, 2 * len(nodes), which is also the width of the real
-    factor R and of a noise row.
+    symmetric rule, 2 * len(nodes), which is also the width of a point
+    list's real factor R (covariance.spectral_factor).
 
     Equality and hashing use the defining parameters only; the node arrays
     are derived deterministically from them.

@@ -4,12 +4,10 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 
 - SpectralSynthesizer: one density's law on the spatial grid, the exact
   K(x, x') = (V(x) + V(x') - V(x - x')) / 2 from the closed-form variogram
-  wherever spectral.exact_law holds, else the quadrature K = R R^T.  Its
-  prepare(n) draws a campaign by circulant embedding of the increments
-  (a 1-d grid, n <= N), by the Cholesky factor of K (n > N, or no
-  embedding, or a 2-d grid), or, for the quadrature law at n <= N, as
-  Hermitian noise on the frequency nodes times R; the class docstring
-  states the rule.
+  wherever spectral.exact_law holds, else the frequency grid's quadrature
+  K.  Its prepare(n) draws a campaign by circulant embedding of the
+  increments (a 1-d grid with the exact law, n <= N) or by the Cholesky
+  factor of K (everything else); the class docstring states the rule.
 - ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
   grid's points (jittered Cholesky), and maps standard normals through it.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import PSD_NOISE_FACTOR, block_rows, covariance_matrix, factor_chunks
+from .covariance import PSD_NOISE_FACTOR, block_rows, covariance_matrix
 from .grids import SpatialGrid
 from .rng import hermitian_noise
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
@@ -83,16 +81,12 @@ class SpectralSynthesizer:
 
     The law is the exact K of covariance.covariance_matrix wherever
     spectral.exact_law holds (every density in d = 1, power-law terms in
-    d = 2), and otherwise the quadrature K = R R^T of the real (N, M)
-    spectral factor R.  prepare(n) picks one way to draw a campaign of n
-    replicas, from n, the grids and the law alone:
+    d = 2), and otherwise the frequency grid's quadrature K
+    (covariance.quadrature_gram).  prepare(n) picks one of two ways to draw
+    a campaign of n replicas, from n, the grids and the law alone:
 
-    - n > N: an ExactFieldSampler on K draws the blocks: (B, N) noise @ L^T
-      with the jittered Cholesky factor L, its origin column set to +0.0, so
-      the law off the origin is K + eps I (eps = 1e-8 of max diag K at the
-      ladder's first rung).  The noise width is N.
-    - n <= N on a 1-d grid with the exact law: the N - 1 increments, a
-      stationary sequence with covariance
+    - circulant (a 1-d grid with the exact law, n <= N): the N - 1
+      increments, a stationary sequence with covariance
       c(k) = (V((k + 1) s) + V(|k - 1| s) - 2 V(k s)) / 2 at spacing s, are
       drawn by circulant embedding (Davies & Harte 1987; Wood & Chan 1994;
       Dietrich & Newsam 1997).  The circulant size L is the smallest power
@@ -102,21 +96,20 @@ class SpectralSynthesizer:
       the square root of the eigenvalues, one inverse real FFT and a
       cumulative sum from +0.0 at the origin.  O(L log L) per row; the law
       is K exactly.
-    - Otherwise, n <= N with the exact law (a 2-d grid, or no embedding):
-      the Cholesky way above.  With the quadrature law: a block of B
-      replicas is the (B, N) product noise @ R^T of a (B, M) block of
-      Hermitian noise, summed over the node chunks of
-      covariance.factor_chunks, each dropped after its product unless
-      keep_factor() stored them all; the two give bit-identical blocks.
+    - cholesky (everything else: n > N, a 2-d grid, the quadrature law, or
+      no embedding): an ExactFieldSampler on K draws the blocks: (B, N)
+      noise @ L^T with the jittered Cholesky factor L, its origin column
+      set to +0.0, so the law off the origin is K + eps I (eps = 1e-8 of
+      max diag K at the ladder's first rung).  The noise width is N.
 
     A block holds as many replicas as fit in BLOCK_BYTES at the noise
     width W, and a circulant row also counts its half-spectrum, its
     transform and its path (2L + 2 + N floats more).  Each row is the draw
     of its own stream, so which replicas share a block changes a row at
-    roundoff at most, through the Cholesky and R products' blocking; a
-    circulant row is bitwise the same in any block.  Without a prepare()
-    the sampler draws the n <= N way; it keeps the embedding or the
-    Cholesky factor once built, and streams R unless keep_factor() kept it.
+    roundoff at most, through the Cholesky product's blocking; a circulant
+    row is bitwise the same in any block.  Without a prepare() the sampler
+    draws the n <= N way; it keeps the embedding or the Cholesky factor
+    once built.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -130,38 +123,34 @@ class SpectralSynthesizer:
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
         self.law = "exact" if exact_law(density) else "quadrature"
-        self._factor = None      # R's chunks, when kept
         self._exact = None       # the Cholesky way, when chosen
         self._circulant = None   # the circulant way, when chosen
 
     def _choose(self, n_replicas: int):
         """Build the way to draw n_replicas (see the class docstring),
         reusing what an earlier choice of the same way built."""
-        points = self.spatial_grid.size
-        exact = self.law == "exact"
         circulant = None
-        if n_replicas <= points and exact and self.spatial_grid.dimension == 1:
+        if (n_replicas <= self.spatial_grid.size and self.law == "exact"
+                and self.spatial_grid.dimension == 1):
             circulant = self._circulant or _Circulant.embed(self.density, self.spatial_grid)
         cholesky = None
-        if circulant is None and (n_replicas > points or exact):
+        if circulant is None:
             cholesky = self._exact or ExactFieldSampler(
                 covariance_matrix(self.density, self.spatial_grid, self.frequency_grid),
                 self.spatial_grid)
         self._circulant, self._exact = circulant, cholesky
 
     def _way(self):
-        """The Cholesky or circulant sampler of the last prepare() (of the
-        n <= N way without one), or None for the direct R blocks."""
-        if self._exact is None and self._circulant is None and self.law == "exact":
+        """The Cholesky or circulant sampler of the last prepare(), or of
+        the n <= N way without one."""
+        if self._exact is None and self._circulant is None:
             self._choose(1)
-        return self._exact if self._exact is not None else self._circulant
+        return self._exact or self._circulant
 
     def _row_floats(self) -> tuple:
         """(W, S): the noise width of the chosen way, and the floats of a
-        circulant row's half-spectrum and transform (0 on the other ways)."""
+        circulant row's half-spectrum and transform (0 on the Cholesky way)."""
         way = self._way()
-        if way is None:
-            return self.frequency_grid.size, 0
         return way.width, (2 * way.width + 2 if way is self._circulant else 0)
 
     def prepare(self, n_replicas: int) -> int:
@@ -172,31 +161,17 @@ class SpectralSynthesizer:
         self._choose(n_replicas)
         width, spectrum = self._row_floats()
         extra = spectrum + self.spatial_grid.size if spectrum else 0
-        rows = min(n_replicas, block_rows(width + extra))
-        if rows < n_replicas:
-            self.keep_factor()
-        return rows
-
-    def keep_factor(self):
-        """Keep the factor of the chosen way for every later block: R's
-        chunks on the direct path (built once here); the embedding's root
-        and the Cholesky factor are kept once built anyway."""
-        if self._way() is None and self._factor is None:
-            self._factor = list(factor_chunks(self.density, self.spatial_grid,
-                                              self.frequency_grid))
+        return min(n_replicas, block_rows(width + extra))
 
     def _noise_width(self) -> int:
-        """Normals per replica on the chosen way: N, L or M."""
-        return self._row_floats()[0]
+        """Normals per replica on the chosen way: N or L."""
+        return self._way().width
 
     def describe(self) -> tuple:
         """(key, value) pairs of the law and the chosen way, for summary
-        lines: law, sampler (circulant, cholesky or direct), and the
-        circulant size L with its min eigenvalue / max, or the Cholesky
-        jitter rung."""
+        lines: law, sampler (circulant or cholesky), and the circulant size
+        L with its min eigenvalue / max, or the Cholesky jitter rung."""
         way = self._way()
-        if way is None:
-            return ("law", self.law), ("sampler", "direct")
         if way is self._circulant:
             return (("law", self.law), ("sampler", "circulant"),
                     ("sampler_size", way.width), ("sampler_min_ratio", way.min_ratio))
@@ -206,16 +181,7 @@ class SpectralSynthesizer:
     def _synthesize(self, noise: np.ndarray) -> np.ndarray:
         """The (B, N) sample block that a (B, W) noise block maps to, the way
         the last prepare() chose."""
-        way = self._way()
-        if way is not None:
-            return way._synthesize(noise)
-        block = np.zeros((noise.shape[0], self.spatial_grid.size))
-        chunks = self._factor or factor_chunks(self.density, self.spatial_grid,
-                                               self.frequency_grid)
-        for columns, chunk in chunks:
-            block += noise[:, columns] @ chunk.T
-            del chunk  # a streamed chunk is freed before the next is built
-        return _check_block(block, self.spatial_grid)
+        return self._way()._synthesize(noise)
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j],
@@ -373,11 +339,7 @@ class FieldPair:
             field._choose(n_replicas)
         (w1, s1), (w2, s2) = (field._row_floats() for field in fields)
         width = w1 + w2 + 3 * self.first.spatial_grid.size + max(s1, s2)
-        size = min(n_replicas, block_rows(width))
-        if size < n_replicas:
-            for field in fields:
-                field.keep_factor()
-        return size
+        return min(n_replicas, block_rows(width))
 
     def sample_block(self, master_seed: int, stream_ids) -> tuple:
         """(first, second) blocks, row j of both from stream stream_ids[j],

@@ -75,7 +75,6 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
     # the synthesizer's circulant embedding, the way of campaigns with no
     # more replicas than points, against Cholesky draws of the same K
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-    synth.keep_factor()
     assert dict(synth.describe())["sampler"] == "circulant"
     exact = sf.ExactFieldSampler(reference, space_8)
     rows = sf.covariance.block_rows(synth._noise_width())
@@ -190,7 +189,6 @@ def test_08_regularity_recovery(default_grid):
 
 def test_09_norm_axioms(default_grid, space_8, brownian):
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-    synth.keep_factor()  # 4,000 replicas one at a time reuse the embedding
     scalars = np.random.default_rng(2024)
     alphas = (0.3, 0.5, 0.8)
     failures = 0

@@ -227,32 +227,27 @@ class TestSimulate:
         _, second = run_cli(tmp_path, SIMULATE, name="b")
         assert tree_bytes(first) == tree_bytes(second)
 
-    @pytest.mark.parametrize("replicas, kept", [(3, True), (1, False)])
-    def test_factor_is_kept_only_for_several_replicas(self, tmp_path, monkeypatch,
-                                                      replicas, kept):
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_quadrature_law_is_drawn_by_cholesky(self, tmp_path, monkeypatch, replicas):
         # a 2-d band-limited density keeps the quadrature law, drawn through
-        # R: R is built once per run either way; a one-replica run streams it
-        builds, synths = [], []
-        chunks = synthesis.factor_chunks
+        # the Cholesky factor of its K, which is built once per run
+        builds = []
+        gram = synthesis.covariance_matrix
 
         def counting(*args):
             builds.append(args)
-            return chunks(*args)
-
-        class Recorded(synthesis.SpectralSynthesizer):
-            def __init__(self, *args):
-                super().__init__(*args)
-                synths.append(self)
-        monkeypatch.setattr(synthesis, "factor_chunks", counting)
-        monkeypatch.setattr(cli, "SpectralSynthesizer", Recorded)
+            return gram(*args)
+        monkeypatch.setattr(synthesis, "covariance_matrix", counting)
         text = SIMULATE.replace("replicas = 3", f"replicas = {replicas}").replace(
             "density.family = power-law\ndensity.hurst = 0.5\n",
             "density.family = band-limited\ndensity.dimension = 2\ndensity.outer = 64\n")
         code, outdir = run_cli(tmp_path, text)
         assert code == 0 and len(list((outdir / "samples").glob("*.csv"))) == replicas
-        assert "sampler.main = direct\n" in (outdir / "summary.txt").read_text()
-        assert len(builds) == 1 and len(synths) == 1
-        assert (synths[0]._factor is not None) == kept
+        summary = summary_dict(outdir)
+        assert summary["law.main"] == "quadrature"
+        assert summary["sampler.main"] == "cholesky"
+        assert summary["sampler_jitter_rung.main"] in {"1", "2", "4", "8"}
+        assert len(builds) == 1
 
     def test_summary_names_the_law_and_the_sampler(self, tmp_path):
         # 6 points embed at L = 16; Brownian increments are white, so the
@@ -273,14 +268,17 @@ class TestSimulate:
         assert summary["sampler_jitter_rung.x"] == "1"
         assert summary["sampler_jitter_rung.residual"] == "0"
 
-    def test_exact_method(self, tmp_path):
-        code, outdir = run_cli(tmp_path,
-                               SIMULATE.replace("replicas = 3",
-                                                "replicas = 2\nmethod = exact"))
-        assert code == 0
-        rows = read_csv(outdir / "samples" / "sample_00001.csv")
-        assert rows[0]["value"] == "0.0"
-        assert any(float(r["value"]) != 0.0 for r in rows)
+    def test_samples_have_a_positive_zero_origin(self, tmp_path):
+        # both ways: circulant on 1-d points, Cholesky with more replicas
+        # than points
+        for name, replicas in (("circulant", 2), ("cholesky", 8)):
+            code, outdir = run_cli(tmp_path, SIMULATE.replace(
+                "replicas = 3", f"replicas = {replicas}"), name=name)
+            assert code == 0
+            assert summary_dict(outdir)["sampler.main"] == name
+            rows = read_csv(outdir / "samples" / f"sample_{replicas - 1:05d}.csv")
+            assert rows[0]["value"] == "0.0"
+            assert any(float(r["value"]) != 0.0 for r in rows)
 
 
 class TestCovariance:

@@ -126,7 +126,6 @@ class TestMinimalConfigs:
     def test_simulate(self):
         cfg = parse_config(SIMULATE)
         assert cfg.replicas == 4
-        assert cfg.method == "spectral"
 
     def test_covariance_points(self):
         cfg = parse_config(COVARIANCE)
@@ -355,8 +354,11 @@ class TestValidationErrors:
         assert any("points must be distinct" in m for m in msgs)
 
     def test_bad_method(self):
-        msgs = errors_of(SIMULATE + "method = fancy\n")
-        assert any("method must be one of spectral, exact" in m for m in msgs)
+        # simulate draws each law one way: every method line is refused
+        lineno = SIMULATE.count("\n") + 1
+        for value in ("spectral", "exact", "fancy"):
+            assert errors_of(SIMULATE + f"method = {value}\n") == [
+                f"line {lineno}: unknown key method"]
 
     def test_confidence_range(self):
         msgs = errors_of(ANDERSON_SHIFT + "mc.confidence = 1.0\n")
@@ -456,7 +458,7 @@ SHIPPED_ECHO_KEYS = {
     "covariance": _FREQUENCY_KEYS | _POWER_LAW | {"points"},
     "density-check": _FREQUENCY_KEYS | _PAIR | {"constant"},
     "estimate-hurst": _COMMON_KEYS | _MC_KEYS | _POWER_LAW,
-    "simulate": _COMMON_KEYS | _POWER_LAW | {"replicas", "method"},
+    "simulate": _COMMON_KEYS | _POWER_LAW | {"replicas"},
     "verify-anderson-shift": _COMMON_KEYS | _MC_KEYS | _POWER_LAW | {
         "anderson.kind", "shift.kind", "shift.slope", "norm.kind", "mc.radii"},
     "verify-anderson-sum": _COMMON_KEYS | _MC_KEYS | _PAIR | {

@@ -218,7 +218,7 @@ def long_double_factor(density, points, grid, pairs=slice(None)):
 
 
 class TestHalfAngleFactor:
-    """R from the per-axis half-angle phase tables of a sum set of points."""
+    """R of a point list, from the half-angle phases of its points."""
 
     @needs_long_double
     def test_small_phases_are_exact_to_relative_roundoff(self, default_grid):
@@ -227,7 +227,7 @@ class TestHalfAngleFactor:
         density = sf.fractional_brownian_density(0.7)
         space = uniform_spatial_grid(1, 4096)
         pairs = slice(19 * 64, 21 * 64)
-        factor = sf.covariance.spectral_factor(density, space, default_grid, pairs)
+        factor = sf.covariance.spectral_factor(density, space.points, default_grid, pairs)
         reference, amplitude, theta, _ = long_double_factor(
             density, space.points, default_grid, pairs)
         error = np.abs(factor - reference).astype(float)
@@ -243,11 +243,11 @@ class TestHalfAngleFactor:
                                                     resolution, listed):
         # sum_i |x_i xi_i| is |x.xi| in d = 1; in d = 2 it bounds the roundoff
         # of x.xi itself, which no float phase escapes when the terms cancel.
-        # A grid goes through its split, a point list through (points, {0}).
+        # The points come as an (n, d) array or as nested Python lists.
         grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
         density = sf.fractional_brownian_density(0.7, dimension)
         space = uniform_spatial_grid(dimension, resolution)
-        points = space.points if listed else space
+        points = space.points.tolist() if listed else space.points
         factor = sf.covariance.spectral_factor(density, points, grid)
         reference, amplitude, _, condition = long_double_factor(density, space.points,
                                                                  grid)
@@ -257,14 +257,13 @@ class TestHalfAngleFactor:
     @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
     def test_columns_do_not_depend_on_the_chunk(self, default_grid, dimension,
                                                 resolution):
-        # 300 = 17 x 18 - 6 points: the (u, v) product has a short last u-row
         grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
         density = sf.fractional_brownian_density(0.3, dimension)
-        space = uniform_spatial_grid(dimension, resolution)
-        whole = sf.covariance.spectral_factor(density, space, grid)
+        points = uniform_spatial_grid(dimension, resolution).points
+        whole = sf.covariance.spectral_factor(density, points, grid)
         half = len(grid.nodes) // 2
         columns = np.concatenate(
-            [sf.covariance.spectral_factor(density, space, grid, part)
+            [sf.covariance.spectral_factor(density, points, grid, part)
              for part in (slice(0, half), slice(half, half + 1), slice(half + 1, None))],
             axis=1)
         assert columns.tobytes() == whole.tobytes()
@@ -274,38 +273,41 @@ class TestHalfAngleFactor:
         grid = default_grid if dimension == 1 else grid_2d
         density = sf.fractional_brownian_density(0.5, dimension)
         space = uniform_spatial_grid(dimension, 8)
-        origin = sf.covariance.spectral_factor(density, space, grid)[0]
+        origin = sf.covariance.spectral_factor(density, space.points, grid)[0]
         assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
         listed = sf.covariance.spectral_factor(density, [[0.5] * dimension,
                                                          [0.0] * dimension], grid)[1]
         assert np.all(listed == 0.0) and not np.any(np.signbit(listed))
 
 
-class TestRowWiseFill:
-    """A chunk of R is filled one u-row at a time from progression tables."""
-
-    def test_one_chunk_holds_no_chunk_wide_temporary(self, default_grid):
-        # 4,096 points take 128 node pairs per 8 MiB chunk; a (4096, 128)
-        # float temporary of the scaled s alone would add 4 MiB
+    def test_one_chunk_peaks_at_one_and_a_half_chunks(self, default_grid):
+        # 4,096 points take 128 node pairs per 8 MiB chunk, and the scaled
+        # s of a whole chunk, (4096, 128) floats, is its only scratch
         density = sf.fractional_brownian_density(0.7)
-        space = uniform_spatial_grid(1, 4096)
-        pairs = sf.covariance.block_rows(2 * space.size)
+        points = uniform_spatial_grid(1, 4096).points
+        pairs = sf.covariance.block_rows(2 * len(points))
         assert pairs == 128
-        sf.covariance.spectral_factor(density, space, default_grid, slice(0, pairs))
+        sf.covariance.spectral_factor(density, points, default_grid, slice(0, pairs))
         tracemalloc.start()
         try:
-            chunk = sf.covariance.spectral_factor(density, space, default_grid,
+            chunk = sf.covariance.spectral_factor(density, points, default_grid,
                                                   slice(0, pairs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= chunk.nbytes + (1 << 20)
+        assert peak <= 1.5 * chunk.nbytes + (1 << 20)
+
+
+class TestRowWiseFill:
+    """The lag Gram's half-angle tables take trig on a few rows of each
+    progression and fill the others by products."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 4096), (2, 8)])
     def test_trig_rows_per_set(self, default_grid, grid_2d, dimension, resolution,
                                monkeypatch):
         # each progression of n points takes trig on rows 1..b-1 and the
-        # multiples of b, b = ceil(sqrt(n)); the other rows are products
+        # multiples of b, b = ceil(sqrt(n)), in every node chunk; the other
+        # rows are products
         grid = default_grid if dimension == 1 else grid_2d
         density = sf.fractional_brownian_density(0.5, dimension)
         space = uniform_spatial_grid(dimension, resolution)
@@ -317,11 +319,14 @@ class TestRowWiseFill:
             seen.append(len(points))
             return trig(points, nodes, out)
         monkeypatch.setattr(sf.covariance, "_half_angle", counting)
-        sf.covariance.spectral_factor(density, space, grid, slice(0, 64))
-        # one call for rows 1..b-1 and one for the multiples of b, per set
-        assert len(seen) == 2 * len(sets)
-        for rows, points in zip(zip(seen[::2], seen[1::2]), sets):
-            assert sum(rows) <= math.ceil(2 * math.sqrt(len(points))) < len(points)
+        sf.covariance.quadrature_gram(density, space, grid)
+        # per chunk, one call for rows 1..b-1 and one for the multiples of
+        # b, for u and then for v
+        assert seen and len(seen) % (2 * len(sets)) == 0
+        for top in range(0, len(seen), 2 * len(sets)):
+            calls = seen[top:top + 2 * len(sets)]
+            for rows, points in zip(zip(calls[::2], calls[1::2]), sets):
+                assert sum(rows) <= math.ceil(2 * math.sqrt(len(points))) < len(points)
 
 
 def long_double_gram(densities, points, grid):
@@ -359,10 +364,10 @@ class TestLagGram:
                      for hurst in (0.1, 0.5, 0.9)]
         references = long_double_gram(densities, space.points, grid)
         for density, reference in zip(densities, references):
-            factor = sf.covariance.spectral_factor(density, space, grid)
             error = {name: float(np.max(np.abs(gram - reference)))
                      for name, gram in (("lags", sf.covariance.quadrature_gram(
-                         density, space, grid)), ("factor", factor @ factor.T))}
+                         density, space, grid)), ("factor", sf.covariance.quadrature_gram(
+                             density, space.points, grid)))}
             assert error["lags"] <= 2 * error["factor"]
 
     @pytest.mark.parametrize("hurst", [0.5, 0.9])
@@ -376,8 +381,7 @@ class TestLagGram:
         grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
         density = sf.fractional_brownian_density(hurst, dimension)
         space = uniform_spatial_grid(dimension, resolution)
-        factor = sf.covariance.spectral_factor(density, space, grid)
-        whole = factor @ factor.T
+        whole = sf.covariance.quadrature_gram(density, space.points, grid)
         gram = sf.covariance.quadrature_gram(density, space, grid)
         assert np.max(np.abs(gram - whole)) <= 1e-14 * np.max(np.diag(whole))
 

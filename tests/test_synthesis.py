@@ -100,8 +100,7 @@ class TestSpectralSynthesizer:
     def test_sample_vanishes_at_origin(self, default_grid, space_8, brownian):
         values = SpectralSynthesizer(brownian, default_grid, space_8).sample(99, 0).values
         assert values[space_8.origin_index] == 0.0
-        # the sin columns hold -0.0 at the origin; a -0.0 sum would print as
-        # "-0.0" in the CSV outputs
+        # a -0.0 origin would print as "-0.0" in the CSV outputs
         assert not np.signbit(values[0])
 
     def test_sample_metadata(self, default_grid, space_8, brownian):
@@ -117,7 +116,6 @@ class TestSpectralSynthesizer:
     def test_empirical_variance_matches_quadrature(self, default_grid, brownian):
         grid = uniform_spatial_grid(1, 2)  # points 0 and 1
         synth = SpectralSynthesizer(brownian, default_grid, grid)
-        synth.keep_factor()  # one replica at a time reuses the embedding
         n = 4000
         values = np.array([synth.sample(7, k).values[1] for k in range(n)])
         target = covariance_matrix(brownian, [1.0], default_grid)[0, 0]
@@ -162,9 +160,10 @@ class TestSampleBlock:
                         assert sample.values.tobytes() == row[0].tobytes()
                         assert (sample.master_seed, sample.stream_id) == (19, k)
 
-    def test_one_sample_streams_the_factor(self, default_grid, brownian):
-        # 4,096 points: R is 164 MiB whole, and one replica needs none of it
-        # at once
+    def test_one_sample_on_4096_points_stays_within_two_blocks(self, default_grid,
+                                                                brownian):
+        # one circulant row of L = 8,192: its normals, half-spectrum,
+        # transform and path, and the embedding's root
         synth = SpectralSynthesizer(brownian, default_grid, uniform_spatial_grid(1, 4096))
         tracemalloc.start()
         try:
@@ -172,35 +171,28 @@ class TestSampleBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert synth._factor is None
+        assert synth._exact is None and synth._circulant.width == 8192
         assert peak < 2 * sf.covariance.BLOCK_BYTES
 
-    @pytest.mark.parametrize("resolution", [8, 300])
-    def test_streamed_and_kept_factor_agree_bitwise_1d(self, default_grid, brownian,
-                                                       resolution):
-        # 300 points span two chunks of the factor at the default grid
-        space = uniform_spatial_grid(1, resolution)
-        streamed = SpectralSynthesizer(brownian, default_grid, space)
-        kept = SpectralSynthesizer(brownian, default_grid, space)
-        kept.keep_factor()
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 300), (2, 8)])
+    def test_unprepared_and_prepared_draws_agree_bitwise(self, default_grid, grid_2d,
+                                                         dimension, resolution):
+        # without a prepare() a sampler draws the way of n <= N: circulant
+        # in d = 1, the Cholesky factor of the exact K in d = 2
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(0.5, dimension)
+        space = uniform_spatial_grid(dimension, resolution)
+        unprepared = SpectralSynthesizer(density, grid, space)
+        prepared = SpectralSynthesizer(density, grid, space)
+        assert prepared.prepare(3) == 3
         ids = [4, 0, 17]
-        assert (streamed.sample_block(5, ids).tobytes()
-                == kept.sample_block(5, ids).tobytes())
-        assert streamed._factor is None
-
-    def test_streamed_and_kept_factor_agree_bitwise_2d(self, grid_2d):
-        density = sf.fractional_brownian_density(0.5, dimension=2)
-        space = uniform_spatial_grid(2, 8)
-        streamed = SpectralSynthesizer(density, grid_2d, space)
-        kept = SpectralSynthesizer(density, grid_2d, space)
-        kept.keep_factor()
-        assert (streamed.sample_block(6, range(3)).tobytes()
-                == kept.sample_block(6, range(3)).tobytes())
+        assert (unprepared.sample_block(5, ids).tobytes()
+                == prepared.sample_block(5, ids).tobytes())
+        assert unprepared.describe() == prepared.describe()
 
     def test_block_matches_per_replica_samples(self, default_grid, space_8, fbm_pair):
         perturbed, base = fbm_pair
         synth = SpectralSynthesizer(base, default_grid, space_8)
-        synth.keep_factor()
         block = synth.sample_block(12, range(40))
         rows = np.array([synth.sample(12, k).values for k in range(40)])
         assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(block))
@@ -214,85 +206,71 @@ class TestSampleBlock:
             for got, row in zip(coupler.sample(12, k), (x1[k], x2[k], y[k])):
                 assert np.max(np.abs(got.values - row)) <= 1e-12 * np.max(np.abs(y))
 
-    def test_direct_blocks_sum_over_node_chunks(self, monkeypatch):
-        # the quadrature law's direct path, which a 2-d modulated density
-        # takes: a budget of 113 node pairs cuts the 9-point factor into 15
-        # chunks
+    def test_quadrature_blocks_are_cholesky_draws_of_the_quadrature_gram(self):
+        # a 2-d modulated density keeps the quadrature law; with no more
+        # replicas than points it is drawn by the Cholesky factor of the
+        # grid's quadrature K, bit for bit the exact sampler's draw of it
         density, grid, space = plane_quadrature_case(3)
-        monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", 8 * 18 * 113)
-        assert len(list(sf.covariance.factor_chunks(density, space, grid))) >= 10
-        streamed = SpectralSynthesizer(density, grid, space)
-        kept = SpectralSynthesizer(density, grid, space)
-        kept.keep_factor()
-        ids = range(6)
-        block = streamed.sample_block(4, ids)
-        factor = sf.covariance.spectral_factor(density, space, grid)
-        whole = hermitian_noise(grid.size, 4, ids) @ factor.T
-        assert np.max(np.abs(block - whole)) <= 1e-13 * np.max(np.abs(whole))
+        synth = SpectralSynthesizer(density, grid, space)
+        assert synth.prepare(6) == 6
+        assert dict(synth.describe()) == {"law": "quadrature", "sampler": "cholesky",
+                                          "sampler_jitter_rung": 1}
+        oracle = ExactFieldSampler(sf.covariance.quadrature_gram(density, space, grid),
+                                   space)
+        ids = [4, 0, 2 ** 64 - 1, 3, 3, 9]
+        block = synth.sample_block(4, ids)
+        assert block.tobytes() == oracle.sample_block(4, ids).tobytes()
         origin = block[:, space.origin_index]
         assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
-        assert block.tobytes() == kept.sample_block(4, ids).tobytes()
+        assert np.all(block[:, 1:] != 0.0)
 
     def test_single_block_campaign_never_holds_the_whole_factor(self, monkeypatch):
         from specfield import covariance, verification
-        # 100 replicas on 12 x 12 points: one direct block of the quadrature
-        # law, R streamed by chunks of its 144 rows
+        # 100 replicas on 12 x 12 points of the quadrature law: one block,
+        # drawn by the Cholesky factor of the lag Gram, which builds no
+        # chunk of R; the campaign's traced peak stays within one block
         density, grid, space = plane_quadrature_case(12, j_lo=-14, j_hi=14)
-        synths, widths = [], []
-        build = covariance.spectral_factor
+        synths = []
 
-        def recording(*args):
-            chunk = build(*args)
-            assert chunk.base is None and chunk.shape[0] == space.size
-            assert chunk.nbytes <= covariance.BLOCK_BYTES
-            widths.append(chunk.shape[1])
-            return chunk
+        def refused(*args):
+            raise AssertionError("a grid campaign built a chunk of R")
 
         class Kept(SpectralSynthesizer):
             def __init__(self, *args):
                 super().__init__(*args)
                 synths.append(self)
-        monkeypatch.setattr(covariance, "spectral_factor", recording)
+        monkeypatch.setattr(covariance, "spectral_factor", refused)
         monkeypatch.setattr(verification, "SpectralSynthesizer", Kept)
         cfg = sf.MCConfig(100, 41, grid, space, radii=(0.5,))
-        sf.verify_anderson_shift(density, np.zeros(space.size), sf.SupNorm(), cfg)
-        assert len(widths) > 1 and sum(widths) == grid.size
-        assert [synth._factor for synth in synths] == [None]
+        tracemalloc.start()
+        try:
+            sf.verify_anderson_shift(density, np.zeros(space.size), sf.SupNorm(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [dict(synth.describe())["sampler"] for synth in synths] == ["cholesky"]
+        assert peak < covariance.BLOCK_BYTES
 
-    def test_factor_chunks_are_built_once_per_block_and_per_gram_chunk(
-            self, monkeypatch):
+    def test_gram_chunks_are_built_once_in_node_order(self, monkeypatch):
         from specfield import covariance
-        builds, lag_chunks = [], []
-        build, variogram = covariance.spectral_factor, covariance._chunk_variogram
-
-        def counting(*args):
-            builds.append(args[3])
-            return build(*args)
+        lag_chunks = []
+        variogram = covariance._chunk_variogram
 
         def counting_lags(*args):
             lag_chunks.append(args[4])
             return variogram(*args)
-        monkeypatch.setattr(covariance, "spectral_factor", counting)
         monkeypatch.setattr(covariance, "_chunk_variogram", counting_lags)
-        # direct blocks of the quadrature law walk the same two chunks of
-        # nodes over 12 x 12 points
+        # a 12 MiB budget (a 3 MiB workspace) splits the lag tables of
+        # 12 x 12 points into two chunks, each built once, in node order;
+        # both ways of a campaign share the one Cholesky factor
+        monkeypatch.setattr(covariance, "BLOCK_BYTES", 12 << 20)
         density, grid, space = plane_quadrature_case(12, j_lo=-14, j_hi=14)
-        pairs = covariance.block_rows(2 * space.size)
-        assert pairs < len(grid.nodes) <= 2 * pairs
-        chunks = [slice(0, pairs), slice(pairs, len(grid.nodes))]
         synth = SpectralSynthesizer(density, grid, space)
         assert synth.prepare(3) == 3
         for seed in range(3):
             synth.sample_block(seed, range(3))
-        assert builds == chunks * 3
-        assert lag_chunks == []
-        builds.clear()
-        # the Cholesky way's quadrature Gram builds no chunk of R; a 12 MiB
-        # budget (a 3 MiB workspace) splits its lag tables into two chunks,
-        # each built once, in node order
-        monkeypatch.setattr(covariance, "BLOCK_BYTES", 12 << 20)
         synth.prepare(space.size + 1)
-        assert builds == []
+        synth.sample_block(0, range(3))
         assert len(lag_chunks) == 2
         assert lag_chunks[0].start == 0
         assert lag_chunks[0].stop == lag_chunks[1].start
@@ -386,7 +364,7 @@ class TestLowRankFactor:
                                     uniform_spatial_grid(1, 4096))
         rows = synth.prepare(100)
         assert rows == sf.covariance.block_rows(3 * 8192 + 2 + 4096) == 36
-        assert synth._exact is None and synth._factor is None
+        assert synth._exact is None
         assert synth._circulant.width == 8192
         assert dict(synth.describe())["sampler"] == "circulant"
 
@@ -405,7 +383,7 @@ class TestComplexReference:
         phases = np.exp(1j * space.points @ full_nodes.T) - 1.0
         weighted = np.tile(grid.weights / 2, 2) * density.evaluate(full_nodes)
 
-        factor = sf.covariance.spectral_factor(density, space, grid)
+        factor = sf.covariance.spectral_factor(density, space.points, grid)
         values = factor @ stream_normals(8, 3, grid.size)
         draws = stream_normals(8, 3, grid.size).reshape(-1, 2)
         zeta = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)

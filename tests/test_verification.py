@@ -204,26 +204,29 @@ class TestMCConfig:
 
 
 class TestCollectBlocks:
-    # With no more replicas than points, 1-d blocks are drawn by circulant
-    # embedding (L normals a row, and its spectrum and path) and 2-d blocks
-    # of the quadrature law directly through R (width M); with more,
-    # through the exact sampler on K (width N).
-    def test_direct_rows_agree_across_blocks_at_roundoff(self):
-        # the quadrature law of a 2-d modulated density, drawn through R
+    # With no more replicas than points, 1-d blocks of the exact law are
+    # drawn by circulant embedding (L normals a row, and its spectrum and
+    # path); every other campaign through the exact sampler on K (width N).
+    def test_quadrature_rows_agree_across_blocks_at_roundoff(self, monkeypatch):
+        # the quadrature law of a 2-d modulated density, drawn by Cholesky
+        from specfield import synthesis
         density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
                                       sf.SineModulation(2.0, 1.0, scale=3.0))
         grid = sf.dyadic_frequency_grid(2, -6, 6, 16)
         space = uniform_spatial_grid(2, 27)
-        n = 2 * block_rows(grid.size) + 51               # three blocks, one short
-        assert n <= space.size
+        n = space.size
         synth = sf.SpectralSynthesizer(density, grid, space)
 
         def work(ids):
             return synth.sample_block(3, ids)
-        blocks = np.concatenate(_collect_blocks(work, n, synth))
         whole = synth.sample_block(3, range(n))
+        monkeypatch.setattr(synthesis, "block_rows", lambda width: 300)
+        blocks = _collect_blocks(work, n, synth)
+        assert [len(block) for block in blocks] == [300, 300, 129]
+        assert dict(synth.describe())["sampler"] == "cholesky"
         # the GEMM's own blocking follows its shape, so rows agree at
         # roundoff, not bit for bit: hence block bounds fixed by n and grids
+        blocks = np.concatenate(blocks)
         assert np.max(np.abs(blocks - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     def test_low_rank_rows_do_not_depend_on_blocks(
@@ -253,27 +256,23 @@ class TestCollectBlocks:
                               range(2 * size, 2 * size + 1)]
             assert _collect_blocks(lambda ids: ids, 5, synth) == [range(5)]
 
-    def test_factor_is_kept_only_when_blocks_reuse_it(self, default_grid, grid_2d,
-                                                       space_8, brownian):
-        # R of the quadrature law, which a 2-d modulated density keeps: one
-        # block of 8 replicas streams it, nine take two blocks and keep it
+    def test_quadrature_factor_is_built_once_per_campaign(self, grid_2d, monkeypatch):
+        # the Cholesky factor of the quadrature K, which a 2-d modulated
+        # density keeps, serves one block or several alike
+        from specfield import synthesis
+        builds = []
+        gram = synthesis.covariance_matrix
+        monkeypatch.setattr(synthesis, "covariance_matrix",
+                            lambda *args: builds.append(args) or gram(*args))
         density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
                                       sf.SineModulation(2.0, 1.0, scale=3.0))
         space = uniform_spatial_grid(2, 3)
-        rows = block_rows(grid_2d.size)
-        assert rows == 8
-        single = sf.SpectralSynthesizer(density, grid_2d, space)
-        _collect_blocks(lambda ids: None, rows, single)
-        assert single._factor is None and single._exact is None
-        several = sf.SpectralSynthesizer(density, grid_2d, space)
-        _collect_blocks(lambda ids: None, rows + 1, several)
-        kept = np.concatenate([chunk for _, chunk in several._factor], axis=1)
-        assert kept.shape == (9, grid_2d.size)
-        assert several._exact is None
-        low_rank = sf.SpectralSynthesizer(brownian, default_grid, space_8)
-        _collect_blocks(lambda ids: None, 9, low_rank)
-        assert low_rank._factor is None and low_rank._circulant is None
-        assert low_rank._exact._factor.shape == (8, 8)
+        monkeypatch.setattr(synthesis, "block_rows", lambda width: 4)
+        for n in (4, 9, 40):
+            synth = sf.SpectralSynthesizer(density, grid_2d, space)
+            _collect_blocks(lambda ids: synth.sample_block(0, ids), n, synth)
+            assert synth._circulant is None and synth._exact._factor.shape == (9, 9)
+        assert len(builds) == 3
 
 
 class TestBallProbabilities:
