@@ -109,7 +109,7 @@ def _inequality_summary_lines(report):
 
 
 def _sampler_lines(samplers):
-    """law.<field>, sampler.<field> and the way's margins, per drawn field."""
+    """sampler.<field> and the way's margins, per drawn field."""
     return [f"{key}.{field} = {_fmt(value) if isinstance(value, float) else value}"
             for field, record in samplers for key, value in record]
 

@@ -1,16 +1,17 @@
 """Frequency and spatial grids.
 
-The frequency grid discretizes the integral over R^d as a sum over dyadic
-annuli 2^j <= |xi| < 2^(j+1).  Midpoint nodes handle both the power-law
-singularity at the origin and the heavy tail with geometric error control.
-Every density here is even, so every quadrature sum is a sum over (xi, -xi)
-pairs: the grid stores one node per pair, weighted for the pair, and a rule
-that is not symmetric under xi -> -xi cannot be written down.
+The frequency grid discretizes integrals over R^d as sums over dyadic
+annuli 2^j <= |xi| < 2^(j+1), for the admissibility and domination checks
+of `spectral` (the law itself comes from the variogram).  Midpoint nodes
+handle both the power-law singularity at the origin and the heavy tail
+with geometric error control.  Every density here is even, so every sum is
+a sum over (xi, -xi) pairs: the grid stores one node per pair, weighted for
+the pair, and a rule that is not symmetric under xi -> -xi cannot be
+written down.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,7 @@ class FrequencyGrid:
 
     `nodes` holds one node xi of each (xi, -xi) pair and `weights` the weight
     of the pair, twice that of either node.  `size` is the node count of the
-    symmetric rule, 2 * len(nodes), which is also the width of a point
-    list's real factor R (covariance.spectral_factor).
+    symmetric rule, 2 * len(nodes).
 
     Equality and hashing use the defining parameters only; the node arrays
     are derived deterministically from them.
@@ -118,18 +118,6 @@ class SpatialGrid:
     @property
     def grid_id(self) -> str:
         return f"uniform(d={self.dimension},n={self.resolution})"
-
-    def split(self) -> tuple:
-        """The grid as a sum set: point sets (u, v) of about sqrt(N) points
-        each with point i equal to u[i // len(v)] + v[i % len(v)].
-
-        In d = 2, u = {(a_p, 0)} and v = {(0, a_q)} over the axis values, so
-        the sum is exact.  In d = 1, with s = ceil(sqrt(N)), u = {a_{qs}} and
-        v = {a_r} for r < s, and a_{qs} + a_r equals a_{qs+r} to within an
-        ulp or so of the larger term.
-        """
-        step = self.resolution if self.dimension == 2 else math.isqrt(self.size - 1) + 1
-        return self.points[::step], self.points[:step]
 
 
 def uniform_spatial_grid(dimension: int = 1, resolution: int = 64) -> SpatialGrid:

@@ -14,10 +14,12 @@ zero, and the clamped difference produced by `difference_density`.  Each
 gives its `terms()`: a finite sum of SpectralTerms
 weight * r^(-2H-d) * trig(omega r) on lo <= r < hi, r = |xi|.  Sums,
 scalar multiples, modulations and the difference are linear in the terms,
-and `variogram` sums their closed forms: in d = 1 for every term, in d = 2
-for the power-law terms (a 2-d band or modulated term has no elementary
-form, and `exact_law` says no).  A subclass that gives no term list is
-refused by name.
+and `variogram` sums them term by term in d = 1 and d = 2: closed forms
+for power-law terms in d = 1 (Mellin transforms when modulated), the plain
+power law in d = 2 and unmodulated bands (through J1 in d = 2); a graded
+Gauss-Legendre rule in angle over the 1-d form for a modulated power law
+in d = 2; Gauss-Legendre in r for a modulated band.  A subclass that gives
+no term list is refused by name.
 """
 
 from __future__ import annotations
@@ -343,15 +345,6 @@ def _merged(terms) -> tuple:
                  if w != 0.0 and not (key.trig == "sin" and key.omega == 0.0))
 
 
-def exact_law(density: SpectralDensity) -> bool:
-    """Whether `variogram` has the density's law in closed form: every term
-    in d = 1, the unmodulated power-law terms in d = 2.  A subclass with no
-    term list is refused (TypeError)."""
-    terms = density.terms()
-    return density.dimension == 1 or all(t.hurst is not None and t.omega == 0.0
-                                         for t in terms)
-
-
 # the second difference 1 - cos(h r) of trig(omega r) is the sum over k of
 # C_K trig(a_k r), a_k = omega, omega + h, omega - h
 _C_K = (1.0, -0.5, -0.5)
@@ -401,66 +394,161 @@ def _power_term(term: SpectralTerm, h: np.ndarray, dimension: int) -> np.ndarray
     return (-4.0 * w * math.gamma(2.0 - 2.0 * H) * math.sin(np.pi * H) / (2.0 * H)) * total
 
 
-def _band_antiderivative(term: SpectralTerm, h: np.ndarray, r: float) -> np.ndarray:
-    """An antiderivative in r of (1 - cos h r) trig(omega r), its three sines
-    or cosines at omega, omega + h and omega - h summed in closed form over
-    the common denominator omega^2 - h^2, so that no terms of size r cancel
-    at small h.  For h < omega / 2."""
-    omega = term.omega
-    s, c = np.sin(omega * r), np.cos(omega * r)
-    one_minus_cos = 2.0 * np.sin(0.5 * h * r) ** 2
-    if term.trig == "cos":
-        top = s * (omega * one_minus_cos - h * h / omega) + h * c * np.sin(h * r)
+# Gauss-Legendre nodes per panel in angle (2-d modulated power laws) and in
+# r (modulated bands), and the rule points (lags times nodes) taken at once
+ANGLE_NODES = 64
+BAND_NODES = 16
+RULE_POINTS = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(count: int, grading: int = 1) -> tuple:
+    """(nodes, weights) of the count-point Gauss-Legendre rule on [0, 1] (by
+    Newton's method on the three-term recurrence, without the 1-2 MiB that
+    numpy.polynomial or LAPACK's eigensolver keep resident), through the
+    sigmoidal map t^p / (t^p + (1 - t)^p) for a grading p > 1: it makes an
+    algebraic singularity at either end smooth."""
+    x = np.cos(np.pi * (np.arange(count) + 0.75) / (count + 0.5))
+    for _ in range(6):
+        p, q = x, np.ones_like(x)  # P_1 and P_0, up to P_count and P_count-1
+        for j in range(2, count + 1):
+            p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+        slope = count * (x * p - q) / (x * x - 1.0)
+        x = x - p / slope
+    t, w = 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope ** 2)
+    if grading == 1:
+        return t, w
+    up, down = t ** grading, (1.0 - t) ** grading
+    slope = grading * (up * (1.0 - t) ** (grading - 1) + t ** (grading - 1) * down)
+    return up / (up + down), w * slope / (up + down) ** 2
+
+
+# sin t at the nodes t = (k + 1/2) pi / 48 < pi / 2 of the midpoint rule on [0, pi]
+_BESSEL_SINES = np.sin((np.arange(24) + 0.5) * (np.pi / 48))
+
+
+def _bessel(x: np.ndarray, order: int) -> np.ndarray:
+    """1 - J0(x) (order 0) or J1(x) (order 1) at x >= 0.
+
+    Below x = 40 by the 48-point periodic rule on Bessel's integrals
+    1 - J0(x) = (1/pi) int_0^pi 2 sin^2(x sin t / 2) dt and
+    J1(x) = (1/pi) int_0^pi sin t sin(x sin t) dt, which converges
+    geometrically (Trefethen & Weideman 2014) and has no cancellation at
+    small x; from 40 by Hankel's expansion
+    J(x) = sqrt(2 / (pi x)) (P cos chi - Q sin chi) to x^-13, whose k-th
+    coefficient is the product over j <= k of (4 order^2 - (2j - 1)^2) / 8j,
+    with chi = x - (2 order + 1) pi / 4 rounded as Cephes rounds it.
+    """
+    out = np.empty_like(x)
+    near = x < 40.0
+    z = x[near]
+    if order == 0:
+        out[near] = sum(np.sin(0.5 * s * z) ** 2 for s in _BESSEL_SINES) / 12.0
     else:
-        top = c * (h * h / omega - omega * one_minus_cos) + h * s * np.sin(h * r)
-    return top / ((omega - h) * (omega + h))
+        out[near] = sum(s * np.sin(s * z) for s in _BESSEL_SINES) / 24.0
+    z = x[~near]
+    a = np.cumprod([1.0] + [(4 * order * order - (2 * j - 1) ** 2) / (8.0 * j)
+                            for j in range(1, 14)])
+    inverse = 1.0 / (z * z)
+    p = q = np.zeros_like(z)
+    for k in range(12, -1, -2):   # Horner in 1 / x^2, with the signs (-1)^(k/2)
+        p = p * -inverse + a[k]
+        q = q * -inverse + a[k + 1]
+    chi = z - (0.75 * np.pi if order else 0.25 * np.pi)
+    far = np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q / z * np.sin(chi))
+    out[~near] = 1.0 - far if order == 0 else far
+    return out
 
 
-def _band_term(term: SpectralTerm, h: np.ndarray) -> np.ndarray:
-    """4 w int_lo^hi (1 - cos h r) trig(omega r) dr at lags h > 0: from
-    r - sin(h r) / h without its cancellation when omega = 0; below
-    h = omega / 2 from _band_antiderivative; otherwise from
-    int_lo^hi cos(a r) dr = 2 cos(a m) sin(a d) / a and
-    int_lo^hi sin(a r) dr = 2 sin(a m) sin(a d) / a over a = omega,
-    omega +- h, m and d the band's midpoint and half-width."""
+def _by_parts(rule, h: np.ndarray, nodes: int) -> np.ndarray:
+    """rule(h) over slices of the lags h of at most RULE_POINTS / nodes lags."""
+    step = max(1, RULE_POINTS // nodes)
+    return np.concatenate([rule(h[top:top + step]) for top in range(0, len(h), step)]
+                          or [np.zeros(0)])
+
+
+def _plane_power_term(term: SpectralTerm, h: np.ndarray) -> np.ndarray:
+    """A modulated power-law term in d = 2 at lags h > 0:
+    V2(h) = 2 int_0^(pi/2) V1(h cos t) dt, V1 the 1-d closed form of the
+    same term (the r r^(-2H-2) of the polar measure is r^(-2H-1)).  V1 has a
+    kink where h cos t = omega, so the angle is split there (when h > omega)
+    and each panel takes the ANGLE_NODES graded rule."""
+    t, w = _gauss_legendre(ANGLE_NODES, 4)
+
+    def rule(at):
+        kink = np.arccos(np.minimum(1.0, term.omega / at))[:, None]
+        total = np.zeros_like(at)
+        for start, stop in ((0.0, kink), (kink, 0.5 * np.pi)):
+            width = stop - start
+            angles = start + width * t
+            values = _power_term(term, (at[:, None] * np.cos(angles)).ravel(), 1)
+            total += 2.0 * (width * (values.reshape(angles.shape) * w)).sum(axis=1)
+        return total
+    return _by_parts(rule, h, 2 * ANGLE_NODES)
+
+
+def _band_term(term: SpectralTerm, h: np.ndarray, dimension: int) -> np.ndarray:
+    """A band term at lags h > 0: 4 w int_lo^hi (1 - cos h r) trig(omega r) dr
+    in d = 1, 4 pi w int_lo^hi (1 - J0(h r)) trig(omega r) r dr in d = 2.
+    Unmodulated: 4 w ((h hi - sin h hi) - (h lo - sin h lo)) / h with no
+    cancellation, and 4 pi w ((hi^2 - lo^2) / 2 - (hi J1(h hi) - lo J1(h lo)) / h).
+    Modulated: BAND_NODES Gauss-Legendre nodes on each of equal panels at
+    most one period of the fastest oscillation, omega + h, long, with
+    1 - cos h r written 2 sin^2(h r / 2)."""
     lo, hi, w = term.lo, term.hi, term.weight
     if term.omega == 0.0 and term.trig == "cos":
-        return 4.0 * w * (_x_minus_sin(h * hi) - _x_minus_sin(h * lo)) / h
-    out = np.empty_like(h)
-    small = h < 0.5 * term.omega
-    out[small] = (_band_antiderivative(term, h[small], hi)
-                  - _band_antiderivative(term, h[small], lo))
-    at = h[~small]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        if dimension == 1:
+            return 4.0 * w * (_x_minus_sin(h * hi) - _x_minus_sin(h * lo)) / h
+        return 4.0 * np.pi * w * (0.5 * (hi - lo) * (hi + lo)
+                                  - (hi * _bessel(h * hi, 1) - lo * _bessel(h * lo, 1)) / h)
+    panels = 1 + int((term.omega + np.max(h, initial=0.0)) * (hi - lo) / (2.0 * np.pi))
+    t, weights = _gauss_legendre(BAND_NODES)
+    width = (hi - lo) / panels
+    r = (lo + width * np.add.outer(np.arange(panels), t)).ravel()
     trig = np.cos if term.trig == "cos" else np.sin
-    total = np.zeros_like(at)
-    for c, a in zip(_C_K, (term.omega, term.omega + at, term.omega - at)):
-        a = np.broadcast_to(a, at.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            width = np.where(a == 0.0, half, np.sin(a * half) / a)
-        total += c * 2.0 * trig(a * mid) * width
-    out[~small] = total
-    return 4.0 * w * out
+    weights = np.tile(width * weights, panels) * trig(term.omega * r)
+    weights *= 8.0 * w if dimension == 1 else 4.0 * np.pi * w * r
+
+    def rule(at):
+        x = np.multiply.outer(at, r)
+        kernel = np.sin(0.5 * x) ** 2 if dimension == 1 else _bessel(x, 0)
+        return (kernel * weights).sum(axis=1)
+    return _by_parts(rule, h, len(r))
+
+
+def _distinct(values: np.ndarray) -> tuple:
+    """(sorted distinct values, the index of each value among them), as
+    np.unique(values, return_inverse=True) without its import of numpy.ma."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.diff(ordered, prepend=np.nan) != 0.0  # x - y is 0 only if x == y
+    index = np.empty(len(values), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
 
 
 def variogram(density: SpectralDensity, lags) -> np.ndarray:
-    """V(h) = int 2 (1 - cos h.xi) f(xi) dxi at each lag: (m,) scalars in
-    d = 1, whose sign is ignored, or (m, d) vectors.  The sum of the closed
-    forms of the density's terms; V(0) is +0.0.  Refused (ValueError) where
-    `exact_law` says no."""
-    if not exact_law(density):
-        raise ValueError(f"density {density.label} has a band or modulated term in "
-                         f"d = {density.dimension}: its variogram has no closed form")
+    """V(h) = int 2 (1 - cos h.xi) f(xi) dxi at each lag: (m,) scalars, whose
+    sign is ignored, or (m, d) vectors.  The sum over the density's terms
+    (see the module docstring); V(0) is +0.0.  Closed forms go lag by lag;
+    a term that needs a rule (a modulated power law in d = 2, a modulated
+    band, a 2-d band) is evaluated once per distinct lag radius."""
     lags = np.asarray(lags, dtype=float)
     h = np.sqrt(np.sum(lags ** 2, axis=-1)) if lags.ndim == 2 else np.abs(lags)
     values = np.zeros(h.shape)
     moved = h > 0.0
     at = h[moved]
+    distinct = None
     for term in density.terms():
-        if term.hurst is None:
-            values[moved] += _band_term(term, at)
-        else:
+        if term.hurst is not None and (term.omega == 0.0 or density.dimension == 1):
             values[moved] += _power_term(term, at, density.dimension)
+        elif term.hurst is None and term.omega == 0.0 and density.dimension == 1:
+            values[moved] += _band_term(term, at, 1)
+        else:
+            radii, index = distinct = distinct or _distinct(at)
+            rule = (_plane_power_term(term, radii) if term.hurst is not None
+                    else _band_term(term, radii, density.dimension))
+            values[moved] += rule[index]
     return values
 
 

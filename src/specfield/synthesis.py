@@ -2,12 +2,11 @@
 
 Three ways to realize a Gaussian field with stationary increments on a grid:
 
-- SpectralSynthesizer: one density's law on the spatial grid, the exact
-  K(x, x') = (V(x) + V(x') - V(x - x')) / 2 from the closed-form variogram
-  wherever spectral.exact_law holds, else the frequency grid's quadrature
-  K.  Its prepare(n) draws a campaign by circulant embedding of the
-  increments (a 1-d grid with the exact law, n <= N) or by the Cholesky
-  factor of K (everything else); the class docstring states the rule.
+- SpectralSynthesizer: one density's law on the spatial grid,
+  K(x, x') = (V(x) + V(x') - V(x - x')) / 2 from the variogram.  Its
+  prepare(n) draws a campaign by circulant embedding of the increments (a
+  1-d grid, n <= N) or by the Cholesky factor of K (everything else); the
+  class docstring states the rule.
 - ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
   grid's points (jittered Cholesky), and maps standard normals through it.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
@@ -29,7 +28,7 @@ from .covariance import PSD_NOISE_FACTOR, block_rows, covariance_matrix
 from .grids import SpatialGrid
 from .rng import hermitian_noise
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
-                       exact_law, require_admissible, variogram)
+                       require_admissible, variogram)
 
 # Jitter multipliers tried before declaring a covariance matrix indefinite.
 JITTER_LADDER = (1, 2, 4, 8)
@@ -79,14 +78,12 @@ class FieldSample:
 class SpectralSynthesizer:
     """Samples one density's law on the spatial grid as blocks of replicas.
 
-    The law is the exact K of covariance.covariance_matrix wherever
-    spectral.exact_law holds (every density in d = 1, power-law terms in
-    d = 2), and otherwise the frequency grid's quadrature K
-    (covariance.quadrature_gram).  prepare(n) picks one of two ways to draw
-    a campaign of n replicas, from n, the grids and the law alone:
+    The law is the K of covariance.covariance_matrix, from the variogram;
+    the frequency grid only gates admissibility.  prepare(n) picks one of
+    two ways to draw a campaign of n replicas, from n and the grids alone:
 
-    - circulant (a 1-d grid with the exact law, n <= N): the N - 1
-      increments, a stationary sequence with covariance
+    - circulant (a 1-d grid, n <= N): the N - 1 increments, a stationary
+      sequence with covariance
       c(k) = (V((k + 1) s) + V(|k - 1| s) - 2 V(k s)) / 2 at spacing s, are
       drawn by circulant embedding (Davies & Harte 1987; Wood & Chan 1994;
       Dietrich & Newsam 1997).  The circulant size L is the smallest power
@@ -96,11 +93,11 @@ class SpectralSynthesizer:
       the square root of the eigenvalues, one inverse real FFT and a
       cumulative sum from +0.0 at the origin.  O(L log L) per row; the law
       is K exactly.
-    - cholesky (everything else: n > N, a 2-d grid, the quadrature law, or
-      no embedding): an ExactFieldSampler on K draws the blocks: (B, N)
-      noise @ L^T with the jittered Cholesky factor L, its origin column
-      set to +0.0, so the law off the origin is K + eps I (eps = 1e-8 of
-      max diag K at the ladder's first rung).  The noise width is N.
+    - cholesky (everything else: n > N, a 2-d grid, or no embedding): an
+      ExactFieldSampler on K draws the blocks: (B, N) noise @ L^T with the
+      jittered Cholesky factor L, its origin column set to +0.0, so the law
+      off the origin is K + eps I (eps = 1e-8 of max diag K at the ladder's
+      first rung).  The noise width is N.
 
     A block holds as many replicas as fit in BLOCK_BYTES at the noise
     width W, and a circulant row also counts its half-spectrum, its
@@ -122,7 +119,6 @@ class SpectralSynthesizer:
         self.density = density
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
-        self.law = "exact" if exact_law(density) else "quadrature"
         self._exact = None       # the Cholesky way, when chosen
         self._circulant = None   # the circulant way, when chosen
 
@@ -130,8 +126,7 @@ class SpectralSynthesizer:
         """Build the way to draw n_replicas (see the class docstring),
         reusing what an earlier choice of the same way built."""
         circulant = None
-        if (n_replicas <= self.spatial_grid.size and self.law == "exact"
-                and self.spatial_grid.dimension == 1):
+        if n_replicas <= self.spatial_grid.size and self.spatial_grid.dimension == 1:
             circulant = self._circulant or _Circulant.embed(self.density, self.spatial_grid)
         cholesky = None
         if circulant is None:
@@ -155,9 +150,8 @@ class SpectralSynthesizer:
 
     def prepare(self, n_replicas: int) -> int:
         """Choose the way to draw a campaign of n_replicas, build what it
-        needs, and return the replicas per block.  Depends on n, the grids
-        and the law only, so a rerun splits the campaign into the same
-        blocks."""
+        needs, and return the replicas per block.  Depends on n and the
+        grids only, so a rerun splits the campaign into the same blocks."""
         self._choose(n_replicas)
         width, spectrum = self._row_floats()
         extra = spectrum + self.spatial_grid.size if spectrum else 0
@@ -168,15 +162,14 @@ class SpectralSynthesizer:
         return self._way().width
 
     def describe(self) -> tuple:
-        """(key, value) pairs of the law and the chosen way, for summary
-        lines: law, sampler (circulant or cholesky), and the circulant size
-        L with its min eigenvalue / max, or the Cholesky jitter rung."""
+        """(key, value) pairs of the chosen way, for summary lines: sampler
+        (circulant or cholesky), and the circulant size L with its min
+        eigenvalue / max, or the Cholesky jitter rung."""
         way = self._way()
         if way is self._circulant:
-            return (("law", self.law), ("sampler", "circulant"),
-                    ("sampler_size", way.width), ("sampler_min_ratio", way.min_ratio))
-        return (("law", self.law), ("sampler", "cholesky"),
-                ("sampler_jitter_rung", way.jitter_rung))
+            return (("sampler", "circulant"), ("sampler_size", way.width),
+                    ("sampler_min_ratio", way.min_ratio))
+        return (("sampler", "cholesky"), ("sampler_jitter_rung", way.jitter_rung))
 
     def _synthesize(self, noise: np.ndarray) -> np.ndarray:
         """The (B, N) sample block that a (B, W) noise block maps to, the way

@@ -82,7 +82,7 @@ def _collect_blocks(work, n_replicas: int, sampler) -> list:
     two-field block the normals of both components and three samples).  A
     row is drawn from its own stream, but its product with a factor, like a
     sum over blocks, can change at roundoff with the block bounds, so they
-    are fixed by n, the grids and the law alone.
+    are fixed by n and the grids alone.
     """
     size = sampler.prepare(n_replicas)
     return [work(range(start, min(start + size, n_replicas)))

@@ -228,9 +228,9 @@ class TestSimulate:
         assert tree_bytes(first) == tree_bytes(second)
 
     @pytest.mark.parametrize("replicas", [1, 3])
-    def test_quadrature_law_is_drawn_by_cholesky(self, tmp_path, monkeypatch, replicas):
-        # a 2-d band-limited density keeps the quadrature law, drawn through
-        # the Cholesky factor of its K, which is built once per run
+    def test_plane_band_is_drawn_by_cholesky(self, tmp_path, monkeypatch, replicas):
+        # a 2-d band-limited density is drawn through the Cholesky factor of
+        # its K, which is built once per run
         builds = []
         gram = synthesis.covariance_matrix
 
@@ -244,25 +244,24 @@ class TestSimulate:
         code, outdir = run_cli(tmp_path, text)
         assert code == 0 and len(list((outdir / "samples").glob("*.csv"))) == replicas
         summary = summary_dict(outdir)
-        assert summary["law.main"] == "quadrature"
         assert summary["sampler.main"] == "cholesky"
         assert summary["sampler_jitter_rung.main"] in {"1", "2", "4", "8"}
         assert len(builds) == 1
 
     def test_summary_names_the_law_and_the_sampler(self, tmp_path):
-        # 6 points embed at L = 16; Brownian increments are white, so the
-        # embedding's eigenvalues are flat
+        # the density fixes the law; 6 points embed at L = 16, and Brownian
+        # increments are white, so the embedding's eigenvalues are flat
         code, outdir = run_cli(tmp_path, SIMULATE)
         assert code == 0
         summary = summary_dict(outdir)
-        assert summary["law.main"] == "exact"
+        assert summary["density"].startswith("PowerLawDensity(dimension=1, hurst=0.5")
+        assert not any(key.startswith("law.") for key in summary)
         assert summary["sampler.main"] == "circulant"
         assert summary["sampler_size.main"] == "16"
         assert float(summary["sampler_min_ratio.main"]) == pytest.approx(1.0, abs=1e-9)
         code, outdir = run_cli(tmp_path, COUPLING_SELF, name="coupled")
         summary = summary_dict(outdir)
         for field in ("x", "residual"):
-            assert summary[f"law.{field}"] == "exact"
             assert summary[f"sampler.{field}"] == "cholesky"
         # the residual of identical densities is zero and needs no factor
         assert summary["sampler_jitter_rung.x"] == "1"

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -7,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specfield as sf
-from specfield import (CouplingSynthesizer, ExactFieldSampler, InadmissibleDensityError,
-                       PowerLawDensity, SpectralSynthesizer, check_domination,
+from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSampler,
+                       InadmissibleDensityError, PowerLawDensity, SpectralSynthesizer,
+                       check_domination,
                        covariance_matrix, difference_density, dyadic_frequency_grid,
                        hermitian_noise, power_law_covariance_matrix, uniform_spatial_grid)
 from specfield.covariance import PSD_NOISE_FACTOR
@@ -23,7 +23,7 @@ def kernel(density, x, y, grid):
 
 
 def psd_floor(matrix):
-    """How far below zero a quadrature covariance's eigenvalues may dip."""
+    """How far below zero a covariance's eigenvalues may dip."""
     return PSD_NOISE_FACTOR * np.max(np.diag(matrix))
 
 
@@ -77,8 +77,8 @@ class TestKernelStructure:
     @given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_stationary_increment_identity(self, default_grid, x, y):
-        # K(x, x') = (v(x) + v(x') - v(x - x'))/2 with v(u) = K(u, u); the
-        # quadrature inherits the identity node by node, so it holds to roundoff
+        # K(x, x') = (v(x) + v(x') - v(x - x'))/2 with v(u) = K(u, u): K is
+        # built from the variogram, so the identity holds to roundoff
         f = sf.fractional_brownian_density(0.35)
         points = np.unique([x, y, x - y])
         matrix = covariance_matrix(f, points, default_grid)
@@ -112,20 +112,6 @@ class TestCovarianceMatrix:
         matrix = covariance_matrix(brownian, np.linspace(0, 1, 9), default_grid)
         assert np.all(matrix[0] == 0.0)
         assert np.all(matrix[:, 0] == 0.0)
-
-    @pytest.mark.parametrize("block_bytes", [sf.covariance.BLOCK_BYTES, 8 * 300 * 64])
-    def test_chunked_gram_matches_the_whole_factor(self, default_grid, brownian,
-                                                   block_bytes, monkeypatch):
-        # 300 points split the 2,624 node pairs into two chunks; the small
-        # budget gives 82 chunks of 32 pairs and row blocks of 64 points
-        monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", block_bytes)
-        points = np.linspace(0, 1, 300)[:, None]
-        assert sf.covariance.block_rows(2 * 300) < len(default_grid.nodes)
-        factor = sf.covariance.spectral_factor(brownian, points, default_grid)
-        whole = factor @ factor.T
-        entries = sf.covariance.quadrature_gram(brownian, points, default_grid)
-        assert np.array_equal(entries, entries.T)
-        assert np.max(np.abs(entries - whole)) <= 1e-13 * np.max(whole)
 
     def test_eigenvalue_floor(self, default_grid, brownian):
         for density, points in [(brownian, np.linspace(0, 1, 8)),
@@ -196,258 +182,85 @@ class TestCovarianceMatrix:
                 ExactFieldSampler(entries, PAIR)
 
 
-EPS = np.finfo(float).eps
-needs_long_double = pytest.mark.skipif(
-    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than double")
-
-
-def long_double_factor(density, points, grid, pairs=slice(None)):
-    """R over the stored nodes `pairs` selects, from long-double points and
-    nodes, in the half-angle form, with the float amplitude sqrt(w f); also
-    |x.xi| and sum_i |x_i xi_i| per entry."""
-    amplitude = np.sqrt(grid.weights[pairs] * density.evaluate(grid.nodes[pairs]))
-    x = np.asarray(points, dtype=np.longdouble)
-    xi = grid.nodes[pairs].astype(np.longdouble)
-    theta = x @ xi.T
-    reference = np.empty((theta.shape[0], 2 * theta.shape[1]), dtype=np.longdouble)
-    reference[:, 0::2] = -2.0 * np.sin(theta / 2) ** 2 * amplitude
-    reference[:, 1::2] = -np.sin(theta) * amplitude
-    pair = lambda a: np.repeat(a, 2, axis=-1).astype(float)
-    return (reference, pair(amplitude), pair(np.abs(theta)),
-            pair(np.abs(x) @ np.abs(xi).T))
-
-
-class TestHalfAngleFactor:
-    """R of a point list, from the half-angle phases of its points."""
-
-    @needs_long_double
-    def test_small_phases_are_exact_to_relative_roundoff(self, default_grid):
-        # cos(x.xi) - 1 lost up to all of its digits at |x.xi| << 1; the
-        # annuli [1/2, 1) and [1, 2) hold phases from 1e-4 to past 1
-        density = sf.fractional_brownian_density(0.7)
-        space = uniform_spatial_grid(1, 4096)
-        pairs = slice(19 * 64, 21 * 64)
-        factor = sf.covariance.spectral_factor(density, space.points, default_grid, pairs)
-        reference, amplitude, theta, _ = long_double_factor(
-            density, space.points, default_grid, pairs)
-        error = np.abs(factor - reference).astype(float)
-        small = (theta <= 1.0) & (reference != 0)
-        assert np.count_nonzero(small) > 100_000
-        assert np.all(error[small] <= 1e-14 * np.abs(reference[small]).astype(float))
-        assert np.all(error <= 4 * EPS * amplitude * (1.0 + theta))
-
-    @needs_long_double
-    @pytest.mark.parametrize("listed", [False, True])
-    @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
-    def test_every_entry_within_the_phase_condition(self, default_grid, dimension,
-                                                    resolution, listed):
-        # sum_i |x_i xi_i| is |x.xi| in d = 1; in d = 2 it bounds the roundoff
-        # of x.xi itself, which no float phase escapes when the terms cancel.
-        # The points come as an (n, d) array or as nested Python lists.
-        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
-        density = sf.fractional_brownian_density(0.7, dimension)
-        space = uniform_spatial_grid(dimension, resolution)
-        points = space.points.tolist() if listed else space.points
-        factor = sf.covariance.spectral_factor(density, points, grid)
-        reference, amplitude, _, condition = long_double_factor(density, space.points,
-                                                                 grid)
-        error = np.abs(factor - reference).astype(float)
-        assert np.all(error <= 4 * EPS * amplitude * (1.0 + condition))
-
-    @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
-    def test_columns_do_not_depend_on_the_chunk(self, default_grid, dimension,
-                                                resolution):
-        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
-        density = sf.fractional_brownian_density(0.3, dimension)
-        points = uniform_spatial_grid(dimension, resolution).points
-        whole = sf.covariance.spectral_factor(density, points, grid)
-        half = len(grid.nodes) // 2
-        columns = np.concatenate(
-            [sf.covariance.spectral_factor(density, points, grid, part)
-             for part in (slice(0, half), slice(half, half + 1), slice(half + 1, None))],
-            axis=1)
-        assert columns.tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_origin_row_is_positive_zero(self, default_grid, grid_2d, dimension):
-        grid = default_grid if dimension == 1 else grid_2d
-        density = sf.fractional_brownian_density(0.5, dimension)
-        space = uniform_spatial_grid(dimension, 8)
-        origin = sf.covariance.spectral_factor(density, space.points, grid)[0]
-        assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
-        listed = sf.covariance.spectral_factor(density, [[0.5] * dimension,
-                                                         [0.0] * dimension], grid)[1]
-        assert np.all(listed == 0.0) and not np.any(np.signbit(listed))
-
-
-    def test_one_chunk_peaks_at_one_and_a_half_chunks(self, default_grid):
-        # 4,096 points take 128 node pairs per 8 MiB chunk, and the scaled
-        # s of a whole chunk, (4096, 128) floats, is its only scratch
-        density = sf.fractional_brownian_density(0.7)
-        points = uniform_spatial_grid(1, 4096).points
-        pairs = sf.covariance.block_rows(2 * len(points))
-        assert pairs == 128
-        sf.covariance.spectral_factor(density, points, default_grid, slice(0, pairs))
-        tracemalloc.start()
-        try:
-            chunk = sf.covariance.spectral_factor(density, points, default_grid,
-                                                  slice(0, pairs))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * chunk.nbytes + (1 << 20)
-
-
-class TestRowWiseFill:
-    """The lag Gram's half-angle tables take trig on a few rows of each
-    progression and fill the others by products."""
-
-    @pytest.mark.parametrize("dimension,resolution", [(1, 4096), (2, 8)])
-    def test_trig_rows_per_set(self, default_grid, grid_2d, dimension, resolution,
-                               monkeypatch):
-        # each progression of n points takes trig on rows 1..b-1 and the
-        # multiples of b, b = ceil(sqrt(n)), in every node chunk; the other
-        # rows are products
-        grid = default_grid if dimension == 1 else grid_2d
-        density = sf.fractional_brownian_density(0.5, dimension)
-        space = uniform_spatial_grid(dimension, resolution)
-        sets = space.split()
-        seen = []
-        trig = sf.covariance._half_angle
-
-        def counting(points, nodes, out):
-            seen.append(len(points))
-            return trig(points, nodes, out)
-        monkeypatch.setattr(sf.covariance, "_half_angle", counting)
-        sf.covariance.quadrature_gram(density, space, grid)
-        # per chunk, one call for rows 1..b-1 and one for the multiples of
-        # b, for u and then for v
-        assert seen and len(seen) % (2 * len(sets)) == 0
-        for top in range(0, len(seen), 2 * len(sets)):
-            calls = seen[top:top + 2 * len(sets)]
-            for rows, points in zip(zip(calls[::2], calls[1::2]), sets):
-                assert sum(rows) <= math.ceil(2 * math.sqrt(len(points))) < len(points)
-
-
-def long_double_gram(densities, points, grid):
-    """g(x) + g(x') - g(x - x') for each density, from the variogram
-    g(h) = 2 sum w f sin^2(h.xi/2) in long double over the exact lags of the
-    float points, with the float masses 2 w f."""
-    x = np.asarray(points, dtype=np.longdouble)
-    n = len(x)
-    upper = np.triu_indices(n, 1)
-    lags = np.concatenate([x, (x[:, None] - x[None])[upper]])
-    xi = grid.nodes.astype(np.longdouble)
-    mass = np.stack([2.0 * grid.weights * f.evaluate(grid.nodes) for f in densities],
-                    axis=1).astype(np.longdouble)
-    variogram = np.concatenate([np.sin(lags[top:top + 64] @ xi.T / 2) ** 2 @ mass
-                                for top in range(0, len(lags), 64)])
-    grams = []
-    for g in variogram.T:
-        between = np.zeros((n, n), dtype=np.longdouble)
-        between[upper] = g[n:]
-        grams.append(g[:n, None] + g[None, :n] - (between + between.T))
-    return grams
+def perturbed(hurst, dimension):
+    """The base density times (2 + sin |xi|) / 3: in d = 2 its sine term
+    takes the angular rule."""
+    return sf.PerturbedDensity(sf.fractional_brownian_density(hurst, dimension),
+                               sf.SineModulation(2.0, 1.0, scale=3.0))
 
 
 class TestLagGram:
-    """On a spatial grid the Gram is read off a lag table of the variogram,
-    never from R."""
-
-    @needs_long_double
-    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 64), (2, 8)])
-    def test_long_double_error_is_that_of_the_factor(self, default_grid, dimension,
-                                                     resolution):
-        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
-        space = uniform_spatial_grid(dimension, resolution)
-        densities = [sf.fractional_brownian_density(hurst, dimension)
-                     for hurst in (0.1, 0.5, 0.9)]
-        references = long_double_gram(densities, space.points, grid)
-        for density, reference in zip(densities, references):
-            error = {name: float(np.max(np.abs(gram - reference)))
-                     for name, gram in (("lags", sf.covariance.quadrature_gram(
-                         density, space, grid)), ("factor", sf.covariance.quadrature_gram(
-                             density, space.points, grid)))}
-            assert error["lags"] <= 2 * error["factor"]
-
-    @pytest.mark.parametrize("hurst", [0.5, 0.9])
-    @pytest.mark.parametrize("dimension,resolution", [(1, 300), (2, 16)])
-    def test_matches_the_whole_factor(self, default_grid, dimension, resolution,
-                                      hurst):
-        # 300 = 17 x 18 - 6 points: the split's last u-row is short.  At
-        # H = 0.1 the two differ by up to 5e-13 of max K at 300 points:
-        # both carry the float phase roundoff at |xi| up to 2^21, and both
-        # are that far from the long-double Gram
-        grid = default_grid if dimension == 1 else dyadic_frequency_grid(2, -6, 6, 16)
-        density = sf.fractional_brownian_density(hurst, dimension)
-        space = uniform_spatial_grid(dimension, resolution)
-        whole = sf.covariance.quadrature_gram(density, space.points, grid)
-        gram = sf.covariance.quadrature_gram(density, space, grid)
-        assert np.max(np.abs(gram - whole)) <= 1e-14 * np.max(np.diag(whole))
+    """K is read off the variogram at the lags of its pairs: on a grid from
+    a table of the distinct squared lag radii, elsewhere pair by pair."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 300), (2, 8)])
     def test_exactly_symmetric_with_a_positive_zero_origin(self, default_grid, grid_2d,
                                                           dimension, resolution):
         grid = default_grid if dimension == 1 else grid_2d
-        density = sf.fractional_brownian_density(0.3, dimension)
-        gram = sf.covariance.quadrature_gram(
-            density, uniform_spatial_grid(dimension, resolution), grid)
-        assert np.array_equal(gram, gram.T)
-        for origin in (gram[0], gram[:, 0]):
-            assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
+        space = uniform_spatial_grid(dimension, resolution)
+        for density in (sf.fractional_brownian_density(0.3, dimension),
+                        perturbed(0.3, dimension)):
+            gram = covariance_matrix(density, space, grid)
+            assert np.array_equal(gram, gram.T)
+            for origin in (gram[0], gram[:, 0]):
+                assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
 
-    def test_does_not_depend_on_the_node_chunks(self, grid_2d, monkeypatch):
-        # a 4 MiB workspace splits the 59,392 stored nodes into chunks of
-        # 6,320 and a last one of 2,512: every chunk pads its rows to whole
-        # parts, and the last re-zeroes padding that the one before it wrote
-        chunks, variogram = [], sf.covariance._chunk_variogram
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (2, 3), (2, 8)])
+    def test_every_entry_is_the_variogram_identity(self, default_grid, grid_2d,
+                                                   dimension, resolution):
+        # pair by pair from spectral.variogram, the table's entries bit for bit;
+        # on a grid only d = 2 takes the table
+        grid = default_grid if dimension == 1 else grid_2d
+        points = uniform_spatial_grid(dimension, resolution).points
+        assert (sf.covariance._lag_codes(points) is None) == (dimension == 1)
+        density = perturbed(0.7, dimension)
+        at = sf.spectral.variogram(density, points)
+        lags = (points[:, None] - points[None]).reshape(-1, dimension)
+        between = sf.spectral.variogram(density, lags).reshape(len(points), -1)
+        upper = np.triu(0.5 * (at[:, None] + at[None, :] - between))
+        expected = upper + np.triu(upper, 1).T
+        assert covariance_matrix(density, points, grid).tobytes() == expected.tobytes()
 
-        def counting(*args):
-            chunks.append(args[4])
-            return variogram(*args)
-        monkeypatch.setattr(sf.covariance, "_chunk_variogram", counting)
-        density = sf.fractional_brownian_density(0.3, 2)
+    def test_does_not_depend_on_the_row_blocks(self, grid_2d, monkeypatch):
+        # 8 x 8 points in blocks of 64 rows or of 1, through the table and
+        # pair by pair
+        density = perturbed(0.3, 2)
         space = uniform_spatial_grid(2, 8)
         grams = []
-        for budget in (1 << 28, 1 << 24):
-            monkeypatch.setattr(sf.covariance, "BLOCK_BYTES", budget)
-            grams.append(sf.covariance.quadrature_gram(density, space, grid_2d))
-        whole, chunked = grams
-        sizes = [chunk.stop - chunk.start for chunk in chunks]
-        assert sizes[0] == len(grid_2d.nodes) and len(sizes) >= 4
-        assert sizes[-1] < sizes[1] and sizes[-1] % sf.covariance.SUM_NODES
-        assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.max(whole)
-        assert np.array_equal(chunked, chunked.T)
-        for origin in (chunked[0], chunked[:, 0]):
-            assert np.all(origin == 0.0) and not np.any(np.signbit(origin))
-        assert np.all(np.diag(chunked)[1:] > 0.0)
+        for entries in (1 << 15, 1):
+            monkeypatch.setattr(sf.covariance, "GRAM_BLOCK_ENTRIES", entries)
+            grams.append(covariance_matrix(density, space, grid_2d))
+            monkeypatch.setattr(sf.covariance, "_lag_codes", lambda points: None)
+            grams.append(covariance_matrix(density, space, grid_2d))
+            monkeypatch.undo()
+        assert all(gram.tobytes() == grams[0].tobytes() for gram in grams)
 
     def test_plane_grid_workspace_is_small(self, grid_2d):
-        density = sf.fractional_brownian_density(0.5, 2)
-        space = uniform_spatial_grid(2, 8)
-        tracemalloc.start()
-        try:
-            gram = sf.covariance.quadrature_gram(density, space, grid_2d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= gram.nbytes + (3 << 20)
+        for density in (sf.fractional_brownian_density(0.5, 2), perturbed(0.5, 2)):
+            space = uniform_spatial_grid(2, 8)
+            covariance_matrix(density, space, grid_2d)  # rules and caches built
+            tracemalloc.start()
+            try:
+                gram = covariance_matrix(density, space, grid_2d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= gram.nbytes + (3 << 20)
 
-    def test_4096_points_hold_the_gram_and_two_blocks(self, default_grid, monkeypatch):
-        # on a 2-vCPU x86-64 host the R R^T walk took 3.2-3.8 s, the lag table 0.2 s
-        def refused(*args):
-            raise AssertionError("the Gram on a grid built a chunk of R")
-        monkeypatch.setattr(sf.covariance, "spectral_factor", refused)
-        density = sf.fractional_brownian_density(0.7)
-        space = uniform_spatial_grid(1, 4096)
-        tracemalloc.start()
-        try:
-            gram = sf.covariance.quadrature_gram(density, space, default_grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= gram.nbytes + 2 * sf.covariance.BLOCK_BYTES
-        assert gram[0, 0] == 0.0 and np.all(np.diag(gram)[1:] > 0.0)
+    def test_4096_points_hold_the_gram_and_two_blocks(self, default_grid, grid_2d):
+        # 4,096 points pair by pair in d = 1 and from the table in d = 2
+        for density, space, grid in (
+                (sf.fractional_brownian_density(0.7), uniform_spatial_grid(1, 4096),
+                 default_grid),
+                (perturbed(0.5, 2), uniform_spatial_grid(2, 64), grid_2d)):
+            tracemalloc.start()
+            try:
+                gram = covariance_matrix(density, space, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= gram.nbytes + 2 * sf.covariance.BLOCK_BYTES
+            assert gram[0, 0] == 0.0 and np.all(np.diag(gram)[1:] > 0.0)
 
 
 class TestCouplingKernel:
@@ -556,8 +369,9 @@ class TestExactKernel:
         grid = default_grid if dimension == 1 else grid_2d
         space = uniform_spatial_grid(dimension, resolution)
         densities = [sf.fractional_brownian_density(0.3, dimension)]
-        if dimension == 1:
-            densities += list(fbm_pair)
+        densities += list(fbm_pair) if dimension == 1 else [
+            perturbed(0.3, 2), BandLimitedDensity(2, 0.5, 64.0),
+            sf.PerturbedDensity(BandLimitedDensity(2, 0.5, 8.0), sf.SineModulation(1.0, 1.0))]
         for density in densities:
             on_grid = covariance_matrix(density, space, grid)
             listed = covariance_matrix(density, space.points, grid)
@@ -577,9 +391,11 @@ class TestExactKernel:
                                    default_grid)
         assert np.max(np.abs(kernel - closed)) <= 1e-12 * np.max(closed)
 
-    def test_plane_modulated_density_keeps_the_quadrature_law(self, grid_2d):
-        density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
-                                      sf.SineModulation(2.0, 1.0, scale=3.0))
-        space = uniform_spatial_grid(2, 3)
-        assert np.array_equal(covariance_matrix(density, space, grid_2d),
-                              sf.covariance.quadrature_gram(density, space, grid_2d))
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+    def test_plane_kernel_does_not_depend_on_the_frequency_grid(self, grid_2d, hurst):
+        # the grid gates admissibility only: a coarser one gives the same K
+        space = uniform_spatial_grid(2, 4)
+        coarse = dyadic_frequency_grid(2, -12, 12, 8)
+        for density in (perturbed(hurst, 2), BandLimitedDensity(2, 0.5, 64.0)):
+            assert (covariance_matrix(density, space, grid_2d).tobytes()
+                    == covariance_matrix(density, space, coarse).tobytes())

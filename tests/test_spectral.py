@@ -494,17 +494,19 @@ class TestTermLists:
 
     def test_a_subclass_without_terms_is_refused_by_name(self):
         with pytest.raises(TypeError, match="InverseDensity gives no term list"):
-            sf.spectral.exact_law(InverseDensity())
+            sf.spectral.variogram(InverseDensity(), [0.5])
 
-    def test_exact_law_in_the_plane_is_power_terms_only(self):
+    def test_every_plane_term_has_a_variogram(self):
         plane = fractional_brownian_density(0.5, 2)
-        assert sf.spectral.exact_law(plane)
-        assert sf.spectral.exact_law(ScaledDensity(plane, 2.0))
-        modulated = PerturbedDensity(plane, SineModulation(2.0, 1.0))
-        assert not sf.spectral.exact_law(modulated)
-        assert not sf.spectral.exact_law(BandLimitedDensity(2, 0.0, 4.0))
-        with pytest.raises(ValueError, match="no closed form"):
-            sf.spectral.variogram(modulated, [[0.5, 0.0]])
+        lags = [[0.0, 0.0], [0.5, 0.0], [0.3, 0.4]]
+        for density in (PerturbedDensity(plane, SineModulation(2.0, 1.0)),
+                        BandLimitedDensity(2, 0.0, 4.0),
+                        PerturbedDensity(BandLimitedDensity(2, 0.0, 4.0),
+                                         SineModulation(1.0, 1.0))):
+            value = sf.spectral.variogram(density, lags)
+            assert value[0] == 0.0 and not np.signbit(value[0])
+            assert np.all(np.isfinite(value)) and np.all(value[1:] > 0.0)
+            assert value[1] == value[2]  # |(0.5, 0)| = |(0.3, 0.4)| exactly
 
 
 class OneTerm(SpectralDensity):
@@ -518,6 +520,12 @@ class OneTerm(SpectralDensity):
 
     def terms(self):
         return (self.term,)
+
+
+class PlaneTerm(OneTerm):
+    """A density given by one SpectralTerm in d = 2."""
+
+    dimension = 2
 
 
 class TestVariogram:
@@ -542,8 +550,7 @@ class TestVariogram:
     @pytest.mark.parametrize("trig,omega", [("cos", 0.0), ("cos", 1.0), ("sin", 1.0),
                                             ("cos", 3.0), ("sin", 3.0)])
     def test_band_terms_match_quadrature(self, trig, omega):
-        # relative to the unmodulated band, which bounds the modulated one;
-        # lags below and above omega / 2 take the two forms of _band_term
+        # relative to the unmodulated band, which bounds the modulated one
         shape = np.cos if trig == "cos" else np.sin
         for lo, hi in ((0.0, 20.0), (1.0, 2.0), (0.5, 7.0)):
             term = sf.spectral.SpectralTerm(2.5, None, trig, omega, lo, hi)
@@ -569,3 +576,123 @@ class TestVariogram:
             value = sf.spectral.variogram(f, vectors)
             assert np.allclose(value, lags ** (2 * hurst), rtol=1e-15, atol=0)
             assert value[0] == 0.0 and not np.signbit(value[0])
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("omega", [1e-3, 0.05])
+    @pytest.mark.parametrize("trig", ["cos", "sin"])
+    def test_slowly_modulated_band_matches_quadrature(self, trig, omega):
+        # omega (hi - lo) << 1: a closed form in the three frequencies
+        # omega and omega +- h differences terms of size h^2 / omega^3 here
+        shape = np.cos if trig == "cos" else np.sin
+        term = sf.spectral.SpectralTerm(2.5, None, trig, omega, 1.0, 2.0)
+        lags = np.geomspace(1e-6, 7.3, 25)
+        values = sf.spectral.variogram(OneTerm(term), lags)
+        for lag, value in zip(lags, values):
+            expected = 4 * 2.5 * integrate.quad(
+                lambda r: 2 * np.sin(lag * r / 2) ** 2 * shape(omega * r), 1.0, 2.0,
+                epsabs=0, epsrel=1e-13)[0]
+            envelope = 4 * 2.5 * integrate.quad(lambda r: 2 * np.sin(lag * r / 2) ** 2,
+                                                1.0, 2.0, epsabs=0, epsrel=1e-13)[0]
+            assert abs(value - expected) <= 1e-12 * envelope
+
+
+def hypergeometric_variogram(weight, hurst, trig, omega, lags):
+    """4 pi w int_0^inf (1 - J0(h r)) r^(-2H-1) trig(omega r) dr, the
+    variogram of a modulated power-law term in d = 2, from Gradshteyn &
+    Ryzhik 6.621.1 continued to mu = -2H: with a = -i omega,
+    int_0^inf (1 - J0(h r)) r^(mu-1) e^(-a r) dr
+    = Gamma(mu) a^(-mu) (1 - 2F1(mu/2, (mu+1)/2; 1; -h^2/a^2)), and
+    -h^2/a^2 = h^2/omega^2 - i0.  Its real part is the cosine term, its
+    imaginary part the sine term.  (Gamma(mu) has a pole at H = 1/2.)"""
+    mu = -2.0 * hurst
+    z = (np.asarray(lags) / omega) ** 2 - 1e-300j
+    value = (special.gamma(mu) * omega ** -mu * np.exp(0.5j * np.pi * mu)
+             * (1.0 - special.hyp2f1(0.5 * mu, 0.5 * (mu + 1.0), 1.0, z)))
+    return 4 * np.pi * weight * (value.real if trig == "cos" else value.imag)
+
+
+def angular_quadrature_variogram(term, lags):
+    """2 int_0^(pi/2) V1(h cos t) dt by scipy.integrate.quad, V1 the 1-d
+    variogram of the same term, with the kink of V1 at h cos t = omega as a
+    break point."""
+    line = OneTerm(term)
+    out = []
+    for lag in lags:
+        kink = [np.arccos(term.omega / lag)] if lag > term.omega else None
+        out.append(2 * integrate.quad(
+            lambda t: sf.spectral.variogram(line, [lag * np.cos(t)])[0], 0.0, np.pi / 2,
+            points=kink, epsabs=1e-14, epsrel=1e-13, limit=200)[0])
+    return np.array(out)
+
+
+class TestPlaneVariogram:
+    """Every term in d = 2: a modulated power law by the graded angular rule
+    over its 1-d closed form, bands through J0 and J1."""
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("trig", ["cos", "sin"])
+    def test_modulated_power_terms_match_the_hypergeometric_form(self, trig, hurst):
+        # at H = 1/2, where Gamma(mu) has its pole, quad in angle instead;
+        # there the cosine term vanishes at lags below omega, so it is held
+        # to the size of the unmodulated term
+        lags = np.geomspace(1e-3, np.sqrt(2), 40 if hurst != 0.5 else 12)
+        plain = sf.spectral.variogram(PowerLawDensity(2, hurst, 1.5), lags[-1:])[0]
+        for omega in (0.5, 1.0, 3.0):
+            term = sf.spectral.SpectralTerm(1.5, hurst, trig, omega)
+            values = sf.spectral.variogram(PlaneTerm(term), lags)
+            expected = (angular_quadrature_variogram(term, lags) if hurst == 0.5
+                        else hypergeometric_variogram(1.5, hurst, trig, omega, lags))
+            scale = np.max(np.abs(expected))
+            if hurst == 0.5 and trig == "cos":
+                scale = max(scale, plain)
+            assert np.max(np.abs(values - expected)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_angular_rule_at_omega_zero_is_the_plane_power_law(self, hurst):
+        # the rule's worst case: V1 = h^2H cos^2H t is singular at t = pi/2
+        term = sf.spectral.SpectralTerm(1.5, hurst)
+        lags = np.geomspace(1e-3, 4.0, 50)
+        rule = sf.spectral._plane_power_term(term, lags)
+        closed = sf.spectral._power_term(term, lags, 2)
+        assert np.max(np.abs(rule / closed - 1.0)) <= 1e-13
+
+    def test_symmetric_in_the_axes_bitwise(self):
+        lags = np.random.default_rng(5).uniform(-1.5, 1.5, (500, 2))
+        plane = fractional_brownian_density(0.3, 2)
+        band = BandLimitedDensity(2, 0.5, 8.0)
+        for density in (PerturbedDensity(plane, SineModulation(2.0, 1.0, scale=3.0)),
+                        band, PerturbedDensity(band, SineModulation(1.0, 1.0))):
+            values = sf.spectral.variogram(density, lags)
+            assert values.tobytes() == sf.spectral.variogram(density, lags[:, ::-1]).tobytes()
+            assert values.tobytes() == sf.spectral.variogram(density, -lags).tobytes()
+
+    def test_bessel_functions_match_scipy(self):
+        # the periodic rule below 40 and Hankel's expansion above it
+        x = np.concatenate([np.linspace(0.0, 60.0, 120_001), np.geomspace(1e-8, 1e7, 20_001),
+                            np.random.default_rng(3).uniform(0.0, 1e7, 20_000)])
+        j0 = 1.0 - sf.spectral._bessel(x, 0)
+        assert np.max(np.abs(j0 - special.j0(x))) <= 2e-15
+        assert np.max(np.abs(sf.spectral._bessel(x, 1) - special.j1(x))) <= 2e-15
+
+    @pytest.mark.parametrize("outer", [1.0, 64.0, 1024.0])
+    def test_unmodulated_band_is_the_j1_closed_form(self, outer):
+        lags = np.geomspace(1e-3, np.sqrt(2), 60)
+        for inner in (0.0, 0.5):
+            band = BandLimitedDensity(2, inner, outer, 2.5)
+            values = sf.spectral.variogram(band, lags)
+            expected = 4 * np.pi * 2.5 * (
+                (outer ** 2 - inner ** 2) / 2
+                - (outer * special.j1(lags * outer) - inner * special.j1(lags * inner)) / lags)
+            assert np.max(np.abs(values - expected)) <= 1e-10 * np.max(expected)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("trig,omega", [("cos", 1.0), ("sin", 1.0), ("sin", 3.0)])
+    def test_modulated_band_matches_quadrature(self, trig, omega):
+        shape = np.cos if trig == "cos" else np.sin
+        term = sf.spectral.SpectralTerm(2.5, None, trig, omega, 0.5, 7.0)
+        lags = np.array([1e-3, 0.1, 0.5, 1.0, np.sqrt(2)])
+        values = sf.spectral.variogram(PlaneTerm(term), lags)
+        expected = [4 * np.pi * 2.5 * integrate.quad(
+            lambda r: r * (1 - special.j0(lag * r)) * shape(omega * r), 0.5, 7.0,
+            limit=200, epsabs=0, epsrel=1e-13)[0] for lag in lags]
+        assert np.max(np.abs(values - expected)) <= 1e-8 * np.max(np.abs(expected))

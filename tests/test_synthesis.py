@@ -12,9 +12,9 @@ from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSample
                        uniform_spatial_grid)
 
 
-def plane_quadrature_case(resolution, j_lo=-6, j_hi=6):
-    """A 2-d modulated density, which keeps the quadrature law, with a
-    16-node frequency grid and a resolution x resolution spatial grid."""
+def plane_modulated_case(resolution, j_lo=-6, j_hi=6):
+    """A 2-d modulated density, whose sine term takes the angular rule, with
+    a 16-node frequency grid and a resolution x resolution spatial grid."""
     base = sf.fractional_brownian_density(0.5, dimension=2)
     density = sf.PerturbedDensity(base, sf.SineModulation(2.0, 1.0, scale=3.0))
     return (density, sf.dyadic_frequency_grid(2, j_lo, j_hi, 16),
@@ -206,17 +206,15 @@ class TestSampleBlock:
             for got, row in zip(coupler.sample(12, k), (x1[k], x2[k], y[k])):
                 assert np.max(np.abs(got.values - row)) <= 1e-12 * np.max(np.abs(y))
 
-    def test_quadrature_blocks_are_cholesky_draws_of_the_quadrature_gram(self):
-        # a 2-d modulated density keeps the quadrature law; with no more
-        # replicas than points it is drawn by the Cholesky factor of the
-        # grid's quadrature K, bit for bit the exact sampler's draw of it
-        density, grid, space = plane_quadrature_case(3)
+    def test_plane_modulated_blocks_are_cholesky_draws_of_the_kernel(self):
+        # with no more replicas than points a 2-d modulated density is drawn
+        # by the Cholesky factor of its K, bit for bit the exact sampler's
+        # draw of it
+        density, grid, space = plane_modulated_case(3)
         synth = SpectralSynthesizer(density, grid, space)
         assert synth.prepare(6) == 6
-        assert dict(synth.describe()) == {"law": "quadrature", "sampler": "cholesky",
-                                          "sampler_jitter_rung": 1}
-        oracle = ExactFieldSampler(sf.covariance.quadrature_gram(density, space, grid),
-                                   space)
+        assert dict(synth.describe()) == {"sampler": "cholesky", "sampler_jitter_rung": 1}
+        oracle = ExactFieldSampler(covariance_matrix(density, space, grid), space)
         ids = [4, 0, 2 ** 64 - 1, 3, 3, 9]
         block = synth.sample_block(4, ids)
         assert block.tobytes() == oracle.sample_block(4, ids).tobytes()
@@ -226,20 +224,17 @@ class TestSampleBlock:
 
     def test_single_block_campaign_never_holds_the_whole_factor(self, monkeypatch):
         from specfield import covariance, verification
-        # 100 replicas on 12 x 12 points of the quadrature law: one block,
-        # drawn by the Cholesky factor of the lag Gram, which builds no
-        # chunk of R; the campaign's traced peak stays within one block
-        density, grid, space = plane_quadrature_case(12, j_lo=-14, j_hi=14)
+        # 100 replicas on 12 x 12 points of a 2-d modulated density: one
+        # block, drawn by the Cholesky factor of K; the campaign's traced
+        # peak, K, its factor and the angular rule's work, stays within one
+        # block
+        density, grid, space = plane_modulated_case(12, j_lo=-14, j_hi=14)
         synths = []
-
-        def refused(*args):
-            raise AssertionError("a grid campaign built a chunk of R")
 
         class Kept(SpectralSynthesizer):
             def __init__(self, *args):
                 super().__init__(*args)
                 synths.append(self)
-        monkeypatch.setattr(covariance, "spectral_factor", refused)
         monkeypatch.setattr(verification, "SpectralSynthesizer", Kept)
         cfg = sf.MCConfig(100, 41, grid, space, radii=(0.5,))
         tracemalloc.start()
@@ -251,30 +246,57 @@ class TestSampleBlock:
         assert [dict(synth.describe())["sampler"] for synth in synths] == ["cholesky"]
         assert peak < covariance.BLOCK_BYTES
 
-    def test_gram_chunks_are_built_once_in_node_order(self, monkeypatch):
-        from specfield import covariance
-        lag_chunks = []
-        variogram = covariance._chunk_variogram
 
-        def counting_lags(*args):
-            lag_chunks.append(args[4])
-            return variogram(*args)
-        monkeypatch.setattr(covariance, "_chunk_variogram", counting_lags)
-        # a 12 MiB budget (a 3 MiB workspace) splits the lag tables of
-        # 12 x 12 points into two chunks, each built once, in node order;
-        # both ways of a campaign share the one Cholesky factor
-        monkeypatch.setattr(covariance, "BLOCK_BYTES", 12 << 20)
-        density, grid, space = plane_quadrature_case(12, j_lo=-14, j_hi=14)
-        synth = SpectralSynthesizer(density, grid, space)
-        assert synth.prepare(3) == 3
-        for seed in range(3):
-            synth.sample_block(seed, range(3))
-        synth.prepare(space.size + 1)
-        synth.sample_block(0, range(3))
-        assert len(lag_chunks) == 2
-        assert lag_chunks[0].start == 0
-        assert lag_chunks[0].stop == lag_chunks[1].start
-        assert lag_chunks[1].stop == len(grid.nodes)
+class TestPlaneLaw:
+    """Draws of a 2-d modulated density against a variogram built in the
+    test from the hypergeometric form of its sine term."""
+
+    @staticmethod
+    def radial_increments(block, m):
+        """(radii^2, means): per row of an (n, m^2) block on an m x m grid,
+        the mean of (X(x) - X(x'))^2 over the pairs whose lag is
+        (a, b) grid steps, pooled by a^2 + b^2."""
+        field = block.reshape(len(block), m, m)
+        sums, counts = {}, {}
+        for a in range(m):
+            for b in range(-m + 1, m):
+                if a == 0 and b <= 0:
+                    continue
+                ahead, behind = ((slice(b, m), slice(0, m - b)) if b >= 0
+                                 else (slice(0, m + b), slice(-b, m)))
+                step = field[:, a:, ahead] - field[:, :m - a, behind]
+                key = a * a + b * b
+                sums[key] = sums.get(key, 0.0) + np.einsum("ijk,ijk->i", step, step)
+                counts[key] = counts.get(key, 0) + step[0].size
+        keys = sorted(sums)
+        return np.array(keys), np.stack([sums[k] / counts[k] for k in keys], axis=1)
+
+    def test_plane_perturbed_draws_carry_the_variogram(self, grid_2d):
+        # fBm H = 0.7 times (2 + sin |xi|) / 3 on 8 x 8 points: V is 2/3 of
+        # h^1.4 plus the sine term of weight scale / 3, here from 2F1.
+        # Every lattice radius's mean squared increment lies within the
+        # Bonferroni normal quantile of a family-wise false-alarm rate of
+        # 1e-3; the same draws reject the law whose sine weight is 1.2 times
+        # as large (max |z| 5.9-9.0 against 4.2 at seeds 0-5; 7.3 at seed 23)
+        from test_spectral import hypergeometric_variogram
+        base = sf.fractional_brownian_density(0.7, 2)
+        density = sf.PerturbedDensity(base, sf.SineModulation(2.0, 1.0, scale=3.0))
+        space = uniform_spatial_grid(2, 8)
+        synth = SpectralSynthesizer(density, grid_2d, space)
+        n = 40000
+        rows = synth.prepare(n)
+        assert dict(synth.describe())["sampler"] == "cholesky"
+        blocks = [self.radial_increments(synth.sample_block(23, range(top, min(top + rows, n))),
+                                         8) for top in range(0, n, rows)]
+        keys, means = blocks[0][0], np.concatenate([block for _, block in blocks])
+        lags = space.spacing * np.sqrt(keys)
+        se = means.std(axis=0, ddof=1) / np.sqrt(n)
+        threshold = stats.norm.isf(1e-3 / (2 * len(keys)))
+        for factor, accepted in ((1.0, True), (1.2, False)):
+            variogram = 2.0 / 3.0 * lags ** 1.4 + hypergeometric_variogram(
+                factor * base.scale / 3.0, 0.7, "sin", 1.0, lags)
+            z = (means.mean(axis=0) - variogram) / se
+            assert (np.max(np.abs(z)) <= threshold) == accepted
 
 
 class TestLowRankFactor:
@@ -367,33 +389,6 @@ class TestLowRankFactor:
         assert synth._exact is None
         assert synth._circulant.width == 8192
         assert dict(synth.describe())["sampler"] == "circulant"
-
-
-class TestComplexReference:
-    """The real folded factor of the quadrature law against the complex
-    Hermitian sum over the full symmetric rule: nodes and -nodes, each with
-    half the pair weight."""
-
-    @pytest.mark.parametrize("dimension,resolution", [(1, 6), (2, 3)])
-    def test_sample_and_covariance_match_complex_sum(self, dimension, resolution):
-        grid = sf.dyadic_frequency_grid(dimension, -8, 8, 8)
-        space = uniform_spatial_grid(dimension, resolution)
-        density = sf.fractional_brownian_density(0.7, dimension)
-        full_nodes = np.concatenate([grid.nodes, -grid.nodes])
-        phases = np.exp(1j * space.points @ full_nodes.T) - 1.0
-        weighted = np.tile(grid.weights / 2, 2) * density.evaluate(full_nodes)
-
-        factor = sf.covariance.spectral_factor(density, space.points, grid)
-        values = factor @ stream_normals(8, 3, grid.size)
-        draws = stream_normals(8, 3, grid.size).reshape(-1, 2)
-        zeta = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
-        zeta = np.concatenate([zeta, np.conj(zeta)])
-        reference = phases @ (np.sqrt(weighted) * zeta)
-        assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(values))
-
-        entries = sf.covariance.quadrature_gram(density, space.points, grid)
-        kernel = ((phases * weighted) @ np.conj(phases.T)).real
-        assert np.max(np.abs(entries - kernel)) <= 1e-12 * np.max(np.abs(kernel))
 
 
 class TestFieldSampleValidation:
@@ -689,8 +684,7 @@ class TestCirculantEmbedding:
         assert coupler.prepare(100) == 100
         (_, first), (_, second) = coupler.describe()
         assert dict(first)["sampler"] == "circulant"
-        assert dict(second) == {"law": "exact", "sampler": "cholesky",
-                                "sampler_jitter_rung": 1}
+        assert dict(second) == {"sampler": "cholesky", "sampler_jitter_rung": 1}
         assert coupler._pair.second._noise_width() == 256
 
     def test_shipped_residual_at_4096_points_reaches_the_fallback(

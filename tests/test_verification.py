@@ -207,8 +207,8 @@ class TestCollectBlocks:
     # With no more replicas than points, 1-d blocks of the exact law are
     # drawn by circulant embedding (L normals a row, and its spectrum and
     # path); every other campaign through the exact sampler on K (width N).
-    def test_quadrature_rows_agree_across_blocks_at_roundoff(self, monkeypatch):
-        # the quadrature law of a 2-d modulated density, drawn by Cholesky
+    def test_plane_rows_agree_across_blocks_at_roundoff(self, monkeypatch):
+        # a 2-d modulated density, drawn by Cholesky
         from specfield import synthesis
         density = sf.PerturbedDensity(sf.fractional_brownian_density(0.5, 2),
                                       sf.SineModulation(2.0, 1.0, scale=3.0))
@@ -256,9 +256,9 @@ class TestCollectBlocks:
                               range(2 * size, 2 * size + 1)]
             assert _collect_blocks(lambda ids: ids, 5, synth) == [range(5)]
 
-    def test_quadrature_factor_is_built_once_per_campaign(self, grid_2d, monkeypatch):
-        # the Cholesky factor of the quadrature K, which a 2-d modulated
-        # density keeps, serves one block or several alike
+    def test_plane_factor_is_built_once_per_campaign(self, grid_2d, monkeypatch):
+        # the Cholesky factor of a 2-d modulated density's K serves one
+        # block or several alike
         from specfield import synthesis
         builds = []
         gram = synthesis.covariance_matrix
