@@ -423,10 +423,6 @@ def _gauss_legendre(count: int, grading: int = 1) -> tuple:
     return up / (up + down), w * slope / (up + down) ** 2
 
 
-# sin t at the nodes t = (k + 1/2) pi / 48 < pi / 2 of the midpoint rule on [0, pi]
-_BESSEL_SINES = np.sin((np.arange(24) + 0.5) * (np.pi / 48))
-
-
 def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     """1 - J0(x) (order 0) or J1(x) (order 1) at x >= 0.
 
@@ -442,10 +438,11 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     out = np.empty_like(x)
     near = x < 40.0
     z = x[near]
+    sines = np.sin((np.arange(24) + 0.5) * (np.pi / 48))  # the nodes below pi / 2
     if order == 0:
-        out[near] = sum(np.sin(0.5 * s * z) ** 2 for s in _BESSEL_SINES) / 12.0
+        out[near] = sum(np.sin(0.5 * s * z) ** 2 for s in sines) / 12.0
     else:
-        out[near] = sum(s * np.sin(s * z) for s in _BESSEL_SINES) / 24.0
+        out[near] = sum(s * np.sin(s * z) for s in sines) / 24.0
     z = x[~near]
     a = np.cumprod([1.0] + [(4 * order * order - (2 * j - 1) ** 2) / (8.0 * j)
                             for j in range(1, 14)])
