@@ -66,7 +66,10 @@ def _lag_codes(points: np.ndarray) -> tuple | None:
     """(axes, sums): per axis, the count of the distinct squared differences
     of its m distinct coordinates, their (m, m) codes and each point's
     coordinate index; the sums of one squared difference per axis.  None
-    unless these are smaller than the n (n + 1) / 2 pairs (in d = 1 never)."""
+    unless these are smaller than the n (n + 1) / 2 pairs: never in d = 1,
+    where the n distinct points have n coordinates."""
+    if points.shape[1] == 1:
+        return None
     pairs = len(points) * (len(points) + 1) // 2
     axes, size, sums = [], 0, np.zeros(1)
     for column in points.T:

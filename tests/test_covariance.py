@@ -130,7 +130,7 @@ class TestCovarianceMatrix:
                                   atol=1e-15)
 
     def test_rejects_duplicate_points(self, default_grid, grid_2d):
-        def quadrature(points):
+        def on_grid(points):
             dimension = points.shape[1]
             return covariance_matrix(sf.fractional_brownian_density(0.5, dimension),
                                      points, default_grid if dimension == 1 else grid_2d)
@@ -139,7 +139,7 @@ class TestCovarianceMatrix:
             return power_law_covariance_matrix(points, 0.5)
         # a 2-d duplicate that is not next to its twin in input order
         plane = np.array([[0.5, 0.25], [0.25, 0.5], [0.5, 0.5], [0.5, 0.25]])
-        for matrix in (quadrature, closed_form):
+        for matrix in (on_grid, closed_form):
             with pytest.raises(ValueError, match="distinct"):
                 matrix(np.array([[0.5], [0.5]]))
             # points compare as floats: -0.0 is 0.0
@@ -347,7 +347,7 @@ class TestPlaneKernel:
         f = sf.fractional_brownian_density(0.5, dimension=2)
         v1, v2 = np.diag(covariance_matrix(f, [(1.0, 0.0), (0.0, 1.0)],
                                            grid_2d))
-        # isotropy: the two variances agree far inside quadrature error
+        # isotropy: V depends on |h| alone
         assert np.isclose(v1, v2, rtol=1e-6)
 
     def test_matrix_on_square_grid(self, grid_2d):
