@@ -457,7 +457,7 @@ def _bessel(x: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _by_parts(rule, h: np.ndarray, nodes: int) -> np.ndarray:
+def _in_slices(rule, h: np.ndarray, nodes: int) -> np.ndarray:
     """rule(h) over slices of the lags h of at most RULE_POINTS / nodes lags."""
     step = max(1, RULE_POINTS // nodes)
     return np.concatenate([rule(h[top:top + step]) for top in range(0, len(h), step)]
@@ -481,7 +481,7 @@ def _plane_power_term(term: SpectralTerm, h: np.ndarray) -> np.ndarray:
             values = _power_term(term, (at[:, None] * np.cos(angles)).ravel(), 1)
             total += 2.0 * (width * (values.reshape(angles.shape) * w)).sum(axis=1)
         return total
-    return _by_parts(rule, h, 2 * ANGLE_NODES)
+    return _in_slices(rule, h, 2 * ANGLE_NODES)
 
 
 def _band_term(term: SpectralTerm, h: np.ndarray, dimension: int) -> np.ndarray:
@@ -510,7 +510,7 @@ def _band_term(term: SpectralTerm, h: np.ndarray, dimension: int) -> np.ndarray:
         x = np.multiply.outer(at, r)
         kernel = np.sin(0.5 * x) ** 2 if dimension == 1 else _bessel(x, 0)
         return (kernel * weights).sum(axis=1)
-    return _by_parts(rule, h, len(r))
+    return _in_slices(rule, h, len(r))
 
 
 def _distinct(values: np.ndarray) -> tuple:
