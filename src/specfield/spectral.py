@@ -395,19 +395,20 @@ def _power_term(term: SpectralTerm, h: np.ndarray, dimension: int) -> np.ndarray
 
 
 # Gauss-Legendre nodes per panel in angle (2-d modulated power laws) and in
-# r (modulated bands), and the rule points (lags times nodes) taken at once
+# r (modulated bands), the most panels in r, and the rule points (lags
+# times nodes) taken at once
 ANGLE_NODES = 64
 BAND_NODES = 16
+BAND_PANELS = 1 << 16
 RULE_POINTS = 1 << 14
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(count: int, grading: int = 1) -> tuple:
-    """(nodes, weights) of the count-point Gauss-Legendre rule on [0, 1] (by
-    Newton's method on the three-term recurrence, without the 1-2 MiB that
-    numpy.polynomial or LAPACK's eigensolver keep resident), through the
-    sigmoidal map t^p / (t^p + (1 - t)^p) for a grading p > 1: it makes an
-    algebraic singularity at either end smooth."""
+    """(nodes, weights) of the count-point Gauss-Legendre rule on [0, 1], by
+    Newton on the recurrence (numpy.polynomial and LAPACK's eigensolver keep
+    1-2 MiB resident), through t^p / (t^p + (1 - t)^p) for a grading p > 1,
+    which makes an algebraic singularity at either end smooth."""
     x = np.cos(np.pi * (np.arange(count) + 0.75) / (count + 0.5))
     for _ in range(6):
         p, q = x, np.ones_like(x)  # P_1 and P_0, up to P_count and P_count-1
@@ -424,17 +425,13 @@ def _gauss_legendre(count: int, grading: int = 1) -> tuple:
 
 
 def _bessel(x: np.ndarray, order: int) -> np.ndarray:
-    """1 - J0(x) (order 0) or J1(x) (order 1) at x >= 0.
-
-    Below x = 40 by the 48-point periodic rule on Bessel's integrals
-    1 - J0(x) = (1/pi) int_0^pi 2 sin^2(x sin t / 2) dt and
-    J1(x) = (1/pi) int_0^pi sin t sin(x sin t) dt, which converges
-    geometrically (Trefethen & Weideman 2014) and has no cancellation at
-    small x; from 40 by Hankel's expansion
-    J(x) = sqrt(2 / (pi x)) (P cos chi - Q sin chi) to x^-13, whose k-th
-    coefficient is the product over j <= k of (4 order^2 - (2j - 1)^2) / 8j,
-    with chi = x - (2 order + 1) pi / 4 rounded as Cephes rounds it.
-    """
+    """1 - J0(x) (order 0) or J1(x) (order 1) at x >= 0.  Below 40 by the
+    48-point periodic rule, geometrically convergent (Trefethen & Weideman
+    2014), on 1 - J0(x) = (1/pi) int_0^pi 2 sin^2(x sin t / 2) dt (no
+    cancellation at small x) and J1(x) = (1/pi) int_0^pi sin t sin(x sin t) dt;
+    from 40 by Hankel's J(x) = sqrt(2 / (pi x)) (P cos chi - Q sin chi) to
+    x^-13, the k-th coefficient the product over j <= k of
+    (4 order^2 - (2j - 1)^2) / 8j, chi = x - (2 order + 1) pi / 4 as in Cephes."""
     out = np.empty_like(x)
     near = x < 40.0
     z = x[near]
@@ -466,10 +463,9 @@ def _in_slices(rule, h: np.ndarray, nodes: int) -> np.ndarray:
 
 def _plane_power_term(term: SpectralTerm, h: np.ndarray) -> np.ndarray:
     """A modulated power-law term in d = 2 at lags h > 0:
-    V2(h) = 2 int_0^(pi/2) V1(h cos t) dt, V1 the 1-d closed form of the
-    same term (the r r^(-2H-2) of the polar measure is r^(-2H-1)).  V1 has a
-    kink where h cos t = omega, so the angle is split there (when h > omega)
-    and each panel takes the ANGLE_NODES graded rule."""
+    V2(h) = 2 int_0^(pi/2) V1(h cos t) dt over the 1-d closed form V1 of the
+    same term (r r^(-2H-2) in polar measure is r^(-2H-1)), by the graded
+    ANGLE_NODES rule on two panels split at V1's kink h cos t = omega."""
     t, w = _gauss_legendre(ANGLE_NODES, 4)
 
     def rule(at):
@@ -499,6 +495,9 @@ def _band_term(term: SpectralTerm, h: np.ndarray, dimension: int) -> np.ndarray:
         return 4.0 * np.pi * w * (0.5 * (hi - lo) * (hi + lo)
                                   - (hi * _bessel(h * hi, 1) - lo * _bessel(h * lo, 1)) / h)
     panels = 1 + int((term.omega + np.max(h, initial=0.0)) * (hi - lo) / (2.0 * np.pi))
+    if panels > BAND_PANELS:
+        raise ValueError(f"a modulated band on [{lo:g}, {hi:g}) needs {panels} panels of "
+                         f"its rule in r at lags up to {np.max(h):g}; at most {BAND_PANELS}")
     t, weights = _gauss_legendre(BAND_NODES)
     width = (hi - lo) / panels
     r = (lo + width * np.add.outer(np.arange(panels), t)).ravel()

@@ -696,3 +696,10 @@ class TestPlaneVariogram:
             lambda r: r * (1 - special.j0(lag * r)) * shape(omega * r), 0.5, 7.0,
             limit=200, epsabs=0, epsrel=1e-13)[0] for lag in lags]
         assert np.max(np.abs(values - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+    def test_a_band_rule_past_its_panel_budget_is_refused(self):
+        # one panel per period of omega + h across the band: 1.6e8 panels
+        # here, refused before the nodes are allocated
+        term = sf.spectral.SpectralTerm(1.0, None, "sin", 1.0, 0.0, 1e6)
+        with pytest.raises(ValueError, match="needs 159314099 panels .* at most 65536"):
+            sf.spectral.variogram(OneTerm(term), [1e3])
