@@ -87,14 +87,16 @@ def _write_summary(outdir: Path, cfg: RunConfig, extra_lines, exit_code: int):
     _write_text(outdir / "summary.txt", "\n".join(lines) + "\n")
 
 
+def _write_csv(path: Path, header: str, rows):
+    """The header line, then one line per row of text fields."""
+    _write_text(path, "\n".join([header] + [",".join(row) for row in rows]) + "\n")
+
+
 def _write_inequality_csv(path: Path, report):
-    rows = ["radius,p_lhs,p_rhs,lower_lhs,upper_lhs,lower_rhs,upper_rhs,margin,verdict"]
-    for row in report.rows:
-        rows.append(",".join([_fmt(row.radius), _fmt(row.p_lhs), _fmt(row.p_rhs),
-                              _fmt(row.lower_lhs), _fmt(row.upper_lhs),
-                              _fmt(row.lower_rhs), _fmt(row.upper_rhs),
-                              _fmt(row.margin), row.verdict]))
-    _write_text(path, "\n".join(rows) + "\n")
+    header = "radius,p_lhs,p_rhs,lower_lhs,upper_lhs,lower_rhs,upper_rhs,margin,verdict"
+    _write_csv(path, header, ([*map(_fmt, (row.radius, row.p_lhs, row.p_rhs, row.lower_lhs,
+                                           row.upper_lhs, row.lower_rhs, row.upper_rhs,
+                                           row.margin)), row.verdict] for row in report.rows))
 
 
 def _inequality_summary_lines(report):
@@ -115,28 +117,9 @@ def _sampler_lines(samplers):
 
 
 def _write_sample_csv(path: Path, grid, values: np.ndarray):
-    header = "x,value" if grid.dimension == 1 else "x0,x1,value"
-    rows = [header]
-    for point, value in zip(grid.points, values):
-        coords = ",".join(_fmt(c) for c in point)
-        rows.append(f"{coords},{_fmt(value)}")
-    _write_text(path, "\n".join(rows) + "\n")
-
-
-def _write_matrix_csv(path: Path, matrix: np.ndarray):
-    rows = ["i,j,value"]
-    for i, entries in enumerate(matrix.tolist()):
-        rows.extend(f"{i},{j},{value!r}" for j, value in enumerate(entries))
-    _write_text(path, "\n".join(rows) + "\n")
-
-
-def _write_points_csv(path: Path, points: np.ndarray):
-    dim = points.shape[1]
-    header = "index,x" if dim == 1 else "index,x0,x1"
-    rows = [header]
-    for i, point in enumerate(points):
-        rows.append(f"{i}," + ",".join(_fmt(c) for c in point))
-    _write_text(path, "\n".join(rows) + "\n")
+    _write_csv(path, "x,value" if grid.dimension == 1 else "x0,x1,value",
+               ([*map(_fmt, point), _fmt(value)]
+                for point, value in zip(grid.points, values)))
 
 
 def _auto_constant(bound: float) -> float:
@@ -182,10 +165,9 @@ def _run_density_check(cfg: RunConfig, outdir: Path, verbose: bool):
     for role in sorted(cfg.densities):
         density = cfg.densities[role]
         result = check_admissible(density, cfg.frequency_grid)
-        csv_rows = ["annulus_exponent,contribution"]
-        for j, contribution in zip(exponents, result.contributions):
-            csv_rows.append(f"{j},{_fmt(contribution)}")
-        _write_text(outdir / f"admissibility_{role}.csv", "\n".join(csv_rows) + "\n")
+        _write_csv(outdir / f"admissibility_{role}.csv", "annulus_exponent,contribution",
+                   ((str(j), _fmt(value))
+                    for j, value in zip(exponents, result.contributions)))
         lines.append(f"density.{role} = {density.label}")
         lines.append(f"admissibility.{role} = {result.status}")
         if result.value is not None:
@@ -246,8 +228,11 @@ def _run_covariance(cfg: RunConfig, outdir: Path, verbose: bool):
     else:
         points = cfg.spatial_grid.points
         matrix = covariance_matrix(density, cfg.spatial_grid, cfg.frequency_grid)
-    _write_points_csv(outdir / "points.csv", points)
-    _write_matrix_csv(outdir / "covariance.csv", matrix)
+    _write_csv(outdir / "points.csv", "index,x" if points.shape[1] == 1 else "index,x0,x1",
+               ([str(i), *map(_fmt, point)] for i, point in enumerate(points)))
+    _write_csv(outdir / "covariance.csv", "i,j,value",
+               ((str(i), str(j), repr(value)) for i, entries in enumerate(matrix.tolist())
+                for j, value in enumerate(entries)))
     lines = [f"density = {density.label}",
              f"size = {len(matrix)}",
              f"max_diagonal = {_fmt(np.max(np.diag(matrix)))}"]
@@ -277,12 +262,10 @@ def _run_verify_coupling(cfg: RunConfig, outdir: Path, verbose: bool):
     mc = _mc_config(cfg)
     report = verify_coupling_law(cfg.densities["x"], cfg.densities["y"],
                                  constant, mc, certificate)
-    csv_rows = ["i,j,empirical,reference,cross"]
-    for i, row in enumerate(zip(report.empirical.tolist(), report.reference.tolist(),
-                                report.cross.tolist())):
-        csv_rows.extend(f"{i},{j},{empirical!r},{reference!r},{cross!r}"
-                        for j, (empirical, reference, cross) in enumerate(zip(*row)))
-    _write_text(outdir / "coupling.csv", "\n".join(csv_rows) + "\n")
+    tables = (report.empirical.tolist(), report.reference.tolist(), report.cross.tolist())
+    _write_csv(outdir / "coupling.csv", "i,j,empirical,reference,cross",
+               ([str(i), str(j), *map(repr, entries)] for i, row in enumerate(zip(*tables))
+                for j, entries in enumerate(zip(*row))))
     lines = [f"constant = {_fmt(constant)}",
              f"covariance_match = {_fmt(report.covariance_match)}",
              f"covariance_match_passed = {str(report.covariance_match_passed).lower()}",
@@ -321,10 +304,9 @@ def _run_estimate_hurst(cfg: RunConfig, outdir: Path, verbose: bool):
     density = cfg.densities["main"]
     mc = _mc_config(cfg)
     estimate = estimate_holder_exponent(density, mc)
-    csv_rows = ["scale,lag,mean_log2_variation"]
-    for j, value in zip(estimate.scales, estimate.mean_log2_variation):
-        csv_rows.append(f"{j},{1 << j},{_fmt(value)}")
-    _write_text(outdir / "variation.csv", "\n".join(csv_rows) + "\n")
+    _write_csv(outdir / "variation.csv", "scale,lag,mean_log2_variation",
+               ((str(j), str(1 << j), _fmt(value))
+                for j, value in zip(estimate.scales, estimate.mean_log2_variation)))
     lines = [f"density = {density.label}",
              f"estimate = {_fmt(estimate.estimate)}",
              f"stderr = {_fmt(estimate.stderr)}",

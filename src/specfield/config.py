@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .grids import FrequencyGrid, SpatialGrid, dyadic_frequency_grid, uniform_spatial_grid
-from .norms import DEFAULT_PAIR_BUDGET, HolderNorm, SupNorm
+from .norms import HolderNorm, SupNorm
 from .spectral import (BandLimitedDensity, PerturbedDensity, PowerLawDensity,
                        ScaledDensity, SineModulation, SpectralDensity, SumDensity,
                        ZeroDensity, fractional_brownian_density)
@@ -312,11 +312,10 @@ def _norm(reader: _Reader):
     if kind != "holder":
         return SupNorm() if kind == "sup" else None
     alpha = reader.floating("norm.alpha", required=": the holder norm requires alpha in (0, 1]")
-    budget = reader.integer("norm.pair_budget", default=DEFAULT_PAIR_BUDGET, minimum=4)
-    if alpha is None or budget is None:
+    if alpha is None:
         return None
     try:
-        return HolderNorm(alpha, budget)
+        return HolderNorm(alpha)
     except ValueError as exc:
         reader.error("norm.alpha", str(exc))
         return None

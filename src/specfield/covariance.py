@@ -9,7 +9,8 @@ for the same points; `power_law_covariance_matrix` is its unit-variance
 power-law case.  The frequency grid only gates admissibility.
 
 Every covariance here is a plain (n, n) float array, exactly symmetric, in
-the order of its points; the points themselves stay with the caller.
+the order of its points; the points themselves stay with the caller.  This
+module only builds K: `synthesis` factors it and draws from it.
 """
 
 from __future__ import annotations
@@ -20,21 +21,8 @@ from .grids import FrequencyGrid, SpatialGrid
 from .spectral import (SpectralDensity, _distinct, fractional_brownian_density,
                        require_admissible, variogram)
 
-# Eigenvalue floor scale: a covariance's eigenvalues may dip this far below
-# zero, relative to its largest diagonal entry, from roundoff in K and in
-# its factorization.
-PSD_NOISE_FACTOR = 1e-8
-
-# Bytes of one replica block of noise.
-BLOCK_BYTES = 8 << 20
-
 # Entries of one row block of K's upper triangle: 1 MiB per temporary.
 GRAM_BLOCK_ENTRIES = 1 << 17
-
-
-def block_rows(width: int) -> int:
-    """Rows of `width` float64 values that fit in BLOCK_BYTES (at least one)."""
-    return max(1, BLOCK_BYTES // (8 * width))
 
 
 def _as_points(points, dimension: int | None = None) -> np.ndarray:

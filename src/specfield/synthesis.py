@@ -4,11 +4,12 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 
 - SpectralSynthesizer: one density's law on the spatial grid,
   K(x, x') = (V(x) + V(x') - V(x - x')) / 2 from the variogram.  Its
-  prepare(n) draws a campaign by circulant embedding of the increments (a
-  1-d grid, n <= N) or by the Cholesky factor of K (everything else); the
-  class docstring states the rule.
+  prepare(n) picks the way a campaign is drawn: circulant embedding of the
+  increments (a 1-d grid, n <= N) or the Cholesky factor of K (everything
+  else); the class docstring states the rule.
 - ExactFieldSampler: factorizes a covariance, a plain (N, N) array over the
   grid's points (jittered Cholesky), and maps standard normals through it.
+  It is also the synthesizer's Cholesky way.
 - CouplingSynthesizer: the domination-based decomposition; draws blocks of
   the dominated field and the residual field as a FieldPair, replicate k
   of both from the two parts of one row of stream k, and assembles the
@@ -16,6 +17,15 @@ Three ways to realize a Gaussian field with stationary increments on a grid:
 
 Each draws blocks with sample_block(seed, ids), row j from stream ids[j];
 sample(seed, k) is the FieldSample of row 0 of its own sample_block(seed, [k]).
+
+A way, _Circulant or ExactFieldSampler, maps a (B, W) block of normals to B
+samples; `width` is its W and `scratch` the floats S a row needs beside
+them (2L + 2 for a circulant half-spectrum and transform, 0 for Cholesky).
+prepare(n) returns the replicas per block: as many as fit in BLOCK_BYTES at
+the working row, W + (S + N if S else 0) for one field (N for its path) and
+W1 + W2 + 3N + max(S1, S2) for a FieldPair (both samples and their sum).
+So the block bounds depend on n and the grids alone, as they must: a row's
+Cholesky product, like a sum over blocks, can change at roundoff with them.
 """
 
 from __future__ import annotations
@@ -24,14 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import PSD_NOISE_FACTOR, block_rows, covariance_matrix
+from .covariance import covariance_matrix
 from .grids import SpatialGrid
 from .rng import hermitian_noise
 from .spectral import (DominationCertificate, SpectralDensity, difference_density,
                        require_admissible, variogram)
 
+# Eigenvalue floor scale: a covariance's eigenvalues may dip this far below
+# zero, relative to its largest diagonal entry, from roundoff in K and in
+# its factorization.
+PSD_NOISE_FACTOR = 1e-8
+
 # Jitter multipliers tried before declaring a covariance matrix indefinite.
 JITTER_LADDER = (1, 2, 4, 8)
+
+# Bytes of the working rows of one replica block.
+BLOCK_BYTES = 8 << 20
 
 # Smallest min eigenvalue / max of a circulant embedding that is drawn from
 # (its negative eigenvalues, roundoff at most, are set to 0).
@@ -40,6 +58,11 @@ EMBEDDING_FLOOR = -1e-12
 
 class IndefiniteMatrixError(RuntimeError):
     """Covariance factorization failed even after jitter escalation."""
+
+
+def block_rows(width: int) -> int:
+    """Rows of `width` float64 values that fit in BLOCK_BYTES (at least one)."""
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 def _check_block(block: np.ndarray, grid) -> np.ndarray:
@@ -99,14 +122,8 @@ class SpectralSynthesizer:
       off the origin is K + eps I (eps = 1e-8 of max diag K at the ladder's
       first rung).  The noise width is N.
 
-    A block holds as many replicas as fit in BLOCK_BYTES at the noise
-    width W, and a circulant row also counts its half-spectrum, its
-    transform and its path (2L + 2 + N floats more).  Each row is the draw
-    of its own stream, so which replicas share a block changes a row at
-    roundoff at most, through the Cholesky product's blocking; a circulant
-    row is bitwise the same in any block.  Without a prepare() the sampler
-    draws the n <= N way; it keeps the embedding or the Cholesky factor
-    once built.
+    `way` is the chosen one; without a prepare() it is the n <= N way,
+    built on first use.  A circulant row is bitwise the same in any block.
     """
 
     def __init__(self, density: SpectralDensity, frequency_grid,
@@ -119,68 +136,41 @@ class SpectralSynthesizer:
         self.density = density
         self.frequency_grid = frequency_grid
         self.spatial_grid = spatial_grid
-        self._exact = None       # the Cholesky way, when chosen
-        self._circulant = None   # the circulant way, when chosen
+        self._chosen = None
 
-    def _choose(self, n_replicas: int):
-        """Build the way to draw n_replicas (see the class docstring),
-        reusing what an earlier choice of the same way built."""
-        circulant = None
-        if n_replicas <= self.spatial_grid.size and self.spatial_grid.dimension == 1:
-            circulant = self._circulant or _Circulant.embed(self.density, self.spatial_grid)
-        cholesky = None
-        if circulant is None:
-            cholesky = self._exact or ExactFieldSampler(
-                covariance_matrix(self.density, self.spatial_grid, self.frequency_grid),
-                self.spatial_grid)
-        self._circulant, self._exact = circulant, cholesky
-
-    def _way(self):
-        """The Cholesky or circulant sampler of the last prepare(), or of
-        the n <= N way without one."""
-        if self._exact is None and self._circulant is None:
-            self._choose(1)
-        return self._exact or self._circulant
-
-    def _row_floats(self) -> tuple:
-        """(W, S): the noise width of the chosen way, and the floats of a
-        circulant row's half-spectrum and transform (0 on the Cholesky way)."""
-        way = self._way()
-        return way.width, (2 * way.width + 2 if way is self._circulant else 0)
+    @property
+    def way(self):
+        """The _Circulant or ExactFieldSampler of the last prepare(), or of
+        prepare(1) without one."""
+        if self._chosen is None:
+            self.prepare(1)
+        return self._chosen
 
     def prepare(self, n_replicas: int) -> int:
-        """Choose the way to draw a campaign of n_replicas, build what it
-        needs, and return the replicas per block.  Depends on n and the
-        grids only, so a rerun splits the campaign into the same blocks."""
-        self._choose(n_replicas)
-        width, spectrum = self._row_floats()
-        extra = spectrum + self.spatial_grid.size if spectrum else 0
-        return min(n_replicas, block_rows(width + extra))
-
-    def _noise_width(self) -> int:
-        """Normals per replica on the chosen way: N or L."""
-        return self._way().width
+        """Choose the way to draw a campaign of n_replicas, build it unless
+        it is the way held, and return the replicas per block (see the
+        module docstring)."""
+        circulant = n_replicas <= self.spatial_grid.size and self.spatial_grid.dimension == 1
+        way = self._chosen
+        if circulant and not isinstance(way, _Circulant):
+            way = _Circulant.embed(self.density, self.spatial_grid) or way
+        if way is None or (not circulant and isinstance(way, _Circulant)):
+            way = ExactFieldSampler(
+                covariance_matrix(self.density, self.spatial_grid, self.frequency_grid),
+                self.spatial_grid)
+        self._chosen = way
+        path = way.scratch + self.spatial_grid.size if way.scratch else 0
+        return min(n_replicas, block_rows(way.width + path))
 
     def describe(self) -> tuple:
-        """(key, value) pairs of the chosen way, for summary lines: sampler
-        (circulant or cholesky), and the circulant size L with its min
-        eigenvalue / max, or the Cholesky jitter rung."""
-        way = self._way()
-        if way is self._circulant:
-            return (("sampler", "circulant"), ("sampler_size", way.width),
-                    ("sampler_min_ratio", way.min_ratio))
-        return (("sampler", "cholesky"), ("sampler_jitter_rung", way.jitter_rung))
-
-    def _synthesize(self, noise: np.ndarray) -> np.ndarray:
-        """The (B, N) sample block that a (B, W) noise block maps to, the way
-        the last prepare() chose."""
-        return self._way()._synthesize(noise)
+        """(key, value) pairs of the chosen way, for summary lines."""
+        return self.way.describe()
 
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples, row j drawn from stream stream_ids[j],
         the way the last prepare() chose."""
-        return self._synthesize(hermitian_noise(self._noise_width(), master_seed,
-                                                stream_ids))
+        way = self.way
+        return way._synthesize(hermitian_noise(way.width, master_seed, stream_ids))
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
         """One replica: the one-row block."""
@@ -191,13 +181,20 @@ class SpectralSynthesizer:
 class _Circulant:
     """The increments of a 1-d uniform grid drawn by circulant embedding of
     their covariance (see SpectralSynthesizer); `width` is the circulant
-    size L, the normals a row takes."""
+    size L, the normals a row takes, and `scratch` the 2L + 2 floats of its
+    half-spectrum and transform."""
 
     def __init__(self, grid: SpatialGrid, root: np.ndarray, min_ratio: float):
         self.grid = grid
         self.width = 2 * (len(root) - 1)
+        self.scratch = 2 * self.width + 2
         self.min_ratio = min_ratio
         self._root = root
+
+    def describe(self) -> tuple:
+        """sampler, the circulant size L and its min eigenvalue / max."""
+        return (("sampler", "circulant"), ("sampler_size", self.width),
+                ("sampler_min_ratio", self.min_ratio))
 
     @classmethod
     def embed(cls, density: SpectralDensity, grid: SpatialGrid):
@@ -275,8 +272,8 @@ class ExactFieldSampler:
     two target the same matrix through unrelated mechanisms.  It also draws
     the synthesizer's Cholesky way.  This is where a caller's own array
     enters, so its shape, finiteness, symmetry and diagonal are checked.
-    `width` is the normals a row takes (N), and `jitter_rung` the ladder
-    multiplier that L needed.
+    `width` is the normals a row takes (N), `scratch` 0, and `jitter_rung`
+    the ladder multiplier that L needed.
     """
 
     def __init__(self, entries, grid: SpatialGrid):
@@ -292,7 +289,12 @@ class ExactFieldSampler:
             raise ValueError("covariance diagonal must be nonnegative")
         self.grid = grid
         self.width = grid.size
+        self.scratch = 0
         self._factor, self.jitter_rung = _jittered_factor(entries)
+
+    def describe(self) -> tuple:
+        """sampler and the Cholesky jitter rung."""
+        return (("sampler", "cholesky"), ("sampler_jitter_rung", self.jitter_rung))
 
     def _synthesize(self, noise: np.ndarray) -> np.ndarray:
         """The (B, N) sample block noise @ L^T of a (B, N) noise block, with
@@ -304,7 +306,7 @@ class ExactFieldSampler:
     def sample_block(self, master_seed: int, stream_ids) -> np.ndarray:
         """(len(stream_ids), N) samples: row j is L times the first N normals
         of stream stream_ids[j], with the origin column set to +0.0."""
-        return self._synthesize(hermitian_noise(self.grid.size, master_seed, stream_ids))
+        return self._synthesize(hermitian_noise(self.width, master_seed, stream_ids))
 
     def sample(self, master_seed: int, stream_id: int) -> FieldSample:
         """One replica: the one-row block."""
@@ -315,8 +317,8 @@ class ExactFieldSampler:
 class FieldPair:
     """Two independent fields on the same grids, drawn together: replicate k
     is one row of W1 + W2 normals from stream k, whose first W1 drive the
-    first field and last W2 the second, W1 and W2 the noise widths of the
-    ways the two fields chose."""
+    first field and last W2 the second, W1 and W2 the widths of the ways
+    the two fields chose."""
 
     def __init__(self, first: SpectralSynthesizer, second: SpectralSynthesizer):
         self.first = first
@@ -324,23 +326,21 @@ class FieldPair:
 
     def prepare(self, n_replicas: int) -> int:
         """Choose each field's way for n_replicas and return the replicas per
-        block, sized by the pair's whole working row: W1 + W2 normals, three
-        N-point samples (both fields and their sum), and the larger
-        circulant half-spectrum and transform of the two."""
-        fields = (self.first, self.second)
-        for field in fields:
-            field._choose(n_replicas)
-        (w1, s1), (w2, s2) = (field._row_floats() for field in fields)
-        width = w1 + w2 + 3 * self.first.spatial_grid.size + max(s1, s2)
+        block of the pair's working row (see the module docstring)."""
+        self.first.prepare(n_replicas)
+        self.second.prepare(n_replicas)
+        first, second = self.first.way, self.second.way
+        width = (first.width + second.width + 3 * self.first.spatial_grid.size
+                 + max(first.scratch, second.scratch))
         return min(n_replicas, block_rows(width))
 
     def sample_block(self, master_seed: int, stream_ids) -> tuple:
         """(first, second) blocks, row j of both from stream stream_ids[j],
         the way the last prepare() chose."""
-        width = self.first._noise_width()
-        noise = hermitian_noise(width + self.second._noise_width(), master_seed, stream_ids)
-        return (self.first._synthesize(noise[:, :width]),
-                self.second._synthesize(noise[:, width:]))
+        first, second = self.first.way, self.second.way
+        noise = hermitian_noise(first.width + second.width, master_seed, stream_ids)
+        return (first._synthesize(noise[:, :first.width]),
+                second._synthesize(noise[:, first.width:]))
 
 
 class CouplingSynthesizer:
@@ -362,8 +362,6 @@ class CouplingSynthesizer:
         if certificate.grid != frequency_grid:
             raise ValueError(f"certificate was checked on {certificate.grid.grid_id}, "
                              f"not on the sampling grid {frequency_grid.grid_id}")
-        self.density_x = density_x
-        self.density_y = density_y
         self.constant = float(constant)
         self.certificate = certificate
         self._pair = FieldPair(SpectralSynthesizer(density_x, frequency_grid, spatial_grid),

@@ -73,17 +73,8 @@ class MCConfig:
 
 
 def _collect_blocks(work, n_replicas: int, sampler) -> list:
-    """work(ids) for consecutive blocks of replica ids, in order.
-
-    The sampler's prepare(n) chooses how the campaign is drawn, builds its
-    factor, and returns the block size: as many replicas as fit in
-    BLOCK_BYTES at the whole working row of the chosen way (its normals,
-    and for a circulant row its spectrum and path; for a coupled or
-    two-field block the normals of both components and three samples).  A
-    row is drawn from its own stream, but its product with a factor, like a
-    sum over blocks, can change at roundoff with the block bounds, so they
-    are fixed by n and the grids alone.
-    """
+    """work(ids) for consecutive blocks of replica ids, in order, of the
+    size the sampler's prepare(n) returns (the rule is in `synthesis`)."""
     size = sampler.prepare(n_replicas)
     return [work(range(start, min(start + size, n_replicas)))
             for start in range(0, n_replicas, size)]

@@ -77,7 +77,7 @@ def test_03_synthesizer_oracle_equivalence(default_grid, brownian, space_8):
     synth = sf.SpectralSynthesizer(brownian, default_grid, space_8)
     assert dict(synth.describe())["sampler"] == "circulant"
     exact = sf.ExactFieldSampler(reference, space_8)
-    rows = sf.covariance.block_rows(synth._noise_width())
+    rows = sf.synthesis.block_rows(synth.way.width)
 
     def outer_products(sampler, seed):
         values = np.concatenate([sampler.sample_block(seed, range(top, min(top + rows, n)))

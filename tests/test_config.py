@@ -419,7 +419,7 @@ IGNORED = [
     (ANDERSON_SHIFT, "constant = 2.0"),
     (DENSITY_CHECK, "constant = 2.0"),
     (COMPARISON_AUTO.replace("mc.radii = auto", "mc.radii = 0.5"), "mc.pilot_replicas = 500"),
-    (ANDERSON_SHIFT, "norm.pair_budget = 1000"),
+    (ANDERSON_SHIFT + "norm.kind = holder\nnorm.alpha = 0.5\n", "norm.pair_budget = 1000"),
     (DENSITY_CHECK, "spatial_grid.resolution = 16"),
     (PAIR_CHECK, "spatial_grid.resolution = 16"),
     (COVARIANCE, "spatial_grid.resolution = 16"),
@@ -430,7 +430,7 @@ class TestIgnoredKeysAreUnknown:
     @pytest.mark.parametrize("text, line", IGNORED, ids=[
         "covariance-replicas", "simulate-confidence", "coupling-norm", "coupling-radii",
         "hurst-radii", "anderson-constant", "single-check-constant",
-        "fixed-radii-pilot", "sup-pair-budget", "single-check-resolution",
+        "fixed-radii-pilot", "holder-pair-budget", "single-check-resolution",
         "pair-check-resolution", "covariance-points-resolution"])
     def test_refused_as_unknown(self, text, line):
         key = line.split(" = ")[0]
@@ -439,9 +439,8 @@ class TestIgnoredKeysAreUnknown:
 
     def test_the_same_keys_are_read_where_used(self):
         cfg = parse_config(COMPARISON_AUTO + "mc.pilot_replicas = 500\n"
-                                             "norm.kind = holder\nnorm.alpha = 0.5\n"
-                                             "norm.pair_budget = 1000\n")
-        assert cfg.pilot_replicas == 500 and cfg.norm.pair_budget == 1000
+                                             "norm.kind = holder\nnorm.alpha = 0.5\n")
+        assert cfg.pilot_replicas == 500 and cfg.norm.alpha == 0.5
 
 
 _FREQUENCY_KEYS = {"command", "seed", "frequency_grid.j_lo", "frequency_grid.j_hi",

@@ -113,7 +113,7 @@ class TestSpectralSynthesizer:
         sample = SpectralSynthesizer(ZeroDensity(1), default_grid, space_8).sample(99, 0)
         assert np.all(sample.values == 0.0)
 
-    def test_empirical_variance_matches_quadrature(self, default_grid, brownian):
+    def test_empirical_variance_matches_the_kernel(self, default_grid, brownian):
         grid = uniform_spatial_grid(1, 2)  # points 0 and 1
         synth = SpectralSynthesizer(brownian, default_grid, grid)
         n = 4000
@@ -147,7 +147,7 @@ class TestSampleBlock:
             if prepared:
                 for sampler in samplers:
                     assert sampler.prepare(1000) == 1000
-                assert samplers[0]._exact is not None
+                assert isinstance(samplers[0].way, ExactFieldSampler)
             else:
                 samplers.append(ExactFieldSampler(covariance_matrix(base, space_8,
                                                                     default_grid), space_8))
@@ -171,8 +171,8 @@ class TestSampleBlock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert synth._exact is None and synth._circulant.width == 8192
-        assert peak < 2 * sf.covariance.BLOCK_BYTES
+        assert isinstance(synth.way, sf.synthesis._Circulant) and synth.way.width == 8192
+        assert peak < 2 * sf.synthesis.BLOCK_BYTES
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 300), (2, 8)])
     def test_unprepared_and_prepared_draws_agree_bitwise(self, default_grid, grid_2d,
@@ -223,7 +223,7 @@ class TestSampleBlock:
         assert np.all(block[:, 1:] != 0.0)
 
     def test_single_block_campaign_never_holds_the_whole_factor(self, monkeypatch):
-        from specfield import covariance, verification
+        from specfield import synthesis, verification
         # 100 replicas on 12 x 12 points of a 2-d modulated density: one
         # block, drawn by the Cholesky factor of K; the campaign's traced
         # peak, K, its factor and the angular rule's work, stays within one
@@ -244,7 +244,7 @@ class TestSampleBlock:
         finally:
             tracemalloc.stop()
         assert [dict(synth.describe())["sampler"] for synth in synths] == ["cholesky"]
-        assert peak < covariance.BLOCK_BYTES
+        assert peak < synthesis.BLOCK_BYTES
 
 
 class TestPlaneLaw:
@@ -304,8 +304,8 @@ class TestLowRankFactor:
     sampler on the kernel K of covariance_matrix: L L^T = K + jitter I."""
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 64), (2, 8)])
-    def test_factor_reproduces_the_quadrature_kernel(self, default_grid, grid_2d,
-                                                     dimension, resolution):
+    def test_factor_reproduces_the_kernel(self, default_grid, grid_2d, dimension,
+                                          resolution):
         # the first rung's jitter, 1e-8 of max K, is far above the 1e-13
         # tolerance, so a later rung would fail this; the kernel is the
         # exact one of the power law
@@ -315,10 +315,10 @@ class TestLowRankFactor:
         synth = SpectralSynthesizer(density, grid, space)
         synth.prepare(space.size + 1)
         kernel = sf.power_law_covariance_matrix(space.points, 0.7)
-        assert synth._exact.jitter_rung == 1
-        jitter = sf.covariance.PSD_NOISE_FACTOR * np.max(np.diag(kernel))
-        factor = synth._exact._factor
-        assert synth._exact.grid is space
+        assert synth.way.jitter_rung == 1
+        jitter = sf.synthesis.PSD_NOISE_FACTOR * np.max(np.diag(kernel))
+        factor = synth.way._factor
+        assert synth.way.grid is space
         assert (np.max(np.abs(factor @ factor.T - kernel - jitter * np.eye(space.size)))
                 <= 1e-13 * np.max(kernel))
 
@@ -345,8 +345,7 @@ class TestLowRankFactor:
         assert np.all(block[:, 0] == 0.0) and not np.any(np.signbit(block[:, 0]))
 
     @pytest.mark.parametrize("dimension,resolution", [(1, 8), (2, 3)])
-    def test_blocks_carry_the_quadrature_law(self, default_grid, grid_2d, dimension,
-                                             resolution):
+    def test_blocks_carry_the_kernel(self, default_grid, grid_2d, dimension, resolution):
         # every distinct second moment off the origin within the Bonferroni
         # normal quantile of a family-wise false-alarm rate of 1e-3
         grid = default_grid if dimension == 1 else grid_2d
@@ -371,11 +370,14 @@ class TestLowRankFactor:
                                                             space_8, brownian):
         synth = SpectralSynthesizer(brownian, default_grid, space_8)
         assert synth.prepare(8) == 8
-        assert synth._exact is None
+        assert isinstance(synth.way, sf.synthesis._Circulant)
         assert synth.prepare(9) == 9
-        assert synth._exact._factor.shape == (8, 8)
+        way = synth.way
+        assert way._factor.shape == (8, 8) and way.scratch == 0
+        assert synth.describe() == way.describe() == (
+            ("sampler", "cholesky"), ("sampler_jitter_rung", way.jitter_rung))
         assert synth.prepare(8) == 8
-        assert synth._exact is None
+        assert isinstance(synth.way, sf.synthesis._Circulant)
 
     def test_long_path_campaigns_draw_by_circulant_embedding(self, default_grid,
                                                              brownian):
@@ -385,9 +387,8 @@ class TestLowRankFactor:
         synth = SpectralSynthesizer(brownian, default_grid,
                                     uniform_spatial_grid(1, 4096))
         rows = synth.prepare(100)
-        assert rows == sf.covariance.block_rows(3 * 8192 + 2 + 4096) == 36
-        assert synth._exact is None
-        assert synth._circulant.width == 8192
+        assert rows == sf.synthesis.block_rows(3 * 8192 + 2 + 4096) == 36
+        assert (synth.way.width, synth.way.scratch) == (8192, 2 * 8192 + 2)
         assert dict(synth.describe())["sampler"] == "circulant"
 
 
@@ -641,8 +642,8 @@ class TestCirculantEmbedding:
         for points in (256, 4096):
             synth = SpectralSynthesizer(density, default_grid,
                                         uniform_spatial_grid(1, points))
-            way = synth._way()
-            assert way is synth._circulant and way.min_ratio >= 0.0
+            way = synth.way
+            assert isinstance(way, sf.synthesis._Circulant) and way.min_ratio >= 0.0
             size = way.width
             lags = np.arange(points - 1)
             c0 = fgn_covariance(hurst, points, 0)
@@ -685,7 +686,7 @@ class TestCirculantEmbedding:
         (_, first), (_, second) = coupler.describe()
         assert dict(first)["sampler"] == "circulant"
         assert dict(second) == {"sampler": "cholesky", "sampler_jitter_rung": 1}
-        assert coupler._pair.second._noise_width() == 256
+        assert coupler._pair.second.way.width == 256
 
     def test_shipped_residual_at_4096_points_reaches_the_fallback(
             self, default_grid, fbm_pair, monkeypatch):
@@ -709,5 +710,5 @@ class TestCirculantEmbedding:
         assert dict(second)["sampler"] == "cholesky"
         x1, x2, y = coupler.sample_block(4, range(2))
         assert draws == [(2, 16384 + 4096)]
-        assert rows == sf.covariance.block_rows(16384 + 4096 + 3 * 4096 + 2 * 16384 + 2)
+        assert rows == sf.synthesis.block_rows(16384 + 4096 + 3 * 4096 + 2 * 16384 + 2)
         assert np.all(y[:, 0] == 0.0) and np.all(np.isfinite(y))

@@ -271,7 +271,8 @@ class TestCollectBlocks:
         for n in (4, 9, 40):
             synth = sf.SpectralSynthesizer(density, grid_2d, space)
             _collect_blocks(lambda ids: synth.sample_block(0, ids), n, synth)
-            assert synth._circulant is None and synth._exact._factor.shape == (9, 9)
+            assert isinstance(synth.way, sf.ExactFieldSampler)
+            assert synth.way._factor.shape == (9, 9)
         assert len(builds) == 3
 
 
