@@ -24,7 +24,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .covariance import covariance_matrix
 from .spectral import check_admissible, check_domination, estimate_min_C
-from .synthesis import SpectralSynthesizer
+from .synthesis import CouplingSynthesizer, SpectralSynthesizer
 from .verification import (MCConfig, coupling_norm_quantiles, estimate_holder_exponent,
                            verify_anderson_shift, verify_anderson_sum,
                            verify_comparison, verify_coupling_law)
@@ -38,7 +38,7 @@ EXIT_ERROR = 3
 AUTO_CONSTANT_HEADROOM = 1e-12
 
 _VERDICT_EXIT = {"consistent": EXIT_OK, "admissible": EXIT_OK, "holds": EXIT_OK,
-                 "underpowered": EXIT_UNDERPOWERED, "inconclusive": EXIT_UNDERPOWERED,
+                 "underpowered": EXIT_UNDERPOWERED,
                  "violated": EXIT_VIOLATED, "inadmissible": EXIT_VIOLATED}
 
 
@@ -124,6 +124,10 @@ def _write_sample_csv(path: Path, grid, values: np.ndarray):
 
 def _auto_constant(bound: float) -> float:
     """The constant = auto rule: the grid bound plus its relative headroom."""
+    if bound == 0.0:
+        raise RuntimeError("constant = auto has no value: f_X vanishes at every node of "
+                           "the grid, so there is no smallest positive C; set constant "
+                           "explicitly")
     return bound * (1.0 + AUTO_CONSTANT_HEADROOM)
 
 
@@ -281,17 +285,13 @@ def _run_verify_coupling(cfg: RunConfig, outdir: Path, verbose: bool):
 
 def _run_verify_comparison(cfg: RunConfig, outdir: Path, verbose: bool):
     constant, certificate = _resolve_constant(cfg)
+    coupler = CouplingSynthesizer(cfg.densities["x"], cfg.densities["y"], constant,
+                                  certificate, cfg.frequency_grid, cfg.spatial_grid)
+    radii = cfg.radii
     if cfg.radii_auto:
-        probe = _mc_config(cfg)
-        radii = coupling_norm_quantiles(cfg.densities["x"], cfg.densities["y"],
-                                        constant, cfg.norm, probe, certificate,
-                                        cfg.radii_count, cfg.radii_span,
-                                        cfg.pilot_replicas)
-    else:
-        radii = cfg.radii
-    mc = _mc_config(cfg, radii)
-    report = verify_comparison(cfg.densities["x"], cfg.densities["y"], constant,
-                               cfg.norm, mc, certificate)
+        radii = coupling_norm_quantiles(coupler, cfg.norm, _mc_config(cfg), cfg.radii_count,
+                                        cfg.radii_span, cfg.pilot_replicas)
+    report = verify_comparison(coupler, cfg.norm, _mc_config(cfg, radii))
     _write_inequality_csv(outdir / "report.csv", report)
     lines = [f"constant = {_fmt(constant)}"]
     lines.extend(_inequality_summary_lines(report))

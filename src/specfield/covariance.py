@@ -6,7 +6,7 @@ K(x, x') = int (e^{i x.xi} - 1)(e^{-i x'.xi} - 1) f(xi) dxi
 `spectral.variogram`.  `covariance_matrix` builds K from V for every
 density, on a grid and on a point list alike, so both give the same bits
 for the same points; `power_law_covariance_matrix` is its unit-variance
-power-law case.  The frequency grid only gates admissibility.
+power-law case.  Of the frequency grid only the dimension is read.
 
 Every covariance here is a plain (n, n) float array, exactly symmetric, in
 the order of its points; the points themselves stay with the caller.  This
@@ -112,7 +112,8 @@ def covariance_matrix(density: SpectralDensity, points,
                       grid: FrequencyGrid) -> np.ndarray:
     """The (n, n) covariance K of the density's field on a SpatialGrid or on
     a list of distinct points, from the variogram: bitwise the same for a
-    grid and for its points.  The density must be admissible on `grid`."""
+    grid and for its points.  The density must be admissible, and of the
+    dimension of `grid` (spectral.require_admissible)."""
     require_admissible(density, grid)
     if isinstance(points, SpatialGrid):  # distinct by construction: check d only
         pts = _as_points(points.points, grid.dimension)

@@ -1,8 +1,9 @@
 """Frequency and spatial grids.
 
 The frequency grid discretizes integrals over R^d as sums over dyadic
-annuli 2^j <= |xi| < 2^(j+1), for the admissibility and domination checks
-of `spectral` (the law itself comes from the variogram).  Midpoint nodes
+annuli 2^j <= |xi| < 2^(j+1), for density-check's admissibility report and
+the domination checks of `spectral` (the law itself comes from the
+variogram, and admissibility from the term list).  Midpoint nodes
 handle both the power-law singularity at the origin and the heavy tail
 with geometric error control.  Every density here is even, so every sum is
 a sum over (xi, -xi) pairs: the grid stores one node per pair, weighted for

@@ -3,8 +3,9 @@
 A density is a nonnegative even function f on R^d.  The field it generates
 through the harmonizable representation has the variogram
 V(h) = E(X(x + h) - X(x))^2 = int 2(1 - cos(h.xi)) f(xi) dxi, which is
-finite exactly when int (1 ^ |xi|^2) f(xi) dxi converges; that finiteness
-is what `check_admissible` probes on a dyadic grid.  Every density here is
+finite exactly when int (1 ^ |xi|^2) f(xi) dxi converges; over a term list
+(below) that is decided term by term, with no grid (`require_admissible`).
+Every density here is
 radial, so V depends on |h| only and fixes the law of the field on any
 point set: K(x, x') = (V(x) + V(x') - V(x - x')) / 2.
 
@@ -36,12 +37,6 @@ from .grids import FrequencyGrid
 # sign changes from float noise.
 ROUNDOFF_SLACK = 1e-12
 
-# Annulus-contribution ratio below which geometric decay counts as established,
-# and above which sustained non-decay counts as divergence.
-DECAY_ESTABLISHED = 0.92
-DECAY_FAILED = 0.985
-_END_WINDOW = 3
-
 
 class SpectralDensity:
     """Base class; subclasses implement vectorized pointwise evaluation."""
@@ -69,8 +64,8 @@ class SpectralDensity:
 
     def terms(self) -> tuple:
         """The density as a tuple of SpectralTerms (see the module docstring)."""
-        raise TypeError(f"{type(self).__name__} gives no term list, so its "
-                        f"variogram has no closed form")
+        raise TypeError(f"{type(self).__name__} gives no term list, so neither its "
+                        f"admissibility nor its variogram has a closed form")
 
 
 @dataclass(frozen=True)
@@ -554,11 +549,12 @@ def variogram(density: SpectralDensity, lags) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AdmissibilityResult:
-    """Outcome of the finiteness probe for int (1 ^ |xi|^2) f dxi on a grid.
+    """The admissibility verdict of a density with its report on a grid.
 
-    status is one of "admissible", "inadmissible", "inconclusive"; value is the
-    quadrature estimate when admissible, else None.  contributions holds the
-    per-annulus partial sums (low j first).
+    status is "admissible" or "inadmissible", by the term rule of
+    `require_admissible`, and detail names the offending term.  value is
+    the grid's sum for int (1 ^ |xi|^2) f dxi when admissible, else None;
+    contributions holds the per-annulus partial sums (low j first).
     """
 
     status: str
@@ -567,57 +563,49 @@ class AdmissibilityResult:
     detail: str = ""
 
 
-def _end_decay(contribs: np.ndarray) -> str:
-    """Classify the decay of the last _END_WINDOW+1 contributions toward an extreme.
-
-    `contribs` is ordered so that the extreme annulus comes last.  Returns
-    "established", "failed", or "unclear".
-    """
-    tail = contribs[-(_END_WINDOW + 1):]
-    if np.all(tail == 0.0):
-        return "established"
-    if len(tail) < _END_WINDOW + 1 or np.any(tail[:-1] == 0.0):
-        return "unclear"
-    ratios = tail[1:] / tail[:-1]
-    if np.all(ratios <= DECAY_ESTABLISHED):
-        return "established"
-    if np.all(ratios >= DECAY_FAILED):
-        return "failed"
-    return "unclear"
-
-
 class InadmissibleDensityError(ValueError):
     """Raised when an operation requires an admissible density and the check fails."""
 
 
-@lru_cache(maxsize=256)
-def require_admissible(density: SpectralDensity, grid: FrequencyGrid) -> float:
-    """Gate for operations whose preconditions demand admissibility.
-
-    Returns the quadrature value of int (1 ^ |xi|^2) f dxi on success; raises
-    InadmissibleDensityError for both "inadmissible" and "inconclusive" (an
-    unsettled check must not silently authorize sampling).  Cached per
-    (density, grid) since callers re-check the same pair many times.
-    """
-    result = check_admissible(density, grid)
-    if result.status != "admissible":
-        raise InadmissibleDensityError(
-            f"density {density.label} is {result.status} on {grid.grid_id}: {result.detail}")
-    return result.value
-
-
-def check_admissible(density: SpectralDensity, grid: FrequencyGrid) -> AdmissibilityResult:
-    """Quadrature finiteness check with geometric-decay verdicts at both grid ends.
-
-    "inconclusive" is a value, not an error: the grid extremes did not settle
-    whether the contributions keep decaying.  A density value or term that
-    is not finite at a node is a float64 range error of the grid, not a
-    verdict: it is refused (ValueError) with the annulus it lies in.  Finite
-    terms whose sum overflows are "inadmissible".
-    """
+def _divergence(density: SpectralDensity, grid: FrequencyGrid) -> str:
+    """Why int (1 ^ |xi|^2) f dxi diverges, naming the first term whose own
+    integral does, or "" when none does.  A power-law term r^(-2H-d) on
+    (0, inf) has a finite integral exactly when 0 < H < 1 (H < 1 at 0,
+    H > 0 at infinity), a band term r^0 exactly when its upper edge is
+    finite; every weight must be finite.  Also refuses (ValueError) a grid
+    of another dimension, and (TypeError) a density without a term list."""
     if density.dimension != grid.dimension:
         raise ValueError(f"dimension mismatch: density d={density.dimension}, "
                          f"grid d={grid.dimension}")
+    for term in density.terms():
+        if not math.isfinite(term.weight):
+            return f"the weight of {term} is not finite"
+        if term.hurst is None and term.hi == math.inf:
+            return f"the band {term} has no upper edge"
+        if term.hurst is not None and not 0.0 < term.hurst < 1.0:
+            return f"the power law {term} has hurst outside (0, 1)"
+    return ""
+
+
+def require_admissible(density: SpectralDensity, grid: FrequencyGrid) -> None:
+    """Gate for operations whose preconditions demand admissibility: raises
+    InadmissibleDensityError, naming the term, unless every term of the
+    density has a finite integral (see _divergence).  The grid's nodes are
+    not read; only its dimension is checked against the density's."""
+    why = _divergence(density, grid)
+    if why:
+        raise InadmissibleDensityError(f"density {density.label} is inadmissible: {why}")
+
+
+def check_admissible(density: SpectralDensity, grid: FrequencyGrid) -> AdmissibilityResult:
+    """The verdict of `require_admissible` as a value, with the grid's
+    per-annulus sums and their total as its report.
+
+    A density value, term or sum that is not finite on the grid is a
+    float64 range error of the grid, not a verdict: it is refused
+    (ValueError), a node with the annulus it lies in.
+    """
+    why = _divergence(density, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         values = density.evaluate(grid.nodes)
         terms = grid.weights * np.minimum(1.0, grid.radii()) ** 2 * values
@@ -627,25 +615,15 @@ def check_admissible(density: SpectralDensity, grid: FrequencyGrid) -> Admissibi
         raise ValueError(f"density {density.label} is not finite in float64 at a node of "
                          f"the annulus [2^{j}, 2^{j + 1}) of {grid.grid_id}")
     contribs = np.zeros(grid.n_annuli)
-    np.add.at(contribs, grid.annulus, terms)
-    total = float(np.sum(contribs))
-
-    if np.all(contribs == 0.0):
-        return AdmissibilityResult("admissible", 0.0, tuple(contribs), "identically zero")
+    with np.errstate(over="ignore"):
+        np.add.at(contribs, grid.annulus, terms)
+        total = float(np.sum(contribs))
     if not np.isfinite(total):
-        return AdmissibilityResult("inadmissible", None, tuple(contribs),
-                                   "non-finite quadrature value")
-
-    high = _end_decay(contribs)
-    low = _end_decay(contribs[::-1])
-    if high == "failed" or low == "failed":
-        end = "high" if high == "failed" else "low"
-        return AdmissibilityResult("inadmissible", None, tuple(contribs),
-                                   f"contributions do not decay at the {end}-frequency end")
-    if high == "established" and low == "established":
-        return AdmissibilityResult("admissible", total, tuple(contribs), "")
-    return AdmissibilityResult("inconclusive", None, tuple(contribs),
-                               "decay not established at the grid extremes")
+        raise ValueError(f"the grid sum of density {density.label} is not finite in "
+                         f"float64 on {grid.grid_id}")
+    if why:
+        return AdmissibilityResult("inadmissible", None, tuple(contribs), why)
+    return AdmissibilityResult("admissible", total, tuple(contribs))
 
 
 # --------------------------------------------------------------------------

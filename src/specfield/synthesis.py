@@ -102,7 +102,8 @@ class SpectralSynthesizer:
     """Samples one density's law on the spatial grid as blocks of replicas.
 
     The law is the K of covariance.covariance_matrix, from the variogram;
-    the frequency grid only gates admissibility.  prepare(n) picks one of
+    the term rule of spectral.require_admissible gates it, and the frequency
+    grid gives only its dimension.  prepare(n) picks one of
     two ways to draw a campaign of n replicas, from n and the grids alone:
 
     - circulant (a 1-d grid, n <= N): the N - 1 increments, a stationary

@@ -490,37 +490,42 @@ def verify_coupling_law(density_x: SpectralDensity, density_y: SpectralDensity,
                              empirical, reference, cross, coupler.describe())
 
 
-def verify_comparison(density_x: SpectralDensity, density_y: SpectralDensity,
-                      constant: float, norm, cfg: MCConfig,
-                      certificate: DominationCertificate) -> InequalityReport:
+def _on_campaign_grid(coupler: CouplingSynthesizer, cfg: MCConfig) -> SpatialGrid:
+    """The campaign's spatial grid, refused unless the coupler draws on it."""
+    if coupler.spatial_grid != cfg.spatial_grid:
+        raise ValueError(f"the coupler draws on {coupler.spatial_grid.grid_id}, "
+                         f"not on the campaign's {cfg.spatial_grid.grid_id}")
+    return cfg.spatial_grid
+
+
+def verify_comparison(coupler: CouplingSynthesizer, norm, cfg: MCConfig) -> InequalityReport:
     """Check P(||Y|| <= r) <= P(||C^{-1/2} X|| <= r) at every config radius.
 
     Y is represented by the coupling (y_rep) and X by its x1 component, so the
-    two sides are strongly paired.
+    two sides are strongly paired; the densities and C are the coupler's
+    certificate's.
     """
-    coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
-                                  cfg.frequency_grid, cfg.spatial_grid)
-    inv_root = float(constant) ** -0.5
+    space = _on_campaign_grid(coupler, cfg)
+    inv_root = coupler.constant ** -0.5
 
     def work(ids: range) -> np.ndarray:
         x1, _, y = coupler.sample_block(cfg.master_seed, ids)
-        return np.column_stack([norm(y, cfg.spatial_grid),
-                                norm(inv_root * x1, cfg.spatial_grid)])
+        return np.column_stack([norm(y, space), norm(inv_root * x1, space)])
 
     rows = np.concatenate(_collect_blocks(work, cfg.n_replicas, coupler))
+    certificate = coupler.certificate
     return _report_from_norms("comparison", rows[:, 0], rows[:, 1], cfg,
-                              lhs_label=f"||Y|| (Y ~ {density_y.label})",
-                              rhs_label=f"||C^-1/2 X|| (X ~ {density_x.label}, "
-                                        f"C={float(constant)!r})",
+                              lhs_label=f"||Y|| (Y ~ {certificate.dominating.label})",
+                              rhs_label=f"||C^-1/2 X|| (X ~ {certificate.dominated.label}, "
+                                        f"C={coupler.constant!r})",
                               samplers=coupler.describe())
 
 
-def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensity,
-                            constant: float, norm, cfg: MCConfig,
-                            certificate: DominationCertificate,
+def coupling_norm_quantiles(coupler: CouplingSynthesizer, norm, cfg: MCConfig,
                             count: int = 5, span: float = 0.9,
                             n_pilot: int = 2000) -> tuple:
-    """Radii at evenly spaced quantiles of ||Y||, spanning the central `span`.
+    """Radii at evenly spaced quantiles of the coupler's ||Y||, spanning the
+    central `span`.
 
     Pilot replicas use a disjoint stream range, so a later verification run
     with the same master seed stays independent of the pilot.  The radii
@@ -534,12 +539,11 @@ def coupling_norm_quantiles(density_x: SpectralDensity, density_y: SpectralDensi
         raise ValueError("span must lie in (0, 1)")
     if n_pilot < 100:
         raise ValueError(f"n_pilot must be at least 100, got {n_pilot}")
-    coupler = CouplingSynthesizer(density_x, density_y, constant, certificate,
-                                  cfg.frequency_grid, cfg.spatial_grid)
+    space = _on_campaign_grid(coupler, cfg)
 
     def work(ids: range) -> np.ndarray:
         pilot = [PILOT_REPLICATE_BASE + k for k in ids]
-        return norm(coupler.sample_block(cfg.master_seed, pilot)[2], cfg.spatial_grid)
+        return norm(coupler.sample_block(cfg.master_seed, pilot)[2], space)
 
     norms = np.concatenate(_collect_blocks(work, n_pilot, coupler))
     tail = (1.0 - span) / 2.0

@@ -154,12 +154,12 @@ def test_06_shift_inequality(default_grid, space_8, brownian):
 def test_07_comparison_inequality(default_grid, space_8, fbm_pair):
     density_x, density_y = fbm_pair
     certificate = check_domination(density_x, density_y, 1.0, default_grid)
+    coupler = sf.CouplingSynthesizer(density_x, density_y, 1.0, certificate,
+                                     default_grid, space_8)
     cfg = MCConfig(10000, 7, default_grid, space_8)
-    radii = coupling_norm_quantiles(density_x, density_y, 1.0, SupNorm(), cfg,
-                                    certificate, count=5, span=0.9)
+    radii = coupling_norm_quantiles(coupler, SupNorm(), cfg, count=5, span=0.9)
     cfg = MCConfig(10000, 7, default_grid, space_8, radii=radii)
-    rep = verify_comparison(density_x, density_y, 1.0, SupNorm(), cfg,
-                            certificate)
+    rep = verify_comparison(coupler, SupNorm(), cfg)
     verdicts = [row.verdict for row in rep.rows]
     ok = all(v == "consistent" for v in verdicts)
     report(7, "domination transfers ball probabilities", ok,

@@ -193,13 +193,26 @@ class TestDensityCheck:
         assert code == 0
         assert summary_dict(outdir)["admissibility.main"] == "admissible"
 
-    def test_inconclusive_tail_exits_underpowered(self, tmp_path):
-        code, outdir = run_cli(tmp_path,
-                               CHECK_MAIN.replace("hurst = 0.5", "hurst = 0.03"))
-        assert code == 2
+    @pytest.mark.parametrize("dimension,hurst",
+                             [(d, h) for d in (1, 2) for h in (0.01, 0.05, 0.95, 0.99)]
+                             + [(1, 0.03)])
+    def test_extreme_hurst_is_admissible(self, tmp_path, dimension, hurst):
+        # at H = 0.03 the grid's annuli shrink by only 2^(-0.06) per step and
+        # hold about 60% of the integral; the term rule decides
+        code, outdir = run_cli(tmp_path, CHECK_MAIN.replace(
+            "hurst = 0.5", f"hurst = {hurst}\ndensity.dimension = {dimension}"))
+        assert code == 0
         summary = summary_dict(outdir)
-        assert summary["admissibility.main"] == "inconclusive"
-        assert summary["exit_status"] == "2"
+        assert summary["admissibility.main"] == "admissible"
+        assert float(summary["admissibility_value.main"]) > 0.0
+        assert summary["exit_status"] == "0"
+
+    def test_vanishing_x_has_no_auto_constant(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, CHECK_PAIR.replace(
+            "density.x.family = power-law\ndensity.x.hurst = 0.5\n",
+            "density.x.family = zero\n"))
+        assert code == 3 and not (outdir / "summary.txt").exists()
+        assert "f_X vanishes at every node" in capsys.readouterr().err
 
     def test_metadata_carries_the_resolved_config(self, tmp_path):
         _, outdir = run_cli(tmp_path, CHECK_MAIN)
@@ -279,6 +292,13 @@ class TestSimulate:
             assert rows[0]["value"] == "0.0"
             assert any(float(r["value"]) != 0.0 for r in rows)
 
+    def test_sampling_reads_no_frequency_grid_node(self, tmp_path):
+        # at 2^-1022 the power law overflows, which density-check refuses as
+        # a range error of the grid; admissibility comes from the terms
+        code, outdir = run_cli(tmp_path, SIMULATE.replace("j_lo = -12", "j_lo = -1022"))
+        assert code == 0
+        assert summary_dict(outdir)["exit_status"] == "0"
+
 
 class TestCovariance:
     def test_points_against_closed_form(self, tmp_path):
@@ -328,6 +348,13 @@ class TestVerifyCommands:
         assert len(rows) == 36
         assert all(r["cross"] == "0.0" for r in rows)
 
+    def test_coupling_with_a_vanishing_x_has_no_auto_constant(self, tmp_path, capsys):
+        code, outdir = run_cli(tmp_path, COUPLING_SELF.replace(
+            "density.x.family = power-law\ndensity.x.hurst = 0.5\n",
+            "density.x.family = zero\n").replace("constant = 1.0", "constant = auto"))
+        assert code == 3 and not (outdir / "summary.txt").exists()
+        assert "f_X vanishes at every node" in capsys.readouterr().err
+
     def test_comparison_self_domination(self, tmp_path):
         code, outdir = run_cli(tmp_path, COMPARISON_SELF)
         assert code == 0
@@ -335,7 +362,14 @@ class TestVerifyCommands:
             assert row["p_lhs"] == row["p_rhs"]
             assert row["verdict"] == "consistent"
 
-    def test_comparison_auto_constant_and_radii(self, tmp_path):
+    def test_comparison_auto_constant_and_radii(self, tmp_path, monkeypatch):
+        builds = []
+        gram = synthesis.covariance_matrix
+
+        def counting(*args):
+            builds.append(args)
+            return gram(*args)
+        monkeypatch.setattr(synthesis, "covariance_matrix", counting)
         text = ("command = verify-comparison\nseed = 37\n"
                 "density.x.family = power-law\ndensity.x.hurst = 0.5\n"
                 "density.y.family = perturbed\n"
@@ -355,6 +389,9 @@ class TestVerifyCommands:
         radii = [float(v) for k, v in summary.items() if k.startswith("radius.")]
         assert len(radii) == 5
         assert radii == sorted(radii)
+        # the pilot and the comparison draw from one coupling, both by
+        # Cholesky on 6 points: one K of x and one of the residual
+        assert len(builds) == 2
 
     def test_estimate_hurst_small_run(self, tmp_path):
         text = ("command = estimate-hurst\nseed = 41\n"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import specfield as sf
 from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSampler,
-                       InadmissibleDensityError, PowerLawDensity, SpectralSynthesizer,
+                       InadmissibleDensityError, SpectralSynthesizer,
                        check_domination,
                        covariance_matrix, difference_density, dyadic_frequency_grid,
                        hermitian_noise, power_law_covariance_matrix, uniform_spatial_grid)
@@ -91,8 +91,9 @@ class TestKernelStructure:
         assert kernel(brownian, 0.0, 0.0, default_grid) == 0.0
 
     def test_admissibility_gate(self, default_grid):
-        with pytest.raises(InadmissibleDensityError):
-            covariance_matrix(PowerLawDensity(1, 0.03, 1.0), [0.5], default_grid)
+        # a band with no upper edge has no field; the gate names its term
+        with pytest.raises(InadmissibleDensityError, match="no upper edge"):
+            covariance_matrix(BandLimitedDensity(1, 0.0, np.inf), [0.5], default_grid)
 
     def test_dimension_mismatch(self, default_grid):
         f2 = sf.fractional_brownian_density(0.5, dimension=2)

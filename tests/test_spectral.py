@@ -207,13 +207,32 @@ class TestDensityFamilies:
 
 
 class InverseDensity(SpectralDensity):
-    """f(xi) = 1/|xi| in d = 1: the variance integral diverges at infinity."""
+    """f(xi) = 1/|xi| in d = 1, with no term list."""
 
     dimension = 1
     family = "test-inverse"
 
     def evaluate(self, xi):
         return 1.0 / np.abs(np.asarray(xi)[:, 0])
+
+
+class SteepDensity(SpectralDensity):
+    """f(xi) = |xi|^(-3.4) in d = 1: a power-law term at H = 1.2, whose
+    integral diverges at 0."""
+
+    dimension = 1
+    family = "test-steep"
+
+    def evaluate(self, xi):
+        with np.errstate(divide="ignore"):
+            return np.abs(np.asarray(xi)[:, 0]) ** -3.4
+
+    def terms(self):
+        return (sf.spectral.SpectralTerm(1.0, 1.2),)
+
+
+# a band with no upper edge, and a power law past H = 1
+DIVERGENT = (BandLimitedDensity(1, 0.0, np.inf), SteepDensity())
 
 
 class TestAdmissibility:
@@ -235,18 +254,39 @@ class TestAdmissibility:
         assert result.status == "admissible"
         assert np.isclose(result.value, 2.0, rtol=1e-12)
 
-    def test_inverse_density_is_inadmissible(self, default_grid):
-        result = check_admissible(InverseDensity(), default_grid)
-        assert result.status == "inadmissible"
-        assert result.value is None
-        assert "high-frequency" in result.detail
+    def test_inverse_density_without_terms_is_refused_by_name(self, default_grid):
+        for check in (check_admissible, require_admissible):
+            with pytest.raises(TypeError, match="InverseDensity gives no term list"):
+                check(InverseDensity(), default_grid)
 
-    def test_barely_decaying_tail_is_inconclusive(self, default_grid):
-        # annulus contributions shrink by 2^(-0.06) per step at the high end:
-        # decaying, but too slowly for the window to establish it
-        result = check_admissible(PowerLawDensity(1, 0.03, 1.0), default_grid)
-        assert result.status == "inconclusive"
-        assert result.value is None
+    def test_slowly_decaying_power_law_is_admissible(self, default_grid):
+        # annulus contributions shrink by only 2^(-0.06) per step at the
+        # high end, and the grid holds about 60% of the integral; the term
+        # rule decides, and the grid sum is still the report
+        density = PowerLawDensity(1, 0.03, 1.0)
+        result = check_admissible(density, default_grid)
+        assert result.status == "admissible" and result.detail == ""
+        radii = default_grid.radii()
+        terms = default_grid.weights * np.minimum(1.0, radii) ** 2 * radii ** -1.06
+        expected = np.bincount(default_grid.annulus, weights=terms)
+        assert np.allclose(result.contributions, expected, rtol=1e-13, atol=0.0)
+        assert result.value == float(np.sum(result.contributions))
+
+    @pytest.mark.parametrize("density", DIVERGENT, ids=["open-band", "steep"])
+    def test_divergent_term_is_named(self, default_grid, density):
+        result = check_admissible(density, default_grid)
+        assert result.status == "inadmissible" and result.value is None
+        assert str(density.terms()[0]) in result.detail
+        assert len(result.contributions) == default_grid.n_annuli
+
+    @pytest.mark.parametrize("density", DIVERGENT, ids=["open-band", "steep"])
+    def test_sampling_and_covariance_refuse_the_term(self, default_grid, density):
+        space = sf.uniform_spatial_grid(1, 8)
+        for build in (lambda: sf.SpectralSynthesizer(density, default_grid, space),
+                      lambda: sf.covariance_matrix(density, [0.5], default_grid)):
+            with pytest.raises(InadmissibleDensityError) as caught:
+                build()
+            assert str(density.terms()[0]) in str(caught.value)
 
     def test_admissibility_monotone_in_the_density(self, default_grid):
         small = check_admissible(brownian_density(), default_grid).value
@@ -259,25 +299,30 @@ class TestAdmissibility:
         with pytest.raises(ValueError, match="mismatch"):
             check_admissible(ZeroDensity(2), default_grid)
 
-    def test_require_admissible_returns_value(self, default_grid):
-        value = require_admissible(brownian_density(), default_grid)
-        assert value == check_admissible(brownian_density(), default_grid).value
+    def test_require_admissible_passes_an_admissible_density(self, default_grid):
+        assert require_admissible(brownian_density(), default_grid) is None
 
-    def test_require_admissible_rejects_inadmissible(self, default_grid):
-        with pytest.raises(InadmissibleDensityError, match="inadmissible"):
-            require_admissible(InverseDensity(), default_grid)
+    @pytest.mark.parametrize("density", DIVERGENT, ids=["open-band", "steep"])
+    def test_require_admissible_rejects_inadmissible(self, default_grid, density):
+        with pytest.raises(InadmissibleDensityError, match="inadmissible") as caught:
+            require_admissible(density, default_grid)
+        assert str(density.terms()[0]) in str(caught.value)
 
-    def test_require_admissible_rejects_inconclusive(self, default_grid):
-        # an unsettled check must not silently authorize sampling
-        with pytest.raises(InadmissibleDensityError, match="inconclusive"):
-            require_admissible(PowerLawDensity(1, 0.03, 1.0), default_grid)
+    def test_require_admissible_reads_no_grid_node(self):
+        # the power law overflows at 2^-1022, where the grid report is a
+        # range error; the gate decides from the terms alone
+        grid = sf.dyadic_frequency_grid(1, -1022, -1020, 4)
+        density = PowerLawDensity(1, 0.03, 1.0)
+        assert require_admissible(density, grid) is None
+        with pytest.raises(ValueError, match="not finite in float64"):
+            check_admissible(density, grid)
 
-    def test_require_admissible_caches_repeat_lookups(self, default_grid):
-        f = fractional_brownian_density(0.31)
-        require_admissible(f, default_grid)
-        before = require_admissible.cache_info().hits
-        require_admissible(f, default_grid)
-        assert require_admissible.cache_info().hits == before + 1
+    def test_overflowing_grid_sum_is_a_range_error(self, default_grid):
+        # every node's term is finite, 3.1e306 on [1, 2), but their sum is not
+        density = BandLimitedDensity(1, 1.0, 2.0, 1e308)
+        require_admissible(density, default_grid)
+        with pytest.raises(ValueError, match="grid sum of density .* is not finite"):
+            check_admissible(density, default_grid)
 
 
 # --------------------------------------------------------------------------

@@ -125,9 +125,24 @@ class TestSpectralSynthesizer:
         assert abs(np.mean(values)) <= 4.0 / np.sqrt(n)
 
     def test_admissibility_gate(self, default_grid, space_8):
-        with pytest.raises(sf.InadmissibleDensityError):
-            SpectralSynthesizer(sf.PowerLawDensity(1, 0.03, 1.0), default_grid,
+        # a band with no upper edge has no field; the gate names its term
+        with pytest.raises(sf.InadmissibleDensityError, match="no upper edge"):
+            SpectralSynthesizer(BandLimitedDensity(1, 0.0, np.inf), default_grid,
                                 space_8)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("hurst", [0.01, 0.03, 0.99])
+    def test_extreme_hurst_is_admissible_and_draws(self, default_grid, grid_2d,
+                                                   dimension, hurst):
+        grid = default_grid if dimension == 1 else grid_2d
+        density = sf.fractional_brownian_density(hurst, dimension)
+        assert sf.check_admissible(density, grid).status == "admissible"
+        space = uniform_spatial_grid(dimension, 8 if dimension == 1 else 3)
+        synth = SpectralSynthesizer(density, grid, space)
+        for n in (1, 20):  # circulant in d = 1, then Cholesky
+            synth.prepare(n)
+            block = synth.sample_block(3, range(n))
+            assert block.shape == (n, space.size) and np.all(np.isfinite(block))
 
     def test_dimension_checks(self, default_grid, brownian):
         with pytest.raises(ValueError, match="dimension"):

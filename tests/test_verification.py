@@ -24,6 +24,13 @@ def small_mc(default_grid, seed=5, n=300, radii=(0.3, 0.6, 1.2), resolution=8):
                     radii=radii)
 
 
+def coupler_on(cfg, dominated, dominating, constant=1.0):
+    """The coupling of the pair at C = constant on the campaign's grids."""
+    cert = check_domination(dominated, dominating, constant, cfg.frequency_grid)
+    return sf.CouplingSynthesizer(dominated, dominating, constant, cert,
+                                  cfg.frequency_grid, cfg.spatial_grid)
+
+
 class TestClopperPearson:
     def test_zero_successes_closed_form(self):
         n, level = 50, 0.975
@@ -471,8 +478,7 @@ class TestCouplingLaw:
 class TestComparison:
     def test_identical_densities_pair_exactly(self, default_grid, brownian):
         cfg = small_mc(default_grid)
-        cert = check_domination(brownian, brownian, 1.0, default_grid)
-        report = verify_comparison(brownian, brownian, 1.0, SupNorm(), cfg, cert)
+        report = verify_comparison(coupler_on(cfg, brownian, brownian), SupNorm(), cfg)
         for row in report.rows:
             assert row.successes_lhs == row.successes_rhs
             assert row.verdict == "consistent"
@@ -480,18 +486,23 @@ class TestComparison:
     def test_perturbed_pair_has_no_violations(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, n=400)
-        cert = check_domination(perturbed, base, 1.0, default_grid)
-        report = verify_comparison(perturbed, base, 1.0, SupNorm(), cfg, cert)
+        report = verify_comparison(coupler_on(cfg, perturbed, base), SupNorm(), cfg)
         assert report.worst_verdict != "violated"
+
+    def test_coupler_on_another_grid_is_refused(self, default_grid, brownian):
+        coupler = coupler_on(small_mc(default_grid, resolution=6), brownian, brownian)
+        cfg = small_mc(default_grid)
+        for campaign in (verify_comparison, coupling_norm_quantiles):
+            with pytest.raises(ValueError, match="not on the campaign's uniform"):
+                campaign(coupler, SupNorm(), cfg)
 
 
 class TestQuantileRadii:
     def test_quantiles_are_sorted_and_bracketed(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, radii=())
-        cert = check_domination(perturbed, base, 1.0, default_grid)
-        radii = coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg,
-                                        cert, count=5, span=0.9, n_pilot=200)
+        radii = coupling_norm_quantiles(coupler_on(cfg, perturbed, base), SupNorm(), cfg,
+                                        count=5, span=0.9, n_pilot=200)
         assert len(radii) == 5
         assert list(radii) == sorted(radii)
         assert radii[0] > 0
@@ -499,11 +510,10 @@ class TestQuantileRadii:
     def test_determinism(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, radii=())
-        cert = check_domination(perturbed, base, 1.0, default_grid)
         kwargs = dict(count=3, span=0.8, n_pilot=150)
-        a = coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
+        a = coupling_norm_quantiles(coupler_on(cfg, perturbed, base), SupNorm(), cfg,
                                     **kwargs)
-        b = coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
+        b = coupling_norm_quantiles(coupler_on(cfg, perturbed, base), SupNorm(), cfg,
                                     **kwargs)
         assert a == b
 
@@ -513,7 +523,7 @@ class TestQuantileRadii:
         # bits; rounding the norms to 0.1 makes ties
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, radii=())
-        cert = check_domination(perturbed, base, 1.0, default_grid)
+        coupler = coupler_on(cfg, perturbed, base)
         for decimals in (None, 1):
             norms = []
 
@@ -525,9 +535,8 @@ class TestQuantileRadii:
             for count in (1, 3, 5):
                 for span in (0.5, 0.8, 0.9):
                     norms.clear()
-                    radii = coupling_norm_quantiles(perturbed, base, 1.0, norm, cfg,
-                                                    cert, count=count, span=span,
-                                                    n_pilot=n_pilot)
+                    radii = coupling_norm_quantiles(coupler, norm, cfg, count=count,
+                                                    span=span, n_pilot=n_pilot)
                     pilot = np.concatenate(norms)
                     assert pilot.size == n_pilot
                     if decimals is not None:
@@ -550,19 +559,17 @@ class TestQuantileRadii:
     def test_span_validation(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, radii=())
-        cert = check_domination(perturbed, base, 1.0, default_grid)
         with pytest.raises(ValueError, match="span"):
-            coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
+            coupling_norm_quantiles(coupler_on(cfg, perturbed, base), SupNorm(), cfg,
                                     span=1.0)
 
     def test_pilot_count_validation(self, default_grid, fbm_pair):
         perturbed, base = fbm_pair
         cfg = small_mc(default_grid, radii=())
-        cert = check_domination(perturbed, base, 1.0, default_grid)
+        coupler = coupler_on(cfg, perturbed, base)
         for n_pilot in (0, 99):
             with pytest.raises(ValueError, match="n_pilot must be at least 100"):
-                coupling_norm_quantiles(perturbed, base, 1.0, SupNorm(), cfg, cert,
-                                        n_pilot=n_pilot)
+                coupling_norm_quantiles(coupler, SupNorm(), cfg, n_pilot=n_pilot)
 
 
 class TestStandardizedMax:
