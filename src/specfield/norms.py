@@ -14,11 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Above this many point pairs the Holder norm switches from all pairs to the
-# deterministic dyadic-offset subset.
-DEFAULT_PAIR_BUDGET = 1 << 22
-
-
 def _values_of(sample_or_values) -> np.ndarray:
     values = getattr(sample_or_values, "values", sample_or_values)
     return np.asarray(values, dtype=float)
@@ -49,41 +44,31 @@ class SupNorm:
     """max |g(x)| over the grid points; one value per row of a (B, N) block.
     The grid is optional, but one that is given or carried must fit."""
 
-    kind: str = "sup"
-
     def __call__(self, sample_or_values, grid=None):
         values = _values_of(sample_or_values)
         rows = _rows_on(values, _grid_of(sample_or_values, grid))
         return _per_path(values, np.max(np.abs(rows), axis=1, initial=0.0))
 
-    @property
-    def label(self) -> str:
-        return "sup"
-
 
 @dataclass(frozen=True)
 class HolderNorm:
-    """sup norm plus the largest increment ratio |g(x)-g(y)| / |x-y|^alpha.
+    """The dyadic Holder norm on a grid of spacing h:
 
-    The ratio is maximized over all point pairs when size^2 fits the budget,
-    otherwise over the deterministic dyadic-offset pairs (i, i + 2^k along
-    each grid axis) — a documented fixed subset, so values are reproducible
-    and still dominate the sup norm.  A (B, N) block gives one value per row.
+        sup |g| + max over k and axes e of
+                  max_x |g(x + 2^k h e) - g(x)| / (2^k h)^alpha,
+
+    the lags 2^k h running below the side of [0, 1]^d.  It never exceeds the
+    all-pairs Holder norm, and that norm is at most 1 / (1 - 2^-alpha) times
+    it in d = 1 and 2^(1 - alpha/2) / (1 - 2^-alpha) times it in d = 2 (split
+    a lag into its binary digits).  It costs O(N log N) per row, and a (B, N)
+    block gives one value per row.
     """
 
     alpha: float
-    pair_budget: int = DEFAULT_PAIR_BUDGET
-    kind: str = "holder"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.pair_budget < 4:
-            raise ValueError("pair budget too small to form any pair")
-
-    @property
-    def label(self) -> str:
-        return f"holder({self.alpha!r})"
 
     def __call__(self, sample_or_values, grid=None):
         values = _values_of(sample_or_values)
@@ -91,50 +76,19 @@ class HolderNorm:
         if grid is None:
             raise ValueError("a grid is required: pass a FieldSample or supply grid=")
         rows = _rows_on(values, grid)
-        n = rows.shape[1]
-        sup = np.max(np.abs(rows), axis=1, initial=0.0)
-        if n * n <= self.pair_budget:
-            ratio = self._full_pair_ratio(rows, np.asarray(grid.points, dtype=float))
-        else:
-            ratio = self._dyadic_pair_ratio(rows, grid)
-        return _per_path(values, sup + ratio)
-
-    def _full_pair_ratio(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """The maximum over pairs (i, i + k) for each lag k, one contiguous
-        slice of the transposed block per lag.  The pair scales
-        |x_i - x_j|^alpha are one (N, N) array, at most pair_budget entries,
-        whose k-th diagonal holds lag k's."""
-        squares = np.zeros((len(points), len(points)))
-        for axis in points.T:
-            squares += np.subtract.outer(axis, axis) ** 2
-        scales = np.sqrt(squares, out=squares)
-        scales **= self.alpha
-        columns = np.ascontiguousarray(rows.T)
-        ratio = np.zeros(rows.shape[0])
-        for lag in range(1, len(columns)):
-            diffs = np.subtract(columns[:-lag], columns[lag:])
-            np.abs(diffs, out=diffs)
-            diffs /= np.diagonal(scales, lag)[:, None]
-            np.maximum(ratio, np.max(diffs, axis=0), out=ratio)
-        return ratio
-
-    def _dyadic_pair_ratio(self, rows: np.ndarray, grid) -> np.ndarray:
-        spacing = grid.spacing
-        best = np.zeros(rows.shape[0])
-        if grid.dimension == 1:
-            lag = 1
-            while lag < grid.resolution:
-                d = np.max(np.abs(rows[:, lag:] - rows[:, :-lag]), axis=1)
-                best = np.maximum(best, d / (lag * spacing) ** self.alpha)
-                lag *= 2
-        else:
-            square = rows.reshape(-1, grid.resolution, grid.resolution)
-            lag = 1
-            while lag < grid.resolution:
-                sep = (lag * spacing) ** self.alpha
-                d0 = np.max(np.abs(square[:, lag:, :] - square[:, :-lag, :]), axis=(1, 2))
-                d1 = np.max(np.abs(square[:, :, lag:] - square[:, :, :-lag]), axis=(1, 2))
-                best = np.maximum(best, np.maximum(d0 / sep, d1 / sep))
-                lag *= 2
-        return best
-
+        # one row per point and one column per path: each lag's maximum then
+        # runs over whole contiguous rows
+        axes = tuple(range(grid.dimension))
+        columns = np.ascontiguousarray(rows.T).reshape(
+            (grid.resolution,) * grid.dimension + (len(rows),))
+        ratio = np.zeros(len(rows))
+        lag = 1
+        while lag < grid.resolution:
+            scale = (lag * grid.spacing) ** self.alpha
+            for axis in axes:
+                ahead = columns[(slice(None),) * axis + (slice(lag, None),)]
+                behind = columns[(slice(None),) * axis + (slice(None, -lag),)]
+                steps = np.max(np.abs(ahead - behind), axis=axes)
+                np.maximum(ratio, steps / scale, out=ratio)
+            lag *= 2
+        return _per_path(values, np.max(np.abs(rows), axis=1, initial=0.0) + ratio)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 import specfield as sf
 from specfield import (BandLimitedDensity, CouplingSynthesizer, ExactFieldSampler,
@@ -398,3 +399,39 @@ class TestExactKernel:
         for density in (perturbed(hurst, 2), BandLimitedDensity(2, 0.5, 64.0)):
             assert (covariance_matrix(density, space, grid_2d).tobytes()
                     == covariance_matrix(density, space, coarse).tobytes())
+
+
+def loewner_eigenvalues(k_x, k_y):
+    """The generalized eigenvalues of (K_X, K_Y) on the free points (the
+    origin dropped): the eigenvalues of L_Y^-1 K_X L_Y^-T."""
+    lower = np.linalg.cholesky(k_y[1:, 1:])
+    half = linalg.solve_triangular(lower, k_x[1:, 1:], lower=True)
+    return np.linalg.eigvalsh(linalg.solve_triangular(lower, half.T, lower=True))
+
+
+class TestLoewnerConstants:
+    """c f_Y <= f_X <= C f_Y on R^d gives c K_Y <= K_X <= C K_Y on every
+    point set, so the generalized eigenvalues lie in [c, C]."""
+
+    @pytest.mark.parametrize("dimension,resolution", [(1, 8), (1, 65), (1, 257), (2, 8)])
+    def test_shipped_pair_stays_inside_its_density_bounds(self, default_grid, grid_2d,
+                                                          dimension, resolution):
+        # f_X = (2 + sin |xi|) / 3 f_Y: c = 1/3 and C = 1
+        grid = default_grid if dimension == 1 else grid_2d
+        space = uniform_spatial_grid(dimension, resolution)
+        k_x = covariance_matrix(perturbed(0.5, dimension), space, grid)
+        k_y = covariance_matrix(sf.fractional_brownian_density(0.5, dimension), space, grid)
+        eigenvalues = loewner_eigenvalues(k_x, k_y)
+        assert 1 / 3 - 1e-10 <= eigenvalues[0]
+        assert eigenvalues[-1] <= 1 + 1e-10
+
+    @pytest.mark.parametrize("resolution", [8, 65, 257])
+    def test_doubled_covariance_has_the_closed_form_divergence(self, default_grid,
+                                                               resolution):
+        # KL(N(0, 2 K) || N(0, K)) = (N - 1) (1 - ln 2) / 2 on N - 1 free points
+        space = uniform_spatial_grid(1, resolution)
+        k_y = covariance_matrix(sf.fractional_brownian_density(0.5), space, default_grid)
+        eigenvalues = loewner_eigenvalues(2 * k_y, k_y)
+        divergence = 0.5 * np.sum(eigenvalues - 1 - np.log(eigenvalues))
+        closed = 0.5 * (resolution - 1) * (1 - np.log(2))
+        assert abs(divergence - closed) <= 1e-10 * closed

@@ -82,58 +82,75 @@ class TestAxioms:
             assert norm(values[::2], coarse) <= norm(values, fine) + 0.0
 
 
-def brute_force_holder(values, points, alpha):
-    """sup plus the largest |g(x_i) - g(x_j)| / |x_i - x_j|^alpha, pair by pair."""
+def brute_force_dyadic(values, grid, alpha):
+    """sup plus the largest |g(x) - g(y)| / |x - y|^alpha over the pairs a
+    power of two steps apart along one axis, pair by pair."""
     rows = np.atleast_2d(values)
-    pairs = list(itertools.combinations(range(len(points)), 2))
-    scale = np.array([np.sqrt(np.sum((points[i] - points[j]) ** 2))
-                      for i, j in pairs]) ** alpha
-    ratio = [max(abs(row[i] - row[j]) / s for (i, j), s in zip(pairs, scale))
-             for row in rows]
-    return np.max(np.abs(rows), axis=1) + np.array(ratio)
+    steps = np.array(list(itertools.product(range(grid.resolution), repeat=grid.dimension)))
+    assert np.allclose(steps * grid.spacing, grid.points)
+    ratio = np.zeros(len(rows))
+    for i, j in itertools.combinations(range(grid.size), 2):
+        offset = np.abs(steps[j] - steps[i])
+        lag = int(offset.max())
+        if np.count_nonzero(offset) == 1 and lag & (lag - 1) == 0:
+            scale = (lag * grid.spacing) ** alpha
+            ratio = np.maximum(ratio, np.abs(rows[:, i] - rows[:, j]) / scale)
+    return np.max(np.abs(rows), axis=1) + ratio
 
 
-class TestFullPairs:
-    """The all-pairs ratio, taken one lag at a time, is the maximum over
-    every pair, bit for bit."""
+def all_pairs_holder(values, grid, alpha):
+    """sup plus the largest |g(x) - g(y)| / |x - y|^alpha over every pair."""
+    rows = np.atleast_2d(values)
+    i, j = np.triu_indices(grid.size, 1)
+    scale = np.sqrt(np.sum((grid.points[i] - grid.points[j]) ** 2, axis=1)) ** alpha
+    ratio = np.max(np.abs(rows[:, i] - rows[:, j]) / scale, axis=1)
+    return np.max(np.abs(rows), axis=1) + ratio
+
+
+class TestDyadicLags:
+    """The norm is the maximum over the dyadic axis pairs, bit for bit."""
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     @pytest.mark.parametrize("grid", [uniform_spatial_grid(1, 17),
                                       uniform_spatial_grid(2, 8)],
                              ids=["line", "plane"])
-    def test_matches_every_pair(self, grid, alpha):
+    def test_matches_every_dyadic_pair(self, grid, alpha):
         rng = np.random.default_rng(6)
         points = np.asarray(grid.points, dtype=float)
         block = rng.normal(size=(5, grid.size))
         block[1] = np.round(block[1])          # ties among values and ratios
         block[2] = 0.75                        # a constant row: ratio 0
         block[3] = np.tile([1.0, -1.0], grid.size)[:grid.size]
-        block[4] = points.sum(axis=1)          # a ramp: the widest pair wins
+        block[4] = points.sum(axis=1)          # a ramp
         norm = HolderNorm(alpha)
-        assert grid.size ** 2 <= norm.pair_budget
-        expected = brute_force_holder(block, points, alpha)
+        expected = brute_force_dyadic(block, grid, alpha)
         assert norm(block, grid).tobytes() == expected.tobytes()
         single = norm(block[0], grid)
         assert isinstance(single, float)
         assert np.float64(single).tobytes() == expected[0].tobytes()
 
 
-class TestPairSubsampling:
-    def test_dyadic_subset_brackets(self):
-        rng = np.random.default_rng(3)
-        grid = uniform_spatial_grid(1, 70)
-        values = rng.normal(size=70)
-        full = HolderNorm(0.5)(values, grid)
-        dyadic = HolderNorm(0.5, pair_budget=16)(values, grid)
-        assert SupNorm()(values, grid) <= dyadic <= full
+class TestEquivalence:
+    """The dyadic pairs are a subset of all pairs, and a pair's lag splits
+    into its binary digits, so full / C(alpha, d) <= dyadic <= full."""
 
-    def test_dyadic_square_grid(self):
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("grid", [uniform_spatial_grid(1, 256),
+                                      uniform_spatial_grid(2, 16)],
+                             ids=["line", "plane"])
+    def test_within_the_constants_of_all_pairs(self, grid, alpha):
         rng = np.random.default_rng(4)
-        grid = uniform_spatial_grid(2, 5)
-        values = rng.normal(size=grid.size)
-        full = HolderNorm(0.5)(values, grid)
-        dyadic = HolderNorm(0.5, pair_budget=16)(values, grid)
-        assert SupNorm()(values, grid) <= dyadic <= full
+        noise = rng.normal(size=(8, grid.size))
+        walks = np.cumsum(noise.reshape((8,) + (grid.resolution,) * grid.dimension),
+                          axis=-1).reshape(8, grid.size)
+        block = np.vstack([noise, walks, grid.points.sum(axis=1)])
+        constant = 1 / (1 - 2 ** -alpha)
+        if grid.dimension == 2:
+            constant *= 2 ** (1 - alpha / 2)
+        dyadic = HolderNorm(alpha)(block, grid)
+        full = all_pairs_holder(block, grid, alpha)
+        assert np.all(dyadic <= full * (1 + 1e-12))
+        assert np.all(full <= constant * dyadic)
 
 
 class TestInterface:
@@ -148,10 +165,9 @@ class TestInterface:
         with pytest.raises(ValueError, match="grid"):
             HolderNorm(0.5)(np.ones(4))
 
-    @pytest.mark.parametrize("budget", [1 << 22, 4], ids=["all-pairs", "dyadic"])
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (9,)])
-    def test_width_must_match_the_grid(self, budget, shape):
-        for norm in (HolderNorm(0.5, pair_budget=budget), SupNorm()):
+    def test_width_must_match_the_grid(self, shape):
+        for norm in (HolderNorm(0.5), SupNorm()):
             with pytest.raises(ValueError, match=f"{shape[-1]} values .* grid of 8 points"):
                 norm(np.zeros(shape), uniform_spatial_grid(1, 8))
 
@@ -160,10 +176,6 @@ class TestInterface:
             HolderNorm(0.0)
         with pytest.raises(ValueError, match="alpha"):
             HolderNorm(1.5)
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError, match="budget"):
-            HolderNorm(0.5, pair_budget=2)
 
     def test_catalog(self):
         # the config builds the norm from norm.kind
@@ -177,7 +189,3 @@ class TestInterface:
             parse_config(base + "norm.kind = holder\n")
         with pytest.raises(ConfigError, match="norm.kind must be one of"):
             parse_config(base + "norm.kind = energy\n")
-
-    def test_labels(self):
-        assert SupNorm().label == "sup"
-        assert HolderNorm(0.5).label == "holder(0.5)"
